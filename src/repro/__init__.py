@@ -23,8 +23,8 @@ Subpackages
 :mod:`repro.dist`
     Simulated multi-rank batch decomposition (MPI-style, in process).
 :mod:`repro.utils`
-    Banded storage, Matrix Market I/O, eigenvalue diagnostics, RCM
-    reordering.
+    Banded storage, eigenvalue diagnostics, fault injection, input
+    validation.
 :mod:`repro.experiments`
     Programmatic generators for every paper artefact (figures/tables).
 

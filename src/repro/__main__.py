@@ -94,23 +94,12 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_picard(args) -> int:
-    import sys
-
-    from repro.core import BackendUnavailableError
     from repro.xgc import CollisionProxyApp, PicardOptions, ProxyAppConfig
 
-    try:
-        app = CollisionProxyApp(ProxyAppConfig(
-            num_mesh_nodes=args.nodes,
-            picard=PicardOptions(
-                matrix_format=args.format,
-                solver=args.solver,
-                backend=getattr(args, "backend", "numpy"),
-            ),
-        ))
-    except BackendUnavailableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    app = CollisionProxyApp(ProxyAppConfig(
+        num_mesh_nodes=args.nodes,
+        picard=PicardOptions(matrix_format=args.format, solver=args.solver),
+    ))
     result = app.run(args.steps)
     by = result.linear_iterations_by_species(app.config)
     print("linear iterations per Picard iteration (batch mean):")
@@ -288,13 +277,6 @@ def main(argv=None) -> int:
         default="bicgstab",
         help="inner batched solver (pipelined_bicgstab trades the "
              "||s|| early exit for 2 reduction rounds/iteration)",
-    )
-    picard.add_argument(
-        "--backend",
-        choices=("numpy", "jax"),
-        default="numpy",
-        help="array backend for assembly + inner solves "
-             "(jax requires JAX installed)",
     )
     tune = sub.add_parser("tune", help="automatic solver configuration report")
     tune.add_argument("--search", action="store_true",

@@ -13,17 +13,6 @@ Public surface:
   and :class:`RefinementSolver` for fp64-accurate low-precision solves.
 """
 
-from .backend import (
-    NUMPY,
-    ArrayBackend,
-    BackendUnavailableError,
-    JaxBackend,
-    NumpyBackend,
-    available_backends,
-    backend_of,
-    get_backend,
-    is_device_array,
-)
 from .batch_csr import BatchCsr
 from .batch_dense import (
     BatchDense,
@@ -137,16 +126,6 @@ from .workspace import (
 )
 
 __all__ = [
-    # backends
-    "ArrayBackend",
-    "NumpyBackend",
-    "JaxBackend",
-    "NUMPY",
-    "BackendUnavailableError",
-    "get_backend",
-    "backend_of",
-    "available_backends",
-    "is_device_array",
     # formats
     "BatchCsr",
     "BatchEll",

@@ -15,8 +15,9 @@ Storage cost (paper, Section IV-A)::
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..utils.validation import as_index_array, as_value_array
-from .backend import backend_of, host as np
 from .types import DTYPE, INDEX_DTYPE, BatchShape, DimensionMismatch, InvalidFormatError
 
 __all__ = ["BatchCsr"]
@@ -224,13 +225,10 @@ class BatchCsr:
         Missing diagonal entries (not in the pattern) come back as 0.
         """
         n = min(self.num_rows, self.num_cols)
-        bk = backend_of(self._values)
-        diag = bk.zeros((self.num_batch, n), self._values.dtype)
+        diag = np.zeros((self.num_batch, n), dtype=self._values.dtype)
         rows = np.repeat(np.arange(self.num_rows, dtype=np.int64), self.nnz_per_row())
         on_diag = (rows == self._col_idxs) & (rows < n)
-        diag = bk.at_set(
-            diag, (slice(None), rows[on_diag]), self._values[:, on_diag]
-        )
+        diag[:, rows[on_diag]] = self._values[:, on_diag]
         return diag
 
     def copy(self) -> "BatchCsr":
@@ -276,14 +274,13 @@ class BatchCsr:
         allocation-free.
         """
         indices = np.asarray(indices)
-        bk = backend_of(self._values)
-        if values_out is not None and bk.is_host:
+        if values_out is None:
+            gathered = self._values[indices]
+        else:
             if indices.dtype == np.bool_:
                 indices = np.flatnonzero(indices)
             gathered = values_out[: indices.size]
             np.take(self._values, indices, axis=0, out=gathered)
-        else:
-            gathered = bk.take(self._values, indices)
         return BatchCsr(
             self.num_cols,
             self._row_ptrs,
@@ -317,8 +314,29 @@ class BatchCsr:
         staying fully vectorised over the batch.
         """
         self._shape.compatible_vector(x, "x")
-        bk = backend_of(self._values, x)
-        return bk.csr_spmv(self._row_ptrs, self._col_idxs, self._values, x, out=out)
+        gathered = x[:, self._col_idxs]
+        gathered *= self._values
+        if out is None:
+            out = np.empty((self.num_batch, self.num_rows), dtype=self._values.dtype)
+        nnz = self.nnz_per_system
+        if nnz == 0:
+            out[...] = 0.0
+            return out
+        # Per-row segment reduction with reduceat: each row is summed
+        # independently (no cross-row accumulation, so rows of wildly
+        # different magnitude cannot contaminate each other — a global
+        # prefix sum would).  A zero sentinel keeps trailing empty rows'
+        # start index (== nnz) in bounds; reduceat returns the element at
+        # `start` for empty segments, which the mask then zeroes.
+        padded = np.empty((self.num_batch, nnz + 1), dtype=gathered.dtype)
+        padded[:, :nnz] = gathered
+        padded[:, nnz] = 0.0
+        starts = self._row_ptrs[:-1].astype(np.int64)
+        out[...] = np.add.reduceat(padded, starts, axis=1)
+        empty = np.diff(self._row_ptrs) == 0
+        if np.any(empty):
+            out[:, empty] = 0.0
+        return out
 
     def advanced_apply(
         self,
@@ -337,7 +355,16 @@ class BatchCsr:
         ``y``.
         """
         ax = self.apply(x, out=work)
-        return backend_of(ax, y).fma_update(ax, alpha, beta, y)
+        alpha = np.asarray(alpha, dtype=ax.dtype)
+        beta = np.asarray(beta, dtype=y.dtype)
+        if alpha.ndim == 1:
+            alpha = alpha[:, None]
+        if beta.ndim == 1:
+            beta = beta[:, None]
+        np.multiply(ax, alpha, out=ax)
+        np.multiply(y, beta, out=y)
+        np.add(y, ax, out=y)
+        return y
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         s = self._shape

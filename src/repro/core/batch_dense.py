@@ -13,8 +13,9 @@ of shape ``(num_batch,)``.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..utils.validation import as_value_array
-from .backend import backend_of, host as np
 from .types import DTYPE, BatchShape, DimensionMismatch, InvalidFormatError
 
 __all__ = [
@@ -123,12 +124,9 @@ class BatchDense:
     def diagonal(self) -> np.ndarray:
         """Per-system main diagonals, shape ``(num_batch, min(n, m))``."""
         n = min(self.num_rows, self.num_cols)
-        bk = backend_of(self._values)
-        if bk.is_host:
-            return np.ascontiguousarray(
-                np.einsum("bii->bi", self._values[:, :n, :n])
-            )
-        return bk.xp.einsum("bii->bi", self._values[:, :n, :n])
+        return np.ascontiguousarray(
+            np.einsum("bii->bi", self._values[:, :n, :n])
+        )
 
     def to_dense(self) -> "BatchDense":
         """Return self (identity conversion)."""
@@ -156,14 +154,13 @@ class BatchDense:
         compaction events skip the per-event allocation.
         """
         indices = np.asarray(indices)
-        bk = backend_of(self._values)
-        if values_out is not None and bk.is_host:
-            if indices.dtype == np.bool_:
-                indices = np.flatnonzero(indices)
-            dst = values_out[: indices.size]
-            np.take(self._values, indices, axis=0, out=dst)
-            return BatchDense(dst)
-        return BatchDense(bk.take(self._values, indices))
+        if values_out is None:
+            return BatchDense(self._values[indices])
+        if indices.dtype == np.bool_:
+            indices = np.flatnonzero(indices)
+        dst = values_out[: indices.size]
+        np.take(self._values, indices, axis=0, out=dst)
+        return BatchDense(dst)
 
     # -- matrix-vector products -------------------------------------------
 
@@ -174,7 +171,11 @@ class BatchDense:
         ``(num_batch, num_rows)``.
         """
         self._shape.compatible_vector(x, "x")
-        return backend_of(self._values, x).dense_matvec(self._values, x, out=out)
+        y = np.einsum("bij,bj->bi", self._values, x, optimize=True)
+        if out is None:
+            return y
+        out[...] = y
+        return out
 
     def advanced_apply(
         self,
@@ -192,9 +193,17 @@ class BatchDense:
         ``work`` must not alias ``x`` or ``y``.
         """
         self._shape.compatible_vector(x, "x")
-        bk = backend_of(self._values, x, y)
-        ax = bk.dense_matvec_acc(self._values, x, work=work)
-        return bk.fma_update(ax, alpha, beta, y)
+        ax = np.einsum("bij,bj->bi", self._values, x, optimize=True, out=work)
+        alpha = np.asarray(alpha, dtype=ax.dtype)
+        beta = np.asarray(beta, dtype=y.dtype)
+        if alpha.ndim == 1:
+            alpha = alpha[:, None]
+        if beta.ndim == 1:
+            beta = beta[:, None]
+        np.multiply(ax, alpha, out=ax)
+        np.multiply(y, beta, out=y)
+        np.add(y, ax, out=y)
+        return y
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         s = self._shape
@@ -221,7 +230,7 @@ def batch_dot(
     """
     if a.shape != b.shape:
         raise DimensionMismatch(f"dot operands differ in shape: {a.shape} vs {b.shape}")
-    return backend_of(a, b).dot(a, b, out=out, dtype=dtype)
+    return np.einsum("bi,bi->b", a, b, out=out, dtype=dtype)
 
 
 def batch_norm2(
@@ -232,7 +241,11 @@ def batch_norm2(
     ``dtype`` sets the accumulation dtype of the squared sum (see
     :func:`batch_dot`).
     """
-    return backend_of(a).norm2(a, out=out, dtype=dtype)
+    sq = np.einsum("bi,bi->b", a, a, dtype=dtype)
+    if out is None:
+        return np.sqrt(sq)
+    np.sqrt(sq, out=out)
+    return out
 
 
 def batch_axpy(alpha: float | np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -246,10 +259,8 @@ def batch_axpy(alpha: float | np.ndarray, x: np.ndarray, y: np.ndarray) -> np.nd
     alpha = np.asarray(alpha, dtype=y.dtype)
     if alpha.ndim == 1:
         alpha = alpha[:, None]
-    if backend_of(x, y).is_host:
-        y += alpha * x
-        return y
-    return y + alpha * x
+    y += alpha * x
+    return y
 
 
 def batch_scale(alpha: float | np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -257,14 +268,13 @@ def batch_scale(alpha: float | np.ndarray, x: np.ndarray) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=x.dtype)
     if alpha.ndim == 1:
         alpha = alpha[:, None]
-    if backend_of(x).is_host:
-        x *= alpha
-        return x
-    return x * alpha
+    x *= alpha
+    return x
 
 
 def batch_copy(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Copy one batch vector into another (shape-checked)."""
     if src.shape != dst.shape:
         raise DimensionMismatch(f"copy operands differ in shape: {src.shape} vs {dst.shape}")
-    return backend_of(dst).copyto(dst, src)
+    dst[...] = src
+    return dst

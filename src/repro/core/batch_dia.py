@@ -36,8 +36,9 @@ formats (see ``docs/performance_model.md``).
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..utils.validation import as_index_array, as_value_array
-from .backend import backend_of, host as np
 from .types import BatchShape, DimensionMismatch, InvalidFormatError
 
 __all__ = ["BatchDia"]
@@ -221,9 +222,7 @@ class BatchDia:
         pos = int(np.searchsorted(self._offsets, 0))
         if pos < self.num_diags and self._offsets[pos] == 0:
             return self._values[:, pos, :n].copy()
-        return backend_of(self._values).zeros(
-            (self.num_batch, n), self._values.dtype
-        )
+        return np.zeros((self.num_batch, n), dtype=self._values.dtype)
 
     def copy(self) -> "BatchDia":
         """Deep copy (shared offset array reused; read-only by contract)."""
@@ -253,14 +252,13 @@ class BatchDia:
         bands (leading ``len(indices)`` systems used).
         """
         indices = np.asarray(indices)
-        bk = backend_of(self._values)
-        if values_out is not None and bk.is_host:
+        if values_out is None:
+            gathered = self._values[indices]
+        else:
             if indices.dtype == np.bool_:
                 indices = np.flatnonzero(indices)
             gathered = values_out[: indices.size]
             np.take(self._values, indices, axis=0, out=gathered)
-        else:
-            gathered = bk.take(self._values, indices)
         return BatchDia(self.num_cols, self._offsets, gathered, check=False)
 
     def scale_values(self, factor: float | np.ndarray) -> "BatchDia":
@@ -291,9 +289,20 @@ class BatchDia:
         addressing.  ``x`` must not alias ``out``.
         """
         self._shape.compatible_vector(x, "x")
-        bk = backend_of(self._values, x)
-        scratch = self._scratch() if bk.is_host else None
-        return bk.dia_spmv(self._spans, self._values, x, out=out, scratch=scratch)
+        if out is None:
+            out = np.zeros((self.num_batch, self.num_rows), dtype=self._values.dtype)
+        else:
+            out[...] = 0.0
+        work = self._scratch()
+        values = self._values
+        for k, d, lo, hi in self._spans:
+            if lo >= hi:
+                continue
+            w = work[:, : hi - lo]
+            np.multiply(values[:, k, lo:hi], x[:, lo + d : hi + d], out=w)
+            seg = out[:, lo:hi]
+            np.add(seg, w, out=seg)
+        return out
 
     def advanced_apply(
         self,
@@ -312,7 +321,16 @@ class BatchDia:
         ``work`` must not alias ``x`` or ``y``.
         """
         ax = self.apply(x, out=work)
-        return backend_of(ax, y).fma_update(ax, alpha, beta, y)
+        alpha = np.asarray(alpha, dtype=ax.dtype)
+        beta = np.asarray(beta, dtype=y.dtype)
+        if alpha.ndim == 1:
+            alpha = alpha[:, None]
+        if beta.ndim == 1:
+            beta = beta[:, None]
+        np.multiply(ax, alpha, out=ax)
+        np.multiply(y, beta, out=y)
+        np.add(y, ax, out=y)
+        return y
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         s = self._shape

@@ -20,8 +20,9 @@ Storage cost (paper, Section IV-A)::
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..utils.validation import as_index_array, as_value_array
-from .backend import backend_of, host as np
 from .types import DTYPE, INDEX_DTYPE, BatchShape, DimensionMismatch, InvalidFormatError
 
 __all__ = ["BatchEll", "PAD_COL"]
@@ -177,14 +178,13 @@ class BatchEll:
     def diagonal(self) -> np.ndarray:
         """Per-system main diagonals, shape ``(num_batch, min(n, m))``."""
         n = min(self.num_rows, self.num_cols)
-        bk = backend_of(self._values)
-        diag = bk.zeros((self.num_batch, n), self._values.dtype)
+        diag = np.zeros((self.num_batch, n), dtype=self._values.dtype)
         row_of = np.broadcast_to(
             np.arange(self.num_rows, dtype=INDEX_DTYPE), self._col_idxs.shape
         )
         on_diag = (self._col_idxs == row_of) & (row_of < n)
         slot, rows = np.nonzero(on_diag)
-        diag = bk.at_set(diag, (slice(None), rows), self._values[:, slot, rows])
+        diag[:, rows] = self._values[:, slot, rows]
         return diag
 
     def copy(self) -> "BatchEll":
@@ -213,14 +213,13 @@ class BatchEll:
         values (leading ``len(indices)`` systems used).
         """
         indices = np.asarray(indices)
-        bk = backend_of(self._values)
-        if values_out is not None and bk.is_host:
+        if values_out is None:
+            gathered = self._values[indices]
+        else:
             if indices.dtype == np.bool_:
                 indices = np.flatnonzero(indices)
             gathered = values_out[: indices.size]
             np.take(self._values, indices, axis=0, out=gathered)
-        else:
-            gathered = bk.take(self._values, indices)
         return BatchEll(self.num_cols, self._col_idxs, gathered, check=False)
 
     def scale_values(self, factor: float | np.ndarray) -> "BatchEll":
@@ -242,9 +241,14 @@ class BatchEll:
         is contiguous.
         """
         self._shape.compatible_vector(x, "x")
-        bk = backend_of(self._values, x)
-        # _gather_cols is pre-clamped (sentinel -> 0); value 0 kills it.
-        return bk.ell_spmv(self._gather_cols, self._values, x, out=out)
+        if out is None:
+            out = np.zeros((self.num_batch, self.num_rows), dtype=self._values.dtype)
+        else:
+            out[...] = 0.0
+        cols = self._gather_cols  # pre-clamped sentinel; value 0 kills it
+        for k in range(self.max_nnz_row):
+            out += self._values[:, k, :] * x[:, cols[k]]
+        return out
 
     def advanced_apply(
         self,
@@ -262,7 +266,16 @@ class BatchEll:
         ``work`` must not alias ``x`` or ``y``.
         """
         ax = self.apply(x, out=work)
-        return backend_of(ax, y).fma_update(ax, alpha, beta, y)
+        alpha = np.asarray(alpha, dtype=ax.dtype)
+        beta = np.asarray(beta, dtype=y.dtype)
+        if alpha.ndim == 1:
+            alpha = alpha[:, None]
+        if beta.ndim == 1:
+            beta = beta[:, None]
+        np.multiply(ax, alpha, out=ax)
+        np.multiply(y, beta, out=y)
+        np.add(y, ax, out=y)
+        return y
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         s = self._shape

@@ -17,13 +17,6 @@ the solve; the helpers here are its host-side answer:
 Per-system coefficient arrays of shape ``(num_batch,)`` broadcast over the
 row axis; Python scalars are accepted everywhere a coefficient is.
 
-Every helper dispatches through the array-backend seam
-(:mod:`repro.core.backend`): host arrays take the original in-place NumPy
-path verbatim (bit-identical), device arrays take the backend's functional
-fallback and the helper **returns the updated array** — callers rebind the
-result, which is a no-op under NumPy since the destination itself is
-returned.
-
 Conventions
 -----------
 ``mask`` is a per-system boolean array of shape ``(num_batch,)``; it is
@@ -33,7 +26,7 @@ buffers must have the destination's shape and must not alias any operand.
 
 from __future__ import annotations
 
-from .backend import _per_system, backend_of, host as np
+import numpy as np
 
 __all__ = [
     "axpby",
@@ -46,20 +39,36 @@ __all__ = [
 ]
 
 
-def masked_assign(dst: np.ndarray, src: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``dst[k] = src[k]`` for systems where ``mask[k]`` is True.
+def _per_system(coeff) -> np.ndarray | float:
+    """Reshape a ``(num_batch,)`` coefficient for row-axis broadcasting."""
+    coeff = np.asarray(coeff)
+    if coeff.ndim == 1:
+        return coeff[:, None]
+    return coeff
 
-    Replaces ``dst = np.where(mask, src, dst)`` — in place (no allocation,
-    untouched systems not rewritten) on the host backend, functionally on
-    immutable device arrays.  Works on batch vectors ``(num_batch, n)``
-    and per-system scalars ``(num_batch,)`` alike.
+
+def _expand_mask(mask: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Broadcast a per-system mask to the destination's dimensionality."""
+    if mask.ndim == dst.ndim:
+        return mask
+    return mask.reshape(mask.shape + (1,) * (dst.ndim - mask.ndim))
+
+
+def masked_assign(dst: np.ndarray, src: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """In-place ``dst[k] = src[k]`` for systems where ``mask[k]`` is True.
+
+    Replaces ``dst = np.where(mask, src, dst)`` without allocating and
+    without rewriting the untouched systems.  Works on batch vectors
+    ``(num_batch, n)`` and per-system scalars ``(num_batch,)`` alike.
     """
-    return backend_of(dst).masked_assign(dst, src, mask)
+    np.copyto(dst, src, where=_expand_mask(mask, dst))
+    return dst
 
 
 def masked_fill(dst: np.ndarray, value: float, mask: np.ndarray) -> np.ndarray:
-    """``dst[k] = value`` for systems where ``mask[k]`` is True."""
-    return backend_of(dst).masked_fill(dst, value, mask)
+    """In-place ``dst[k] = value`` for systems where ``mask[k]`` is True."""
+    np.copyto(dst, value, where=_expand_mask(mask, dst))
+    return dst
 
 
 def masked_axpy(
@@ -72,13 +81,19 @@ def masked_axpy(
 ) -> np.ndarray:
     """Fused ``y[k] += alpha[k] * x[k]``, restricted to masked systems.
 
-    On the host the scaled operand is formed in ``work`` (allocated only
-    when the caller does not supply a scratch buffer) and added in place;
-    systems outside the mask are left untouched — the compacted
-    replacement for ``y += np.where(mask[:, None], alpha[:, None] * x,
-    0.0)``.  Device backends ignore ``work`` and return a new array.
+    The scaled operand is formed in ``work`` (allocated only when the caller
+    does not supply a scratch buffer) and added in place; systems outside
+    the mask are left untouched — the compacted replacement for
+    ``y += np.where(mask[:, None], alpha[:, None] * x, 0.0)``.
     """
-    return backend_of(y).masked_axpy(y, alpha, x, mask=mask, work=work)
+    if work is None:
+        work = np.empty_like(y)
+    np.multiply(x, _per_system(alpha), out=work)
+    if mask is None:
+        np.add(y, work, out=y)
+    else:
+        np.add(y, work, out=y, where=_expand_mask(mask, y))
+    return y
 
 
 def axpby(
@@ -94,9 +109,20 @@ def axpby(
 
     ``out`` may alias ``x`` or ``y`` (the common in-place updates).  One
     scaled term always streams through ``work``; pass a workspace vector to
-    keep the update allocation-free on the host backend.
+    keep the update allocation-free.
     """
-    return backend_of(x, y).axpby(alpha, x, beta, y, out=out, work=work)
+    if out is None:
+        out = np.empty_like(y)
+    if work is None:
+        work = np.empty_like(y)
+    if out is x:
+        np.multiply(y, _per_system(beta), out=work)
+        np.multiply(x, _per_system(alpha), out=out)
+    else:
+        np.multiply(x, _per_system(alpha), out=work)
+        np.multiply(y, _per_system(beta), out=out)
+    np.add(out, work, out=out)
+    return out
 
 
 def fused_dots(
@@ -116,12 +142,8 @@ def fused_dots(
     it models is the collapsed device-wide reduction + barrier, not a
     different summation.
 
-    Reduction results live on the host regardless of the operand backend
-    (convergence control is host-side), so ``out`` is always a host
-    ``(k, num_batch)`` array.
-
     ``dtype`` sets the accumulation dtype of every reduction (the mixed
-    policy passes float64).
+    policy passes float64); ``out`` must have shape ``(k, num_batch)``.
     """
     if not pairs:
         raise ValueError("fused_dots needs at least one (a, b) operand pair")
@@ -140,11 +162,7 @@ def fused_dots(
             raise ValueError(
                 f"fused_dots operands differ in shape: {a.shape} vs {b.shape}"
             )
-        bk = backend_of(a, b)
-        if bk.is_host:
-            np.einsum("bi,bi->b", a, b, out=row, dtype=dtype)
-        else:
-            bk.dot(a, b, out=row, dtype=dtype)
+        np.einsum("bi,bi->b", a, b, out=row, dtype=dtype)
     return out
 
 
@@ -155,17 +173,20 @@ def fused_update(
     omega,
     v: np.ndarray,
     *,
-    work: np.ndarray | None = None,
+    work: np.ndarray,
 ) -> np.ndarray:
     """Fused BiCGSTAB direction update ``p = r + beta * (p - omega * v)``.
 
-    On the host the four elementary operations are chained through
-    ``work`` and ``p`` itself, so the update performs zero allocations —
-    this fuses the three separate broadcast statements (each with its own
-    temporary) the solver used to issue.  Device backends jit the whole
-    expression into one kernel and return a new ``p``.
+    The four elementary operations are chained through ``work`` and ``p``
+    itself, so the update performs zero allocations — this fuses the three
+    separate broadcast statements (each with its own temporary) the solver
+    used to issue.
     """
-    return backend_of(p).fused_update(p, r, beta, omega, v, work=work)
+    np.multiply(v, _per_system(omega), out=work)
+    np.subtract(p, work, out=p)
+    np.multiply(p, _per_system(beta), out=p)
+    np.add(p, r, out=p)
+    return p
 
 
 def pipelined_cg_update(
@@ -178,19 +199,16 @@ def pipelined_cg_update(
     alpha,
     beta,
     *,
-    work: np.ndarray | None = None,
-) -> tuple:
+    work: np.ndarray,
+) -> None:
     """Merged Chronopoulos–Gear recurrence block of pipelined CG.
 
-    Performs (in place and allocation-free on the host; functionally,
-    as one jitted kernel, on device backends)::
+    Performs, in place and allocation-free::
 
         p = u + beta * p          # search direction
         s = w + beta * s          # recurrence for A p (no extra SpMV)
         x = x + alpha * p
         r = r - alpha * s
-
-    and returns the updated ``(p, s, x, r)`` tuple for rebinding.
 
     On a GPU these four vector updates fuse into a single kernel between
     the SpMV and the one fused reduction of the iteration; on the host the
@@ -199,6 +217,13 @@ def pipelined_cg_update(
     system can be updated unconditionally (masked coefficients, not
     masked kernels — the schedule counts this as one fused group).
     """
-    return backend_of(p).pipelined_cg_update(
-        p, s, u, w, x, r, alpha, beta, work=work
-    )
+    a = _per_system(alpha)
+    be = _per_system(beta)
+    np.multiply(p, be, out=p)
+    np.add(p, u, out=p)
+    np.multiply(s, be, out=s)
+    np.add(s, w, out=s)
+    np.multiply(p, a, out=work)
+    np.add(x, work, out=x)
+    np.multiply(s, a, out=work)
+    np.subtract(r, work, out=r)

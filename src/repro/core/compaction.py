@@ -27,7 +27,8 @@ convergence events are logged with original batch indices through
 
 from __future__ import annotations
 
-from .backend import backend_of, host as np
+import numpy as np
+
 from .logging_ import BatchLogger
 from .stop import StoppingCriterion
 
@@ -67,11 +68,6 @@ class BatchCompactor:
         self.min_batch = int(min_batch)
         self.enabled = bool(enabled) and threshold is not None
         self._idx: np.ndarray | None = None  # global indices of current rows
-        #: Latest full-size solution array.  On host backends this aliases
-        #: the caller's array (scatters are in place); device backends are
-        #: functional, so each scatter produces a new array that lands here
-        #: for the driver to pick up.
-        self.x_full: np.ndarray | None = None
         self.num_events = 0
         # Double-buffered gather scratch: each compaction event writes its
         # gathered arrays into preallocated slabs via ``np.take(..., out=)``
@@ -142,13 +138,10 @@ class BatchCompactor:
             return None
 
         if self._idx is not None:
-            # Persist progress of to-be-dropped systems (rebinding scatter:
-            # in place on host, a fresh array on device backends).
-            x_full = backend_of(x_full).at_set(x_full, self._idx, x)
+            x_full[self._idx] = x  # persist progress of to-be-dropped systems
             self._idx = self._idx[sel]
         else:
             self._idx = sel
-        self.x_full = x_full
         self.criterion = sub_criterion
         self.num_events += 1
 
@@ -173,14 +166,7 @@ class BatchCompactor:
         )
 
     def _take(self, store: dict, key: str, src: np.ndarray, sel: np.ndarray):
-        """Gather ``src[sel]`` into this event's preallocated slab.
-
-        Device arrays are immutable, so they bypass the slab machinery and
-        go through the backend's copy-based ``take`` instead.
-        """
-        bk = backend_of(src)
-        if not bk.is_host:
-            return bk.take(src, sel)
+        """Gather ``src[sel]`` into this event's preallocated slab."""
         buf = store.get(key)
         if (
             buf is None
@@ -197,7 +183,7 @@ class BatchCompactor:
     def _take_matrix(self, store: dict, matrix, sel: np.ndarray):
         """Gather the active systems' matrix values into a slab when possible."""
         values = getattr(matrix, "values", None)
-        if values is not None and backend_of(values).is_host:
+        if values is not None:
             buf = store.get("matrix")
             if (
                 buf is None
@@ -215,17 +201,10 @@ class BatchCompactor:
                 pass  # format without values_out support
         return matrix.take_batch(sel)
 
-    def finalize(self, x_full: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Scatter the compact iterate back into the full solution array.
-
-        Returns the full array: scattered in place on host (same object,
-        so legacy callers that ignore the return keep working), a fresh
-        array on device backends — rebind when backend-generic.
-        """
+    def finalize(self, x_full: np.ndarray, x: np.ndarray) -> None:
+        """Scatter the compact iterate back into the full solution array."""
         if self._idx is not None:
-            x_full = backend_of(x_full).at_set(x_full, self._idx, x)
-        self.x_full = x_full
-        return x_full
+            x_full[self._idx] = x
 
     # -- scatter helpers for the solver's full-size bookkeeping --------------
 

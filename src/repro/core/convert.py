@@ -15,7 +15,8 @@ Values and matrix-vector products round-trip exactly either way.
 
 from __future__ import annotations
 
-from .backend import backend_of, host as np
+import numpy as np
+
 from .batch_csr import BatchCsr
 from .batch_dense import BatchDense
 from .batch_dia import BatchDia
@@ -50,14 +51,13 @@ def csr_to_ell(matrix: BatchCsr) -> BatchEll:
     max_nnz_row = max(int(nnz_row.max(initial=0)), 1)
     num_rows = matrix.num_rows
 
-    bk = backend_of(matrix.values)
     col_idxs = np.full((max_nnz_row, num_rows), PAD_COL, dtype=INDEX_DTYPE)
-    values = bk.zeros((matrix.num_batch, max_nnz_row, num_rows), matrix.dtype)
+    values = np.zeros((matrix.num_batch, max_nnz_row, num_rows), dtype=matrix.dtype)
 
     rows = np.repeat(np.arange(num_rows, dtype=np.int64), nnz_row)
     slot = np.arange(rows.size, dtype=np.int64) - matrix.row_ptrs[:-1].astype(np.int64)[rows]
     col_idxs[slot, rows] = matrix.col_idxs
-    values = bk.at_set(values, (slice(None), slot, rows), matrix.values)
+    values[:, slot, rows] = matrix.values
     return BatchEll(matrix.num_cols, col_idxs, values, check=False)
 
 
@@ -79,20 +79,18 @@ def ell_to_csr(matrix: BatchEll) -> BatchCsr:
 
 def csr_to_dense(matrix: BatchCsr) -> BatchDense:
     """Materialise a CSR batch as dense."""
-    bk = backend_of(matrix.values)
-    out = bk.zeros((matrix.num_batch, matrix.num_rows, matrix.num_cols), matrix.dtype)
+    out = np.zeros((matrix.num_batch, matrix.num_rows, matrix.num_cols), dtype=matrix.dtype)
     rows = np.repeat(np.arange(matrix.num_rows, dtype=np.int64), matrix.nnz_per_row())
-    out = bk.at_set(out, (slice(None), rows, matrix.col_idxs), matrix.values)
+    out[:, rows, matrix.col_idxs] = matrix.values
     return BatchDense(out)
 
 
 def ell_to_dense(matrix: BatchEll) -> BatchDense:
     """Materialise an ELL batch as dense."""
-    bk = backend_of(matrix.values)
-    out = bk.zeros((matrix.num_batch, matrix.num_rows, matrix.num_cols), matrix.dtype)
+    out = np.zeros((matrix.num_batch, matrix.num_rows, matrix.num_cols), dtype=matrix.dtype)
     slot, rows = np.nonzero(matrix.col_idxs != PAD_COL)
     cols = matrix.col_idxs[slot, rows]
-    out = bk.at_set(out, (slice(None), rows, cols), matrix.values[:, slot, rows])
+    out[:, rows, cols] = matrix.values[:, slot, rows]
     return BatchDense(out)
 
 
@@ -120,12 +118,11 @@ def csr_to_dia(matrix: BatchCsr) -> BatchDia:
     offsets = np.unique(diag_of)
     if offsets.size == 0:
         offsets = np.zeros(1, dtype=np.int64)
-    bk = backend_of(matrix.values)
-    bands = bk.zeros(
-        (matrix.num_batch, offsets.size, matrix.num_rows), matrix.dtype
+    bands = np.zeros(
+        (matrix.num_batch, offsets.size, matrix.num_rows), dtype=matrix.dtype
     )
     slot = np.searchsorted(offsets, diag_of)
-    bands = bk.at_set(bands, (slice(None), slot, rows), matrix.values)
+    bands[:, slot, rows] = matrix.values
     return BatchDia(matrix.num_cols, offsets, bands, check=False)
 
 
@@ -171,15 +168,10 @@ def ell_to_dia(matrix: BatchEll) -> BatchDia:
     offsets = np.unique(diag_of)
     if offsets.size == 0:
         offsets = np.zeros(1, dtype=np.int64)
-    bk = backend_of(matrix.values)
-    bands = bk.zeros(
-        (matrix.num_batch, offsets.size, matrix.num_rows), matrix.dtype
+    bands = np.zeros(
+        (matrix.num_batch, offsets.size, matrix.num_rows), dtype=matrix.dtype
     )
-    bands = bk.at_set(
-        bands,
-        (slice(None), np.searchsorted(offsets, diag_of), rows),
-        matrix.values[:, slot, rows],
-    )
+    bands[:, np.searchsorted(offsets, diag_of), rows] = matrix.values[:, slot, rows]
     return BatchDia(matrix.num_cols, offsets, bands, check=False)
 
 
@@ -190,10 +182,9 @@ def dia_to_ell(matrix: BatchDia) -> BatchEll:
 
 def dia_to_dense(matrix: BatchDia) -> BatchDense:
     """Materialise a DIA batch as dense."""
-    bk = backend_of(matrix.values)
-    out = bk.zeros((matrix.num_batch, matrix.num_rows, matrix.num_cols), matrix.dtype)
+    out = np.zeros((matrix.num_batch, matrix.num_rows, matrix.num_cols), dtype=matrix.dtype)
     rows, cols, vals = _dia_entries(matrix)
-    out = bk.at_set(out, (slice(None), rows, cols), vals)
+    out[:, rows, cols] = vals
     return BatchDense(out)
 
 

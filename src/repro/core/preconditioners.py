@@ -12,7 +12,8 @@ solves with the same matrix.
 
 from __future__ import annotations
 
-from .backend import backend_of, host as np
+import numpy as np
+
 from .batch_csr import BatchCsr
 from .convert import to_format
 from .types import DTYPE, InvalidFormatError
@@ -65,8 +66,6 @@ class IdentityPreconditioner(BatchPreconditioner):
         return self
 
     def apply(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if not backend_of(r).is_host:
-            return r  # immutable device array: aliasing is safe
         if out is None:
             return r.copy()
         out[...] = r
@@ -110,13 +109,10 @@ class JacobiPreconditioner(BatchPreconditioner):
 
     def apply(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         inv = self.inv_diag
-        bk = backend_of(r, inv)
-        if bk.is_host:
-            if out is None:
-                return r * inv
-            np.multiply(r, inv, out=out)
-            return out
-        return bk.multiply(r, inv)
+        if out is None:
+            return r * inv
+        np.multiply(r, inv, out=out)
+        return out
 
     def restrict(self, indices: np.ndarray) -> "JacobiPreconditioner | None":
         if self._inv_diag is None:

@@ -17,8 +17,9 @@ design translated to NumPy:
 
 from __future__ import annotations
 
+import numpy as np
+
 from ...utils.validation import as_value_array, check_positive
-from ..backend import backend_of, host as np
 from ..batch_dense import batch_norm2
 from ..compaction import BatchCompactor
 from ..faults import HEALTH_DTYPE, HealthOptions, SolverHealth
@@ -144,10 +145,6 @@ class BatchedIterativeSolver:
         #: Policy of the solve in flight (set by :meth:`solve`).
         self._active_policy: PrecisionPolicy = self.precision or FP64
         self._workspace: SolverWorkspace | None = None
-        #: Full-size final iterate of the solve in flight (set by the
-        #: iteration driver's ``finish``; needed because device backends
-        #: rebind ``x`` functionally instead of updating it in place).
-        self._final_x: np.ndarray | None = None
         self._last_compactor: BatchCompactor | None = None
         self.last_op_stats: OpStats | None = None
         #: Per-system :class:`~repro.core.faults.SolverHealth` codes of the
@@ -221,43 +218,36 @@ class BatchedIterativeSolver:
             matrix = matrix.astype(policy.storage_dtype)
         b = as_value_array(b, "b", ndim=2, dtype=policy.storage_dtype)
         shape.compatible_vector(b, "b")
-        # The execution backend of this solve is inferred from the data:
-        # device-backed matrix values / rhs select the device backend, plain
-        # NumPy arrays keep the (bit-identical) host path.
-        bk = backend_of(getattr(matrix, "values", None), b)
 
         if workspace is not None:
             if not workspace.matches(
-                shape.num_batch, shape.num_rows, policy.storage_dtype, bk
+                shape.num_batch, shape.num_rows, policy.storage_dtype
             ):
                 raise DimensionMismatch(
                     f"workspace is sized ({workspace.num_batch}, "
-                    f"{workspace.num_rows}, {workspace.dtype}, "
-                    f"{workspace.backend.name}) but the batch needs "
-                    f"({shape.num_batch}, {shape.num_rows}, "
-                    f"{policy.storage_dtype}, {bk.name})"
+                    f"{workspace.num_rows}, {workspace.dtype}) but the batch "
+                    f"needs ({shape.num_batch}, {shape.num_rows}, "
+                    f"{policy.storage_dtype})"
                 )
             ws = workspace
         else:
-            ws = self._get_workspace(shape.num_batch, shape.num_rows, policy, bk)
+            ws = self._get_workspace(shape.num_batch, shape.num_rows, policy)
         x = ws.vector("x")
         if x0 is None:
-            x = bk.fill(x, 0.0)
+            x[...] = 0.0
         else:
             x0 = as_value_array(x0, "x0", ndim=2, dtype=policy.storage_dtype)
             shape.compatible_vector(x0, "x0")
-            x = bk.copyto(x, x0)
+            x[...] = x0
 
         precond = self.preconditioner.generate(matrix)
         self.logger.initialize(shape.num_batch)
         self.last_health = None
-        self._final_x = None
 
         res_norms, converged = self._iterate(matrix, b, x, precond, ws)
 
-        x_final = self._final_x if self._final_x is not None else x
         return SolveResult(
-            x=x_final.copy() if bk.is_host else bk.to_host_copy(x_final),
+            x=x.copy(),
             iterations=self.logger.iterations.copy(),
             residual_norms=res_norms.copy(),
             converged=converged.copy(),
@@ -280,19 +270,16 @@ class BatchedIterativeSolver:
         return policy_for_dtype(getattr(matrix, "dtype", DTYPE))
 
     def _get_workspace(
-        self, num_batch: int, num_rows: int, policy: PrecisionPolicy, backend=None
+        self, num_batch: int, num_rows: int, policy: PrecisionPolicy
     ) -> SolverWorkspace:
         """Reuse the cached workspace when dimensions match (zero-alloc path)."""
         ws = self._workspace
-        if ws is None or not ws.matches(
-            num_batch, num_rows, policy.storage_dtype, backend
-        ):
+        if ws is None or not ws.matches(num_batch, num_rows, policy.storage_dtype):
             ws = SolverWorkspace(
                 num_batch,
                 num_rows,
                 dtype=policy.storage_dtype,
                 scalar_dtype=policy.accumulate_dtype,
-                backend=backend,
             )
             self._workspace = ws
         return ws
@@ -320,16 +307,15 @@ class BatchedIterativeSolver:
 
     def _init_monitor(
         self, matrix, b: np.ndarray, x: np.ndarray, r: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Compute the initial residual into ``r`` and prime the criterion.
 
-        Returns ``(res_norms, converged, r)`` for iteration 0 — systems
-        whose initial guess already satisfies the criterion start out frozen
-        with an iteration count of zero.  ``r`` is returned because device
-        backends produce a fresh residual array; callers rebind.
+        Returns ``(res_norms, converged)`` for iteration 0 — systems whose
+        initial guess already satisfies the criterion start out frozen with
+        an iteration count of zero.
         """
         acc = self._active_policy.accumulate_dtype
-        r = residual(matrix, x, b, out=r)
+        residual(matrix, x, b, out=r)
         res_norms = batch_norm2(r, dtype=acc)
         self.criterion.initialize(batch_norm2(b, dtype=acc), res_norms)
         converged = self.criterion.check(res_norms)
@@ -337,7 +323,7 @@ class BatchedIterativeSolver:
         # logger's initial state); just record their final norms.
         if np.any(converged):
             self.logger.log_iteration(-1, res_norms, converged)
-        return res_norms, converged, r
+        return res_norms, converged
 
 
 class SolveState:
@@ -419,9 +405,6 @@ class IterationDriver:
         # policy; solver bodies pass it to batch_dot/batch_norm2 so mixed
         # precision keeps fp64 reductions over fp32 vectors.
         st.acc_dtype = solver._active_policy.accumulate_dtype
-        # The execution backend of this solve; solver bodies branch on
-        # ``st.bk.is_host`` where the in-place and functional paths differ.
-        st.bk = backend_of(x)
         if vector_names is None:
             schedule = solver.op_schedule()
             vector_names = tuple(
@@ -433,7 +416,7 @@ class IterationDriver:
         self.state = st
 
         # Every iterative solver names its residual vector "r".
-        res_norms, converged, st.r = solver._init_monitor(matrix, b, x, st.r)
+        res_norms, converged = solver._init_monitor(matrix, b, x, st.r)
         st.active = ~converged
         self.initial_norms = res_norms
         #: Full-size converged flags and final norms; under compaction the
@@ -495,17 +478,12 @@ class IterationDriver:
         scalars = st.scalars()
         # x travels through the compactor's dedicated slot, not the
         # generic vector tuple (it must scatter into x_full on exit).
-        if not self.comp.compacted:
-            # Device backends rebind x functionally, so the full-size array
-            # is whatever the state currently holds (aliases on host).
-            self._x_full = st.x
         packed = self.comp.compact(
             st.active, st.matrix, st.b, self._x_full, st.x, st.precond,
             vectors=vectors[:-1], scalars=scalars,
         )
         if packed is None:
             return False
-        self._x_full = self.comp.x_full
         (st.matrix, st.b, x, st.precond, st.active,
          new_vectors, new_scalars) = packed
         st.rebind(new_vectors + (x,), new_scalars)
@@ -513,9 +491,7 @@ class IterationDriver:
 
     def finish(self) -> tuple[np.ndarray, np.ndarray]:
         """Scatter back the compact iterate and close out the logger."""
-        x_full = self._x_full if self.comp.compacted else self.state.x
-        self._x_full = self.comp.finalize(x_full, self.state.x)
-        self.solver._final_x = self._x_full
+        self.comp.finalize(self._x_full, self.state.x)
         self.logger.finalize(self.final_norms, ~self.converged, self.solver.max_iter)
         self.health[self.converged] = SolverHealth.CONVERGED
         return self.final_norms, self.converged
@@ -607,7 +583,8 @@ class IterationDriver:
         """
         st = self.state
         self.stats.verify_events += 1
-        st.true_r = true_r = residual(st.matrix, st.x, st.b, out=st.true_r)
+        true_r = st.true_r
+        residual(st.matrix, st.x, st.b, out=true_r)
         true_norms = batch_norm2(true_r, dtype=st.acc_dtype)
         confirmed = candidates & self.comp.criterion.check(true_norms)
         if np.any(confirmed):

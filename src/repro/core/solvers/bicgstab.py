@@ -36,7 +36,8 @@ the returned residual norms trustworthy.
 
 from __future__ import annotations
 
-from ..backend import host as np
+import numpy as np
+
 from ..batch_dense import batch_dot, batch_norm2
 from ..blas import fused_dots, fused_update, masked_assign, masked_axpy, masked_fill
 from ..faults import SolverHealth
@@ -53,16 +54,16 @@ class BatchBicgstab(BatchedIterativeSolver):
     @staticmethod
     def _restart(st, true_r, restarted):
         """Rebuild the Krylov state of drifted systems from the true residual."""
-        st.r = masked_assign(st.r, true_r, restarted)
-        st.r_hat = masked_assign(st.r_hat, true_r, restarted)
-        st.p = masked_fill(st.p, 0.0, restarted)
-        st.v = masked_fill(st.v, 0.0, restarted)
+        masked_assign(st.r, true_r, restarted)
+        masked_assign(st.r_hat, true_r, restarted)
+        masked_fill(st.p, 0.0, restarted)
+        masked_fill(st.v, 0.0, restarted)
         masked_fill(st.rho_old, 1.0, restarted)
 
     def _iterate(self, matrix, b, x, precond, ws):
         drv = IterationDriver(self, matrix, b, x, precond, ws, zero=("p", "v"))
         st = drv.state
-        st.r_hat = st.bk.copyto(st.r_hat, st.r)
+        st.r_hat[...] = st.r
 
         st.register_scalar("rho_old", ws.scalar("rho_old", fill=1.0))
         st.register_scalar("alpha", ws.scalar("alpha", fill=1.0))
@@ -91,10 +92,10 @@ class BatchBicgstab(BatchedIterativeSolver):
 
             # p = r + beta * (p - omega * v)   (restart-safe: beta = 0
             # reduces this to the steepest-descent direction p = r)
-            st.p = fused_update(st.p, st.r, beta, st.omega, st.v, work=st.work)
+            fused_update(st.p, st.r, beta, st.omega, st.v, work=st.work)
 
-            st.p_hat = st.precond.apply(st.p, out=st.p_hat)
-            st.v = st.matrix.apply(st.p_hat, out=st.v)
+            st.precond.apply(st.p, out=st.p_hat)
+            st.matrix.apply(st.p_hat, out=st.v)
 
             # alpha = rho / (r_hat . v); a zero or non-finite denominator
             # with rho != 0 is the second BiCG breakdown (r_hat ⟂ A p).
@@ -108,21 +109,21 @@ class BatchBicgstab(BatchedIterativeSolver):
             safe_divide(rho, alpha_den, cont, out=st.alpha)
 
             # s = r - alpha * v
-            st.s = st.bk.multiply(st.v, st.alpha[:, None], out=st.s)
-            st.s = st.bk.subtract(st.r, st.s, out=st.s)
+            np.multiply(st.v, st.alpha[:, None], out=st.s)
+            np.subtract(st.r, st.s, out=st.s)
 
             s_norms = batch_norm2(st.s, dtype=st.acc_dtype)
             # Early exit per system: x += alpha * p_hat, then freeze.
             s_conv = cont & drv.criterion.check(s_norms)
             if np.any(s_conv):
-                st.x = masked_axpy(st.x, st.alpha, st.p_hat, mask=s_conv, work=st.work)
+                masked_axpy(st.x, st.alpha, st.p_hat, mask=s_conv, work=st.work)
                 drv.verify_and_freeze(it, s_conv, self._restart)
                 cont &= ~s_conv  # both confirmed and restarted sit out
                 if not np.any(st.active):
                     return STOP
 
-            st.s_hat = st.precond.apply(st.s, out=st.s_hat)
-            st.t = st.matrix.apply(st.s_hat, out=st.t)
+            st.precond.apply(st.s, out=st.s_hat)
+            st.matrix.apply(st.s_hat, out=st.t)
 
             # omega = (t . s) / (t . t); a vanishing or non-finite
             # stabiliser means the next beta divides by omega = 0 — the
@@ -143,13 +144,13 @@ class BatchBicgstab(BatchedIterativeSolver):
 
             # x += alpha * p_hat + omega * s_hat   (zero steps when frozen
             # or restarted)
-            st.x = masked_axpy(st.x, st.alpha, st.p_hat, mask=cont, work=st.work)
-            st.x = masked_axpy(st.x, st.omega, st.s_hat, mask=cont, work=st.work)
+            masked_axpy(st.x, st.alpha, st.p_hat, mask=cont, work=st.work)
+            masked_axpy(st.x, st.omega, st.s_hat, mask=cont, work=st.work)
 
             # r = s - omega * t   (only for continuing systems)
-            st.t = st.bk.multiply(st.t, st.omega[:, None], out=st.t)
-            st.t = st.bk.subtract(st.s, st.t, out=st.t)
-            st.r = masked_assign(st.r, st.t, cont)
+            np.multiply(st.t, st.omega[:, None], out=st.t)
+            np.subtract(st.s, st.t, out=st.t)
+            masked_assign(st.r, st.t, cont)
 
             masked_assign(st.rho_old, rho, cont)
 

@@ -23,7 +23,7 @@ criterion, and the reported per-system iteration count is the shared
 
 from __future__ import annotations
 
-from ..backend import host as np
+import numpy as np
 
 from ..batch_csr import BatchCsr
 from ..batch_dense import batch_norm2

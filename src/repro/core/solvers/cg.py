@@ -11,7 +11,8 @@ two host-performance layers: fused allocation-free BLAS-1 updates
 
 from __future__ import annotations
 
-from ..backend import host as np
+import numpy as np
+
 from ..batch_dense import batch_dot, batch_norm2
 from ..blas import masked_assign, masked_axpy
 from ..faults import SolverHealth
@@ -29,12 +30,12 @@ class BatchCg(BatchedIterativeSolver):
         drv = IterationDriver(self, matrix, b, x, precond, ws)
         st = drv.state
 
-        st.z = st.precond.apply(st.r, out=st.z)
-        st.p = st.bk.copyto(st.p, st.z)
+        st.precond.apply(st.r, out=st.z)
+        st.p[...] = st.z
         st.register_scalar("rz_old", batch_dot(st.r, st.z, dtype=st.acc_dtype))
 
         def body(st, it):
-            st.w = st.matrix.apply(st.p, out=st.w)
+            st.matrix.apply(st.p, out=st.w)
             # p . A p = 0 (or NaN) with an unconverged residual is the CG
             # breakdown — the search direction carries no curvature
             # information (indefinite or poisoned operator).
@@ -47,9 +48,9 @@ class BatchCg(BatchedIterativeSolver):
             alpha = safe_divide(st.rz_old, pw, st.active)
 
             # Frozen systems take zero steps: their alpha is already 0.
-            st.x = masked_axpy(st.x, alpha, st.p, work=st.work)
-            st.work = st.bk.multiply(st.w, alpha[:, None], out=st.work)
-            st.r = st.bk.subtract(st.r, st.work, out=st.r)
+            masked_axpy(st.x, alpha, st.p, work=st.work)
+            np.multiply(st.w, alpha[:, None], out=st.work)
+            np.subtract(st.r, st.work, out=st.r)
 
             res_norms = batch_norm2(st.r, dtype=st.acc_dtype)
             drv.update_norms(res_norms, st.active)
@@ -60,7 +61,7 @@ class BatchCg(BatchedIterativeSolver):
             if not np.any(st.active):
                 return STOP
 
-            st.z = st.precond.apply(st.r, out=st.z)
+            st.precond.apply(st.r, out=st.z)
             rz_new = batch_dot(st.r, st.z, dtype=st.acc_dtype)
             broken = st.active & ((rz_new == 0.0) | ~np.isfinite(rz_new))
             if np.any(broken):
@@ -68,8 +69,8 @@ class BatchCg(BatchedIterativeSolver):
                 if not np.any(st.active):
                     return STOP
             beta = safe_divide(rz_new, st.rz_old, st.active)
-            st.p = st.bk.multiply(st.p, beta[:, None], out=st.p)
-            st.p = st.bk.add(st.p, st.z, out=st.p)
+            st.p *= beta[:, None]
+            st.p += st.z
             masked_assign(st.rz_old, rz_new, st.active)
 
         return drv.run(body)

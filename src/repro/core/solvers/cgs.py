@@ -15,7 +15,8 @@ as do the fused allocation-free BLAS-1 updates and active-batch compaction.
 
 from __future__ import annotations
 
-from ..backend import host as np
+import numpy as np
+
 from ..batch_dense import batch_dot
 from ..blas import fused_dots, masked_assign, masked_axpy
 from ..faults import SolverHealth
@@ -32,25 +33,25 @@ class BatchCgs(BatchedIterativeSolver):
     @staticmethod
     def _restart(st, true_r, restarted):
         """Reseed drifted systems from the true residual (rho included)."""
-        st.r = masked_assign(st.r, true_r, restarted)
-        st.r_hat = masked_assign(st.r_hat, true_r, restarted)
-        st.u = masked_assign(st.u, true_r, restarted)
-        st.p = masked_assign(st.p, true_r, restarted)
+        masked_assign(st.r, true_r, restarted)
+        masked_assign(st.r_hat, true_r, restarted)
+        masked_assign(st.u, true_r, restarted)
+        masked_assign(st.p, true_r, restarted)
         st.rho_old[restarted] = batch_dot(st.r_hat, st.r, dtype=st.acc_dtype)[restarted]
 
     def _iterate(self, matrix, b, x, precond, ws):
         drv = IterationDriver(self, matrix, b, x, precond, ws)
         st = drv.state
-        st.r_hat = st.bk.copyto(st.r_hat, st.r)
-        st.u = st.bk.copyto(st.u, st.r)
-        st.p = st.bk.copyto(st.p, st.r)
+        st.r_hat[...] = st.r
+        st.u[...] = st.r
+        st.p[...] = st.r
 
         st.register_scalar("rho_old", batch_dot(st.r_hat, st.r, dtype=st.acc_dtype))
 
         def body(st, it):
             # v = A M^-1 p ; alpha = rho / (r_hat . v)
-            st.work = st.precond.apply(st.p, out=st.work)
-            st.v = st.matrix.apply(st.work, out=st.v)
+            st.precond.apply(st.p, out=st.work)
+            st.matrix.apply(st.work, out=st.v)
             # BiCG-family breakdown guards: a zero/non-finite rho carried
             # from the previous trip, or a zero/non-finite alpha
             # denominator, ends the recurrence for that system.
@@ -66,18 +67,18 @@ class BatchCgs(BatchedIterativeSolver):
             alpha = safe_divide(st.rho_old, alpha_den, st.active)
 
             # q = u - alpha v ; solution update direction u + q
-            st.q = st.bk.multiply(st.v, alpha[:, None], out=st.q)
-            st.q = st.bk.subtract(st.u, st.q, out=st.q)
-            st.uq = st.bk.add(st.u, st.q, out=st.uq)
+            np.multiply(st.v, alpha[:, None], out=st.q)
+            np.subtract(st.u, st.q, out=st.q)
+            np.add(st.u, st.q, out=st.uq)
 
-            st.uq_hat = st.precond.apply(st.uq, out=st.uq_hat)
+            st.precond.apply(st.uq, out=st.uq_hat)
             # alpha is already 0 for frozen systems (safe_divide).
-            st.x = masked_axpy(st.x, alpha, st.uq_hat, work=st.scratch)
+            masked_axpy(st.x, alpha, st.uq_hat, work=st.scratch)
 
             # r -= alpha A M^-1 (u + q)
-            st.work = st.matrix.apply(st.uq_hat, out=st.work)
-            st.scratch = st.bk.multiply(st.work, alpha[:, None], out=st.scratch)
-            st.r = st.bk.subtract(st.r, st.scratch, out=st.r)
+            st.matrix.apply(st.uq_hat, out=st.work)
+            np.multiply(st.work, alpha[:, None], out=st.scratch)
+            np.subtract(st.r, st.scratch, out=st.r)
 
             # ||r||^2 and the next rho share the pass over r: one fused
             # reduction round.  sqrt(r.r) is bit-identical to batch_norm2,
@@ -106,14 +107,14 @@ class BatchCgs(BatchedIterativeSolver):
             beta = safe_divide(rho, st.rho_old, active_now)
 
             # u = r + beta q ; p = u + beta (q + beta p)
-            st.scratch = st.bk.multiply(st.q, beta[:, None], out=st.scratch)
-            st.scratch = st.bk.add(st.scratch, st.r, out=st.scratch)
-            st.u = masked_assign(st.u, st.scratch, active_now)
-            st.scratch = st.bk.multiply(st.p, beta[:, None], out=st.scratch)
-            st.scratch = st.bk.add(st.scratch, st.q, out=st.scratch)
-            st.scratch = st.bk.multiply(st.scratch, beta[:, None], out=st.scratch)
-            st.scratch = st.bk.add(st.scratch, st.u, out=st.scratch)
-            st.p = masked_assign(st.p, st.scratch, active_now)
+            np.multiply(st.q, beta[:, None], out=st.scratch)
+            st.scratch += st.r
+            masked_assign(st.u, st.scratch, active_now)
+            np.multiply(st.p, beta[:, None], out=st.scratch)
+            st.scratch += st.q
+            np.multiply(st.scratch, beta[:, None], out=st.scratch)
+            st.scratch += st.u
+            masked_assign(st.p, st.scratch, active_now)
             masked_assign(st.rho_old, rho, active_now)
 
         return drv.run(body)

@@ -18,7 +18,7 @@ bandwidths, ``kl`` extra diagonals of pivot fill headroom).
 
 from __future__ import annotations
 
-from ..backend import host as np
+import numpy as np
 
 from ...utils.banded import BatchBanded, csr_to_banded
 from ..convert import to_format

@@ -16,7 +16,7 @@ right-hand-side updates.  Cubic flops — the point of the exercise.
 
 from __future__ import annotations
 
-from ..backend import host as np
+import numpy as np
 
 from ..batch_dense import BatchDense, batch_norm2
 from ..convert import to_format

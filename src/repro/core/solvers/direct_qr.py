@@ -15,7 +15,7 @@ loops are sequential.  R's bandwidth grows to ``kl + ku``, matching the
 
 from __future__ import annotations
 
-from ..backend import host as np
+import numpy as np
 
 from ...utils.banded import BatchBanded, csr_to_banded
 from ..batch_dense import batch_norm2

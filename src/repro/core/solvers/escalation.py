@@ -29,7 +29,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 
-from ..backend import host as np
+import numpy as np
 
 from ...utils.validation import check_positive
 from ..batch_dense import batch_norm2

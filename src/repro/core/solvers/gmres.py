@@ -22,10 +22,10 @@ Hessenberg, and Givens arrays shrink to the active sub-batch.
 
 from __future__ import annotations
 
-from ..backend import host as np
+import numpy as np
+
 from ...utils.validation import check_positive
 from ..batch_dense import batch_dot, batch_norm2
-from ..blas import masked_fill
 from ..faults import SolverHealth
 from ..spmv import residual
 from .base import BatchedIterativeSolver, IterationDriver, safe_divide
@@ -72,8 +72,7 @@ class BatchGmres(BatchedIterativeSolver):
         # the Hessenberg/Givens recurrences hold reduction results and
         # stay in the policy's accumulation dtype.
         work_dt, acc_dt = st.x.dtype, st.acc_dtype
-        bk = st.bk
-        basis = bk.zeros((m + 1, nb, n), work_dt)
+        basis = np.zeros((m + 1, nb, n), dtype=work_dt)
         hess = np.zeros((nb, m + 1, m), dtype=acc_dt)  # becomes R after Givens
         givens_c = np.zeros((nb, m), dtype=acc_dt)
         givens_s = np.zeros((nb, m), dtype=acc_dt)
@@ -85,7 +84,7 @@ class BatchGmres(BatchedIterativeSolver):
             # -- compact at the cycle boundary (no Krylov state carries over)
             if drv.maybe_compact():
                 nb = st.x.shape[0]
-                basis = bk.zeros((m + 1, nb, n), work_dt)
+                basis = np.zeros((m + 1, nb, n), dtype=work_dt)
                 hess = np.zeros((nb, m + 1, m), dtype=acc_dt)
                 givens_c = np.zeros((nb, m), dtype=acc_dt)
                 givens_s = np.zeros((nb, m), dtype=acc_dt)
@@ -93,7 +92,7 @@ class BatchGmres(BatchedIterativeSolver):
                 y = np.zeros((nb, m), dtype=acc_dt)
 
             # -- start a cycle from the true residual ------------------------
-            st.r = residual(st.matrix, st.x, st.b, out=st.r)
+            residual(st.matrix, st.x, st.b, out=st.r)
             beta = batch_norm2(st.r, dtype=st.acc_dtype)
             # A poisoned system (NaN/Inf residual) cannot seed a Krylov
             # basis; freeze it with a health code before the cycle starts.
@@ -104,7 +103,7 @@ class BatchGmres(BatchedIterativeSolver):
                 if not np.any(st.active):
                     break
             inv_beta = safe_divide(np.ones(nb), beta, st.active)
-            basis = bk.at_set(basis, 0, st.r * inv_beta[:, None])
+            basis[0] = st.r * inv_beta[:, None]
             hess[...] = 0.0
             g[...] = 0.0
             g[:, 0] = beta
@@ -116,15 +115,11 @@ class BatchGmres(BatchedIterativeSolver):
             j_done = 0
             for j in range(steps):
                 # w = A M^-1 v_j
-                st.gmres_work = st.precond.apply(basis[j], out=st.gmres_work)
-                # On host the product lands in the basis slot; device
-                # backends build w functionally and write it back below.
-                w = st.matrix.apply(
-                    st.gmres_work, out=basis[j + 1] if bk.is_host else None
-                )
+                st.precond.apply(basis[j], out=st.gmres_work)
+                st.matrix.apply(st.gmres_work, out=basis[j + 1])
+                w = basis[j + 1]
 
-                # Modified Gram-Schmidt against v_0..v_j.  The augmented
-                # assignments are in place on host, rebinding on device.
+                # Modified Gram-Schmidt against v_0..v_j.
                 for i in range(j + 1):
                     hij = batch_dot(w, basis[i], dtype=st.acc_dtype)
                     hess[:, i, j] = hij
@@ -133,8 +128,6 @@ class BatchGmres(BatchedIterativeSolver):
                 hess[:, j + 1, j] = hlast
                 inv_h = safe_divide(np.ones(nb), hlast, cycle_active)
                 w *= inv_h[:, None]
-                if not bk.is_host:
-                    basis = bk.at_set(basis, j + 1, w)
 
                 # Apply previous Givens rotations to the new column.
                 col = hess[:, : j + 2, j]
@@ -156,7 +149,7 @@ class BatchGmres(BatchedIterativeSolver):
                 g[:, j + 1] = -sj * g[:, j]
                 g[:, j] = cj * g[:, j]
 
-                used = masked_fill(used, j + 1, cycle_active)
+                used = np.where(cycle_active, j + 1, used)
 
                 est = np.abs(g[:, j + 1])
                 newly = cycle_active & drv.criterion.check(est)
@@ -183,19 +176,20 @@ class BatchGmres(BatchedIterativeSolver):
                 for jj in range(i + 1, j_done):
                     acc -= hess[:, i, jj] * y[:, jj]
                 in_range = (i < used) & st.active
-                # safe_divide already zeroes out-of-range systems.
-                y[:, i] = safe_divide(acc, hess[:, i, i], in_range)
-
-            st.gmres_work = bk.fill(st.gmres_work, 0.0)
-            for jj in range(j_done):
-                st.gmres_work = bk.add(
-                    st.gmres_work, y[:, jj][:, None] * basis[jj], out=st.gmres_work
+                y[:, i] = np.where(
+                    in_range,
+                    safe_divide(acc, hess[:, i, i], in_range),
+                    0.0,
                 )
-            st.gmres_upd = st.precond.apply(st.gmres_work, out=st.gmres_upd)
-            st.x = bk.masked_add(st.x, st.gmres_upd, st.active)
+
+            st.gmres_work[...] = 0.0
+            for jj in range(j_done):
+                st.gmres_work += y[:, jj][:, None] * basis[jj]
+            st.precond.apply(st.gmres_work, out=st.gmres_upd)
+            np.add(st.x, st.gmres_upd, out=st.x, where=st.active[:, None])
 
             # -- recompute true residuals at the restart boundary ------------
-            st.r = residual(st.matrix, st.x, st.b, out=st.r)
+            residual(st.matrix, st.x, st.b, out=st.r)
             res_norms = batch_norm2(st.r, dtype=st.acc_dtype)
             drv.update_norms(res_norms, st.active)
             true_conv = st.active & drv.criterion.check(res_norms)

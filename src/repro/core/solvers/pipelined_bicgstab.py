@@ -36,7 +36,8 @@ inherited unchanged from the shared driver.
 
 from __future__ import annotations
 
-from ..backend import host as np
+import numpy as np
+
 from ..batch_dense import batch_dot
 from ..blas import fused_dots, fused_update, masked_assign, masked_axpy, masked_fill
 from ..faults import SolverHealth
@@ -53,10 +54,10 @@ class BatchPipelinedBicgstab(BatchedIterativeSolver):
     @staticmethod
     def _restart(st, true_r, restarted):
         """Rebuild the Krylov state of drifted systems from the true residual."""
-        st.r = masked_assign(st.r, true_r, restarted)
-        st.r_hat = masked_assign(st.r_hat, true_r, restarted)
-        st.p = masked_fill(st.p, 0.0, restarted)
-        st.v = masked_fill(st.v, 0.0, restarted)
+        masked_assign(st.r, true_r, restarted)
+        masked_assign(st.r_hat, true_r, restarted)
+        masked_fill(st.p, 0.0, restarted)
+        masked_fill(st.v, 0.0, restarted)
         masked_fill(st.rho_old, 1.0, restarted)
         # The rho recurrence is rebuilt exactly: r_hat = r = true_r.
         masked_assign(
@@ -66,7 +67,7 @@ class BatchPipelinedBicgstab(BatchedIterativeSolver):
     def _iterate(self, matrix, b, x, precond, ws):
         drv = IterationDriver(self, matrix, b, x, precond, ws, zero=("p", "v"))
         st = drv.state
-        st.r_hat = st.bk.copyto(st.r_hat, st.r)
+        st.r_hat[...] = st.r
 
         st.register_scalar("rho_old", ws.scalar("rho_old", fill=1.0))
         st.register_scalar("alpha", ws.scalar("alpha", fill=1.0))
@@ -91,10 +92,10 @@ class BatchPipelinedBicgstab(BatchedIterativeSolver):
             )
 
             # p = r + beta * (p - omega * v)
-            st.p = fused_update(st.p, st.r, beta, st.omega, st.v, work=st.work)
+            fused_update(st.p, st.r, beta, st.omega, st.v, work=st.work)
 
-            st.p_hat = st.precond.apply(st.p, out=st.p_hat)
-            st.v = st.matrix.apply(st.p_hat, out=st.v)
+            st.precond.apply(st.p, out=st.p_hat)
+            st.matrix.apply(st.p_hat, out=st.v)
 
             # ROUND 1: alpha = rho / (r_hat . v).
             alpha_den = batch_dot(st.r_hat, st.v, dtype=st.acc_dtype)
@@ -107,11 +108,11 @@ class BatchPipelinedBicgstab(BatchedIterativeSolver):
             safe_divide(st.rho, alpha_den, cont, out=st.alpha)
 
             # s = r - alpha * v
-            st.s = st.bk.multiply(st.v, st.alpha[:, None], out=st.s)
-            st.s = st.bk.subtract(st.r, st.s, out=st.s)
+            np.multiply(st.v, st.alpha[:, None], out=st.s)
+            np.subtract(st.r, st.s, out=st.s)
 
-            st.s_hat = st.precond.apply(st.s, out=st.s_hat)
-            st.t = st.matrix.apply(st.s_hat, out=st.t)
+            st.precond.apply(st.s, out=st.s_hat)
+            st.matrix.apply(st.s_hat, out=st.t)
 
             # ROUND 2: every remaining scalar of the iteration.
             ts, tt, rhs, rht, ss = fused_dots(
@@ -129,13 +130,13 @@ class BatchPipelinedBicgstab(BatchedIterativeSolver):
             safe_divide(ts, tt, cont, out=st.omega)
 
             # x += alpha * p_hat + omega * s_hat
-            st.x = masked_axpy(st.x, st.alpha, st.p_hat, mask=cont, work=st.work)
-            st.x = masked_axpy(st.x, st.omega, st.s_hat, mask=cont, work=st.work)
+            masked_axpy(st.x, st.alpha, st.p_hat, mask=cont, work=st.work)
+            masked_axpy(st.x, st.omega, st.s_hat, mask=cont, work=st.work)
 
             # r = s - omega * t   (only for continuing systems)
-            st.t = st.bk.multiply(st.t, st.omega[:, None], out=st.t)
-            st.t = st.bk.subtract(st.s, st.t, out=st.t)
-            st.r = masked_assign(st.r, st.t, cont)
+            np.multiply(st.t, st.omega[:, None], out=st.t)
+            np.subtract(st.s, st.t, out=st.t)
+            masked_assign(st.r, st.t, cont)
 
             # Recurrence scalars: rho' = r_hat.(s - omega t) and
             # ||r||^2 = s.s - 2 omega t.s + omega^2 t.t, clamped at zero

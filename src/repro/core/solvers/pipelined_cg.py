@@ -39,7 +39,8 @@ inherited unchanged from the shared driver.
 
 from __future__ import annotations
 
-from ..backend import host as np
+import numpy as np
+
 from ..blas import (
     fused_dots,
     masked_assign,
@@ -68,11 +69,11 @@ class BatchPipelinedCg(BatchedIterativeSolver):
         update collapses to a fresh steepest-descent start (``p = u``,
         ``s = w``), discarding the drifted ``p``/``s`` recurrences.
         """
-        st.r = masked_assign(st.r, true_r, restarted)
-        st.scratch = st.precond.apply(true_r, out=st.scratch)
-        st.u = masked_assign(st.u, st.scratch, restarted)
-        st.work = st.matrix.apply(st.scratch, out=st.work)
-        st.w = masked_assign(st.w, st.work, restarted)
+        masked_assign(st.r, true_r, restarted)
+        st.precond.apply(true_r, out=st.scratch)
+        masked_assign(st.u, st.scratch, restarted)
+        st.matrix.apply(st.scratch, out=st.work)
+        masked_assign(st.w, st.work, restarted)
         gamma_r, delta_r = fused_dots(
             (true_r, st.scratch), (st.work, st.scratch), dtype=st.acc_dtype
         )
@@ -88,8 +89,8 @@ class BatchPipelinedCg(BatchedIterativeSolver):
 
         # Prime the Chronopoulos-Gear quantities: u = M^-1 r, w = A u,
         # gamma = r.u, delta = w.u, alpha = gamma / delta, beta = 0.
-        st.u = st.precond.apply(st.r, out=st.u)
-        st.w = st.matrix.apply(st.u, out=st.w)
+        st.precond.apply(st.r, out=st.u)
+        st.matrix.apply(st.u, out=st.w)
         fd = fused_dots((st.r, st.u), (st.w, st.u), dtype=st.acc_dtype)
         gamma = st.register_scalar("gamma", ws.scalar("gamma"))
         gamma[...] = fd[0]
@@ -103,13 +104,13 @@ class BatchPipelinedCg(BatchedIterativeSolver):
             # Frozen systems carry alpha = beta = 0, so their x and r are
             # unchanged (zero steps) — masked coefficients, not masked
             # kernels, exactly like the fused GPU kernel would run.
-            st.p, st.s, st.x, st.r = pipelined_cg_update(
+            pipelined_cg_update(
                 st.p, st.s, st.u, st.w, st.x, st.r, st.alpha, st.beta,
                 work=st.work,
             )
 
-            st.u = st.precond.apply(st.r, out=st.u)
-            st.w = st.matrix.apply(st.u, out=st.w)
+            st.precond.apply(st.r, out=st.u)
+            st.matrix.apply(st.u, out=st.w)
 
             # The iteration's single synchronization point.
             gamma_new, delta, rr = fused_dots(
@@ -165,9 +166,9 @@ class BatchPipelinedCg(BatchedIterativeSolver):
             # monitored residual stays honest between verify events.
             if (it + 1) % REPLACEMENT_PERIOD == 0:
                 drv.stats.cycle_steps.append(REPLACEMENT_PERIOD)
-                st.work = residual(st.matrix, st.x, st.b, out=st.work)
-                st.r = masked_assign(st.r, st.work, st.active)
-                st.scratch = st.matrix.apply(st.p, out=st.scratch)
-                st.s = masked_assign(st.s, st.scratch, st.active)
+                residual(st.matrix, st.x, st.b, out=st.work)
+                masked_assign(st.r, st.work, st.active)
+                st.matrix.apply(st.p, out=st.scratch)
+                masked_assign(st.s, st.scratch, st.active)
 
         return drv.run(body)

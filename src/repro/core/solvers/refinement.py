@@ -24,7 +24,7 @@ driver that re-assembles values into the same pattern every step pays one
 
 from __future__ import annotations
 
-from ..backend import host as np
+import numpy as np
 
 from ...utils.validation import as_value_array, check_positive
 from ..batch_dense import batch_norm2

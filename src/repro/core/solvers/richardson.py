@@ -16,7 +16,8 @@ vectorised health guards on the recorded residual norms.
 
 from __future__ import annotations
 
-from ..backend import host as np
+import numpy as np
+
 from ...utils.validation import check_positive
 from ..batch_dense import batch_norm2
 from ..blas import masked_axpy
@@ -45,11 +46,11 @@ class BatchRichardson(BatchedIterativeSolver):
         drv = IterationDriver(self, matrix, b, x, precond, ws)
 
         def body(st, it):
-            st.z = st.precond.apply(st.r, out=st.z)
+            st.precond.apply(st.r, out=st.z)
             # Frozen systems take a zero step.
-            st.x = masked_axpy(st.x, self.relaxation, st.z, mask=st.active, work=st.work)
+            masked_axpy(st.x, self.relaxation, st.z, mask=st.active, work=st.work)
 
-            st.r = residual(st.matrix, st.x, st.b, out=st.r)
+            residual(st.matrix, st.x, st.b, out=st.r)
 
             res_norms = batch_norm2(st.r, dtype=st.acc_dtype)
             drv.update_norms(res_norms, st.active)

@@ -22,7 +22,7 @@ This module provides that baseline:
 
 from __future__ import annotations
 
-from ..backend import host as np
+import numpy as np
 
 from ...utils.banded import detect_bandwidths
 from ..batch_dense import batch_norm2

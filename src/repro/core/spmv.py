@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from typing import Protocol, runtime_checkable
 
-from .backend import backend_of, host as np
+import numpy as np
+
 from .types import BatchShape
 
 __all__ = ["BatchMatrix", "spmv", "advanced_spmv", "residual"]
@@ -74,12 +75,7 @@ def residual(
     and no batch-vector-sized allocation happens — the convergence checks of
     the iterative solvers call this once per confirmation, so the hot path
     stays allocation-free.
-
-    On device backends the result is a new array — callers rebind.
     """
     r = matrix.apply(x, out=out)
-    bk = backend_of(r)
-    if bk.is_host:
-        np.subtract(b, r, out=r)
-        return r
-    return bk.subtract(b, r)
+    np.subtract(b, r, out=r)
+    return r

@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .backend import get_backend, host as np
+import numpy as np
+
 from .types import DTYPE
 
 __all__ = [
@@ -202,7 +203,6 @@ class SolverWorkspace:
         *,
         dtype=DTYPE,
         scalar_dtype=None,
-        backend=None,
     ) -> None:
         if num_batch < 1 or num_rows < 1:
             raise ValueError("workspace dimensions must be positive")
@@ -213,32 +213,22 @@ class SolverWorkspace:
         #: Dtype of per-system scalars — reduction results live here, so
         #: the mixed policy passes float64 while vectors stay float32.
         self.scalar_dtype = np.dtype(scalar_dtype if scalar_dtype is not None else dtype)
-        #: Execution backend the batch vectors live on.  Per-system scalar
-        #: arrays always stay host NumPy regardless of backend.
-        self.backend = get_backend(backend)
         self._vectors: dict[str, np.ndarray] = {}
         self._scalars: dict[str, np.ndarray] = {}
 
-    def matches(self, num_batch: int, num_rows: int, dtype=None, backend=None) -> bool:
-        """Whether this workspace fits the given dimensions (and dtype/backend)."""
+    def matches(self, num_batch: int, num_rows: int, dtype=None) -> bool:
+        """Whether this workspace fits the given dimensions (and dtype)."""
         if dtype is not None and self.dtype != np.dtype(dtype):
-            return False
-        if backend is not None and self.backend is not get_backend(backend):
             return False
         return self.num_batch == num_batch and self.num_rows == num_rows
 
     def vector(self, name: str, *, zero: bool = False) -> np.ndarray:
-        """A named ``(num_batch, num_rows)`` vector; optionally zeroed.
-
-        On device backends the cached array is returned as-is: device
-        arrays are immutable, so callers treat every workspace vector as
-        scratch to rebind, and the cached zeros stay zeros forever.
-        """
+        """A named ``(num_batch, num_rows)`` vector; optionally zeroed."""
         arr = self._vectors.get(name)
         if arr is None:
-            arr = self.backend.zeros((self.num_batch, self.num_rows), self.dtype)
+            arr = np.zeros((self.num_batch, self.num_rows), dtype=self.dtype)
             self._vectors[name] = arr
-        elif zero and self.backend.is_host:
+        elif zero:
             arr[...] = 0.0
         return arr
 

@@ -110,12 +110,6 @@ class TuningDecision:
         sync-aware cost model priced the pipelined variant cheaper
         (``None`` when no batch size was given, i.e. no variant choice
         was made).
-    backend:
-        Array backend the decision executes on (``"numpy"`` default,
-        ``"jax"``).  Provenance only — the modelled GPU cost is
-        backend-independent, so the searched result is unchanged for the
-        default backend — but recorded so ``best_configs.json`` says
-        which execution path a decision was taken for.
     """
 
     fmt: str
@@ -126,7 +120,6 @@ class TuningDecision:
     fused_kernel: bool
     rationale: dict = field(default_factory=dict, compare=False)
     solver_variant: str | None = None
-    backend: str = "numpy"
 
     def to_dict(self) -> dict:
         """JSON-ready representation with a stable schema."""
@@ -139,16 +132,11 @@ class TuningDecision:
             "fused_kernel": bool(self.fused_kernel),
             "rationale": dict(self.rationale),
             "solver_variant": self.solver_variant,
-            "backend": self.backend,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "TuningDecision":
-        """Inverse of :meth:`to_dict`: round-trips to an equal decision.
-
-        ``backend`` defaults to ``"numpy"`` for records written before
-        the field existed.
-        """
+        """Inverse of :meth:`to_dict`: round-trips to an equal decision."""
         return cls(
             fmt=data["fmt"],
             threads_per_block=int(data["threads_per_block"]),
@@ -158,7 +146,6 @@ class TuningDecision:
             fused_kernel=bool(data["fused_kernel"]),
             rationale=dict(data.get("rationale", {})),
             solver_variant=data.get("solver_variant"),
-            backend=data.get("backend", "numpy"),
         )
 
 
@@ -522,7 +509,6 @@ def decision_for_config(
         fused_kernel=fused,
         rationale=rationale,
         solver_variant=config.solver,
-        backend=getattr(config, "backend", "numpy"),
     )
 
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from ..core.faults import health_counts
 from ..dist.multi_gpu import GpuNode, SUMMIT_NODE
+from ..utils.validation import as_value_array, check_shape
 from .clock import VirtualClock
 from .coalescer import CoalescePolicy, Coalescer, compat_key
 from .dispatcher import DispatchReport, Dispatcher
@@ -210,9 +211,17 @@ class SolverService:
         return len(self.queue) + self.coalescer.pending_requests + self._inflight
 
     def submit(self, request: SolveRequest) -> SolveTicket:
-        """Admit (or degrade, or shed) one request; returns its ticket."""
+        """Admit (or degrade, or shed) one request; returns its ticket.
+
+        A malformed right-hand side raises ``ValueError`` here, on the
+        caller: admitted, it would only fail inside the shared batch and
+        leave every other request of that batch unresolved.
+        """
         if self._closed:
             raise RuntimeError("service is closed")
+        b = np.asarray(request.b)
+        as_value_array(b, "b", ndim=2, dtype=b.dtype)
+        check_shape(b, (request.matrix.num_batch, request.matrix.num_rows), "b")
         self._ensure_running()
         now = self.clock.now
         request.request_id = self._next_request_id

@@ -85,11 +85,6 @@ class TuneConfig:
     compaction_threshold:
         Active-fraction threshold below which the batch is re-compacted
         (0 disables compaction).
-    backend:
-        Array backend the config executes on (``"numpy"`` default,
-        ``"jax"``).  Carried through tuning records so a decision is
-        reproducible on the backend it was made for; not a searched
-        dimension — the cost model prices the modelled GPU either way.
     """
 
     solver: str
@@ -98,7 +93,6 @@ class TuneConfig:
     gmres_restart: int = CANONICAL_RESTART
     target_blocks_per_cu: int = 2
     compaction_threshold: float = 0.0
-    backend: str = "numpy"
 
     @property
     def value_bytes(self) -> int:
@@ -114,16 +108,11 @@ class TuneConfig:
             "gmres_restart": int(self.gmres_restart),
             "target_blocks_per_cu": int(self.target_blocks_per_cu),
             "compaction_threshold": float(self.compaction_threshold),
-            "backend": self.backend,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "TuneConfig":
-        """Inverse of :meth:`to_dict` (exact round-trip).
-
-        ``backend`` defaults to ``"numpy"`` so records written before the
-        field existed load unchanged.
-        """
+        """Inverse of :meth:`to_dict` (exact round-trip)."""
         return cls(
             solver=data["solver"],
             fmt=data["fmt"],
@@ -131,7 +120,6 @@ class TuneConfig:
             gmres_restart=int(data["gmres_restart"]),
             target_blocks_per_cu=int(data["target_blocks_per_cu"]),
             compaction_threshold=float(data["compaction_threshold"]),
-            backend=data.get("backend", "numpy"),
         )
 
 

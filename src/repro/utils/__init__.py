@@ -1,4 +1,4 @@
-"""Shared utilities: banded storage, Matrix Market I/O, spectra, validation.
+"""Shared utilities: banded storage, spectra, fault injection, validation.
 
 Submodules are loaded lazily (PEP 562): :mod:`repro.core` formats import
 :mod:`repro.utils.validation` while :mod:`repro.utils.banded` imports the
@@ -16,13 +16,6 @@ __all__ = [
     "batch_eigenvalues",
     "condition_number",
     "summarize_spectrum",
-    "write_matrix_market",
-    "read_matrix_market",
-    "save_batch_folder",
-    "load_batch_folder",
-    "Reordering",
-    "rcm_reordering",
-    "apply_reordering",
     "FaultSpec",
     "FaultInjector",
 ]
@@ -38,13 +31,6 @@ _LOCATIONS = {
     "batch_eigenvalues": "eigen",
     "condition_number": "eigen",
     "summarize_spectrum": "eigen",
-    "write_matrix_market": "matrix_market",
-    "read_matrix_market": "matrix_market",
-    "save_batch_folder": "matrix_market",
-    "load_batch_folder": "matrix_market",
-    "Reordering": "reorder",
-    "rcm_reordering": "reorder",
-    "apply_reordering": "reorder",
 }
 
 

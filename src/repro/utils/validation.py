@@ -72,20 +72,6 @@ def as_f64_array(data, name: str, *, ndim: int | None = None) -> np.ndarray:
     return arr
 
 
-def _is_foreign_array(data) -> bool:
-    """Array-like owned by a non-NumPy backend (e.g. a JAX device array).
-
-    Checked structurally by module prefix so this layer never imports the
-    backend registry (utils sits below core).  Foreign arrays must pass
-    through untouched: ``np.ascontiguousarray`` would silently pull them
-    to the host and break the array-backend seam.
-    """
-    if not hasattr(data, "dtype") or not hasattr(data, "shape"):
-        return False
-    mod = type(data).__module__.partition(".")[0]
-    return mod not in ("numpy", "builtins")
-
-
 def as_value_array(
     data, name: str, *, ndim: int | None = None, dtype=None
 ) -> np.ndarray:
@@ -99,23 +85,7 @@ def as_value_array(
 
     A view is returned whenever the input already satisfies the dtype
     and contiguity requirements, so passing well-formed arrays is free.
-    Device arrays from a non-NumPy backend are validated (ndim, dtype)
-    and returned as-is — cast on-device when a dtype is forced.
     """
-    if _is_foreign_array(data):
-        if dtype is not None:
-            dtype = np.dtype(dtype)
-            if dtype not in (np.float32, np.float64):
-                raise ValueError(
-                    f"{name} dtype must be float32 or float64, got {dtype}"
-                )
-            if data.dtype != dtype:
-                data = data.astype(dtype)
-        if ndim is not None and data.ndim != ndim:
-            raise ValueError(
-                f"{name} must have {ndim} dimensions, got {data.ndim}"
-            )
-        return data
     if dtype is None:
         src = np.asarray(data)
         dtype = src.dtype if src.dtype in (np.float32, np.float64) else np.float64

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.backend import get_backend
 from ..core.batch_csr import BatchCsr
 from ..core.batch_dia import BatchDia
 from ..core.batch_ell import PAD_COL, BatchEll
@@ -72,9 +71,6 @@ class CollisionStencil:
         # the CSR pattern).
         self._dia_templates: np.ndarray | None = None
         self._ell_templates: np.ndarray | None = None
-        # Device copies of the template matrices, uploaded once per
-        # backend+layout on the first device assembly.
-        self._dev_templates: dict[tuple[str, str], object] = {}
 
     # -- public API -------------------------------------------------------
 
@@ -103,47 +99,25 @@ class CollisionStencil:
         c[:, 4] = dt_nu * coeffs.u_par  # drift, -u part (sign folded in)
         return c
 
-    def _device_gemm(self, bk, key: str, templates: np.ndarray, coeffs):
-        """Template GEMM on a device backend (templates uploaded once)."""
-        tmpl = self._dev_templates.get((bk.name, key))
-        if tmpl is None:
-            tmpl = bk.asarray(templates)
-            self._dev_templates[(bk.name, key)] = tmpl
-        return bk.xp.matmul(bk.asarray(self._coefficient_matrix(coeffs)), tmpl)
-
     def assemble(
-        self,
-        coeffs: CollisionCoefficients,
-        *,
-        out: np.ndarray | None = None,
-        backend=None,
+        self, coeffs: CollisionCoefficients, *, out: np.ndarray | None = None
     ) -> BatchCsr:
         """Assemble the batched backward-Euler matrix ``M = I - dt*C_lin``.
 
         One GEMM: the per-batch coefficient matrix against the geometric
         template matrix.  ``out`` is an optional preallocated
         ``(num_batch, nnz)`` values buffer (a Picard driver reuses one
-        across all its assemblies).  On a device ``backend`` the GEMM runs
-        on the device (``out`` is ignored) and the returned batch carries
-        device values over the shared host pattern.
+        across all its assemblies).
         """
-        bk = get_backend(backend)
-        if bk.is_host:
-            if out is None:
-                out = np.empty((coeffs.num_batch, self.nnz), dtype=DTYPE)
-            np.matmul(self._coefficient_matrix(coeffs), self.templates, out=out)
-        else:
-            out = self._device_gemm(bk, "csr", self.templates, coeffs)
+        if out is None:
+            out = np.empty((coeffs.num_batch, self.nnz), dtype=DTYPE)
+        np.matmul(self._coefficient_matrix(coeffs), self.templates, out=out)
         return BatchCsr(
             self.num_rows, self.row_ptrs, self.col_idxs, out, check=False
         )
 
     def assemble_ell(
-        self,
-        coeffs: CollisionCoefficients,
-        *,
-        out: np.ndarray | None = None,
-        backend=None,
+        self, coeffs: CollisionCoefficients, *, out: np.ndarray | None = None
     ) -> BatchEll:
         """Assemble directly into the ELL format (same values, ELL layout).
 
@@ -153,29 +127,21 @@ class CollisionStencil:
         intermediate, no per-iteration index manipulation — and every
         assembled :class:`BatchEll` shares one ``ell_col_idxs`` array.
         ``out`` is an optional ``(num_batch, max_nnz_row, num_rows)``
-        values buffer (host backend only).
+        values buffer.
         """
         ell_templates = self._ensure_ell_templates()
         shape = (coeffs.num_batch, self.ell_col_idxs.shape[0], self.num_rows)
-        bk = get_backend(backend)
-        if bk.is_host:
-            if out is None:
-                out = np.empty(shape, dtype=DTYPE)
-            np.matmul(
-                self._coefficient_matrix(coeffs),
-                ell_templates,
-                out=out.reshape(coeffs.num_batch, -1),
-            )
-        else:
-            out = self._device_gemm(bk, "ell", ell_templates, coeffs).reshape(shape)
+        if out is None:
+            out = np.empty(shape, dtype=DTYPE)
+        np.matmul(
+            self._coefficient_matrix(coeffs),
+            ell_templates,
+            out=out.reshape(coeffs.num_batch, -1),
+        )
         return BatchEll(self.num_rows, self.ell_col_idxs, out, check=False)
 
     def assemble_dia(
-        self,
-        coeffs: CollisionCoefficients,
-        *,
-        out: np.ndarray | None = None,
-        backend=None,
+        self, coeffs: CollisionCoefficients, *, out: np.ndarray | None = None
     ) -> BatchDia:
         """Assemble directly into the gather-free DIA format.
 
@@ -184,21 +150,17 @@ class CollisionStencil:
         same single GEMM as :meth:`assemble`, with the values landing in
         band layout — zero index manipulation per Picard iteration.
         ``out`` is an optional ``(num_batch, num_diags, num_rows)``
-        values buffer (host backend only).
+        values buffer.
         """
         dia_templates = self._ensure_dia_templates()
         shape = (coeffs.num_batch, self.dia_offsets.size, self.num_rows)
-        bk = get_backend(backend)
-        if bk.is_host:
-            if out is None:
-                out = np.empty(shape, dtype=DTYPE)
-            np.matmul(
-                self._coefficient_matrix(coeffs),
-                dia_templates,
-                out=out.reshape(coeffs.num_batch, -1),
-            )
-        else:
-            out = self._device_gemm(bk, "dia", dia_templates, coeffs).reshape(shape)
+        if out is None:
+            out = np.empty(shape, dtype=DTYPE)
+        np.matmul(
+            self._coefficient_matrix(coeffs),
+            dia_templates,
+            out=out.reshape(coeffs.num_batch, -1),
+        )
         return BatchDia(self.num_rows, self.dia_offsets, out, check=False)
 
     def _ensure_ell_templates(self) -> np.ndarray:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.backend import get_backend
 from ..core.faults import derive_health, worst_health
 from ..core.logging_ import BatchLogger
 from ..core.solvers import EscalationSolver, RefinementSolver, make_solver
@@ -109,13 +108,6 @@ class PicardOptions:
         of the Picard loop — the deterministic rehearsal hook for the
         escalation path.  The injector corrupts *copies*; the assembly
         buffers stay pristine.
-    backend:
-        Array backend of the inner hot path: ``"numpy"`` (default,
-        bit-identical to earlier releases) or ``"jax"`` (device assembly
-        GEMM, device SpMV/BLAS-1, jit-compiled kernels; requires JAX).
-        Matrix values, batch vectors, and the solver workspace live on
-        the chosen backend; Picard control flow, moments, and the
-        conservation fix stay on the host either way.
     """
 
     num_iterations: int = 5
@@ -131,7 +123,6 @@ class PicardOptions:
     precision: str = "fp64"
     escalation: bool = False
     fault_injector: object | None = None
-    backend: str = "numpy"
 
     def __post_init__(self) -> None:
         check_positive(self.num_iterations, "num_iterations")
@@ -140,7 +131,6 @@ class PicardOptions:
         check_positive(self.max_linear_iter, "max_linear_iter")
         check_in(self.matrix_format, ("ell", "csr", "dia"), "matrix_format")
         check_in(self.precision, ("fp64", "fp32", "mixed"), "precision")
-        check_in(self.backend, ("numpy", "jax"), "backend")
         if self.compact_threshold is not None and not 0.0 < self.compact_threshold <= 1.0:
             raise ValueError(
                 f"compact_threshold must lie in (0, 1] or be None, "
@@ -269,15 +259,10 @@ class PicardStepper:
         # One arena for all inner solves: the five solves of each Picard
         # loop — and every loop of every time step — reuse these batch
         # vectors, so the hot path performs no allocations after the first
-        # solve.  Built on the configured backend so the solver's inferred
-        # backend (from the assembled matrix values) matches the arena.
-        self._backend = get_backend(self.options.backend)
-        self._workspace = SolverWorkspace(
-            self.num_batch, grid.num_cells, backend=self._backend
-        )
+        # solve.
+        self._workspace = SolverWorkspace(self.num_batch, grid.num_cells)
         # Per-format assembly values buffer: every re-assembly of the
-        # Picard loop writes its GEMM output into the same array.  Device
-        # backends assemble functionally, so the buffer stays host-only.
+        # Picard loop writes its GEMM output into the same array.
         self._assembly_out: np.ndarray | None = None
 
     @property
@@ -292,25 +277,16 @@ class PicardStepper:
             self.grid, self.masses, f_k, dt=dt, nu_ref=self.nu_ref,
             eta=self.eta, kurtosis_gamma=self.kurtosis_gamma,
         )
-        bk = self._backend
         if self.options.matrix_format == "ell":
-            matrix = self.stencil.assemble_ell(
-                coeffs, out=self._assembly_out, backend=bk
-            )
+            matrix = self.stencil.assemble_ell(coeffs, out=self._assembly_out)
         elif self.options.matrix_format == "dia":
-            matrix = self.stencil.assemble_dia(
-                coeffs, out=self._assembly_out, backend=bk
-            )
+            matrix = self.stencil.assemble_dia(coeffs, out=self._assembly_out)
         else:
-            matrix = self.stencil.assemble(
-                coeffs, out=self._assembly_out, backend=bk
-            )
+            matrix = self.stencil.assemble(coeffs, out=self._assembly_out)
         # The stencil pattern is shared by reference across assemblies, and
         # from the second Picard iteration on the GEMM lands in this same
-        # values array — re-assembly allocates nothing.  (Device values are
-        # immutable; caching them as `out` would be ignored anyway.)
-        if bk.is_host:
-            self._assembly_out = matrix.values
+        # values array — re-assembly allocates nothing.
+        self._assembly_out = matrix.values
         return matrix
 
     def step(self, f_n: np.ndarray, dt: float) -> PicardStepResult:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core import (
     axpby,
     batch_dot,
+    batch_norm2,
     fused_dots,
     fused_update,
     masked_assign,
@@ -153,6 +154,25 @@ class TestFusedUpdate:
         p = a["y"].copy()
         fused_update(p, a["x"], 0.0, a["omega"], a["v"], work=a["work"])
         np.testing.assert_array_equal(p, a["x"])
+
+
+class TestReductionAccumulateDtype:
+    def test_dot_and_norm2_accumulate_dtype(self, rng):
+        """fp32 vectors reduced in fp64: the result carries the
+        accumulation dtype and matches the fp64 einsum bit for bit."""
+        a = rng.standard_normal((NB, N)).astype(np.float32)
+        b = rng.standard_normal((NB, N)).astype(np.float32)
+        dot = batch_dot(a, b, dtype=np.float64)
+        assert dot.dtype == np.float64
+        np.testing.assert_array_equal(
+            dot, np.einsum("bi,bi->b", a, b, dtype=np.float64)
+        )
+        norm = batch_norm2(a, dtype=np.float64)
+        assert norm.dtype == np.float64
+        np.testing.assert_array_equal(
+            norm, np.sqrt(np.einsum("bi,bi->b", a, a, dtype=np.float64))
+        )
+        assert batch_dot(a, b).dtype == np.float32
 
 
 class TestFusedDots:

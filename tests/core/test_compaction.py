@@ -240,6 +240,22 @@ class TestTakeBatch:
         sub.values[...] = 0.0
         assert not np.any(csr_batch.values[:2] == 0.0)
 
+    def test_values_out_is_a_view_of_out(self, csr_batch):
+        """The compactor's slab gather: ``values_out`` receives the
+        selected systems in place, and a boolean mask selects the same
+        systems as the equivalent index array."""
+        idx = np.array([4, 1, 3])
+        mask = np.zeros(csr_batch.num_batch, dtype=bool)
+        mask[idx] = True
+        for fmt in ("csr", "ell", "dia", "dense"):
+            m = to_format(csr_batch, fmt)
+            out = np.empty_like(m.values)
+            sub = m.take_batch(idx, values_out=out)
+            assert sub.values.base is out
+            np.testing.assert_array_equal(sub.values, m.values[idx])
+            by_mask = m.take_batch(mask, values_out=np.empty_like(m.values))
+            np.testing.assert_array_equal(by_mask.values, m.values[mask])
+
 
 class TestWorkspaceZeroAlloc:
     def test_no_workspace_allocations_after_first_solve(self, rng):

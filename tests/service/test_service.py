@@ -275,3 +275,43 @@ class TestServiceLifecycle:
         assert result.converged.all()
         with pytest.raises(RuntimeError, match="closed"):
             service.submit(tridiag_request(srng))
+
+
+class TestSubmitValidation:
+    @pytest.mark.parametrize(
+        "bad_b",
+        [
+            np.ones((1, 31)),  # one row short of the n=32 matrix
+            np.ones((2, 32)),  # more right-hand sides than systems
+            np.ones(32),  # 1-D
+            np.ones((1, 32), dtype=np.int64),  # not a float dtype
+        ],
+        ids=["short_row", "extra_system", "one_dim", "int_dtype"],
+    )
+    def test_bad_rhs_rejected_on_caller_healthy_request_unaffected(
+        self, srng, bad_b
+    ):
+        """A malformed ``b`` raises at submit instead of failing inside
+        the shared batch, and the request next to it still resolves
+        bit-identical to its direct solve."""
+        healthy = tridiag_request(srng)
+        bad = tridiag_request(srng)
+        bad.b = bad_b
+
+        async def client(service):
+            ticket = service.submit(healthy)
+            with pytest.raises(ValueError, match="b"):
+                service.submit(bad)
+            assert bad.request_id == -1
+            assert service.report.submitted == 1
+            return await ticket.result()
+
+        result, service = run_service(
+            client, coalesce=CoalescePolicy(max_batch=16, max_wait_s=1e-3)
+        )
+        direct = service.direct_solve(healthy)
+        np.testing.assert_array_equal(result.x, direct.x)
+        np.testing.assert_array_equal(result.iterations, direct.iterations)
+        np.testing.assert_array_equal(
+            result.residual_norms, direct.residual_norms
+        )

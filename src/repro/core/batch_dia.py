@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..utils.validation import as_index_array, as_value_array
-from .types import BatchShape, DimensionMismatch, InvalidFormatError
+from .types import BatchShape, DimensionMismatch, InvalidFormatError, batch_tile
 
 __all__ = ["BatchDia"]
 
@@ -109,10 +109,14 @@ class BatchDia:
             fringe = self.fringe_mask()
             if fringe.any() and np.any(values[:, fringe] != 0.0):
                 raise InvalidFormatError("fringe positions must hold value 0.0")
-        # Lazily-allocated (num_batch, num_rows) scratch so apply() streams
-        # each diagonal's product through a reused buffer: no batch-sized
-        # temporaries per SpMV after the first (core/blas discipline).
-        self._work: np.ndarray | None = None
+        # Zero padding on each side of a tile's copy of x, so every diagonal
+        # reads a full-width shifted window: rows r + d outside [0, num_cols)
+        # land in the padding.
+        self._pad_lo = max(0, -int(offsets.min()))
+        self._pad_hi = max(0, int(offsets.max()) + num_rows - num_cols)
+        # Lazily-allocated per-tile scratch (see _scratch): no temporaries
+        # per SpMV after the first (core/blas discipline).
+        self._work: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- attributes ------------------------------------------------------
 
@@ -272,36 +276,53 @@ class BatchDia:
 
     # -- matrix-vector products ---------------------------------------------
 
-    def _scratch(self) -> np.ndarray:
-        if self._work is None:
-            self._work = np.empty(
-                (self.num_batch, max(self.num_rows, self.num_cols)),
-                dtype=self._values.dtype,
+    def _scratch(self, tile: int, x_dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+        """Reused ``(tile, ...)`` zero-padded ``x`` rows and product rows."""
+        work = self._work
+        if work is None or work[0].shape[0] < tile or work[0].dtype != x_dtype:
+            width = self._pad_lo + self.num_cols + self._pad_hi
+            work = self._work = (
+                np.zeros((tile, width), dtype=x_dtype),
+                np.empty((tile, self.num_rows), dtype=self._values.dtype),
             )
-        return self._work
+        return work
 
     def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Batched gather-free SpMV ``out[k] = A[k] @ x[k]``.
 
-        One contiguous shifted-slice multiply-add per stored diagonal (9
-        for the XGC stencil), vectorised over batch x rows.  No index array
+        One shifted-slice multiply-add per stored diagonal (9 for the XGC
+        stencil), vectorised over a tile of systems x rows.  No index array
         is read and no gather is issued: the diagonal structure *is* the
-        addressing.  ``x`` must not alias ``out``.
+        addressing.
+
+        The batch is walked in tiles of :func:`~repro.core.types.batch_tile`
+        systems so a tile's ``x``, ``out`` and scratch stay cache-resident
+        across all diagonal passes.  Each tile's ``x`` is copied into
+        zero-padded rows, so every diagonal multiplies full rows and adds
+        into contiguous ``out`` rows (NumPy runs in-place adds on partial
+        rows several times slower).  Fringe rows then add ``0.0 * 0.0``,
+        which leaves an accumulator that starts at ``+0.0`` unchanged, so
+        results are bit-identical to skipping the fringe; each row is still
+        computed independently.
         """
         self._shape.compatible_vector(x, "x")
+        num_batch, num_rows, num_cols = self.num_batch, self.num_rows, self.num_cols
         if out is None:
-            out = np.zeros((self.num_batch, self.num_rows), dtype=self._values.dtype)
-        else:
-            out[...] = 0.0
-        work = self._scratch()
+            out = np.empty((num_batch, num_rows), dtype=self._values.dtype)
         values = self._values
-        for k, d, lo, hi in self._spans:
-            if lo >= hi:
-                continue
-            w = work[:, : hi - lo]
-            np.multiply(values[:, k, lo:hi], x[:, lo + d : hi + d], out=w)
-            seg = out[:, lo:hi]
-            np.add(seg, w, out=seg)
+        pad = self._pad_lo
+        tile = min(num_batch, batch_tile(num_rows, out.itemsize))
+        xpad, prod = self._scratch(tile, x.dtype)
+        for t0 in range(0, num_batch, tile):
+            t1 = min(t0 + tile, num_batch)
+            xp, p, vt, ot = xpad[: t1 - t0], prod[: t1 - t0], values[t0:t1], out[t0:t1]
+            xp[:, pad : pad + num_cols] = x[t0:t1]
+            ot[...] = 0.0
+            for k, d, lo, hi in self._spans:
+                if lo >= hi:
+                    continue
+                np.multiply(vt[:, k, :], xp[:, pad + d : pad + d + num_rows], out=p)
+                ot += p
         return out
 
     def advanced_apply(

@@ -23,7 +23,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..utils.validation import as_index_array, as_value_array
-from .types import DTYPE, INDEX_DTYPE, BatchShape, DimensionMismatch, InvalidFormatError
+from .types import (
+    INDEX_DTYPE,
+    BatchShape,
+    DimensionMismatch,
+    InvalidFormatError,
+    batch_tile,
+)
 
 __all__ = ["BatchEll", "PAD_COL"]
 
@@ -85,6 +91,8 @@ class BatchEll:
         # every call, and re-deriving them per apply() would allocate and
         # re-scan the whole index array on the hottest loop in the library.
         self._gather_cols = np.maximum(col_idxs, 0)
+        # Lazily-allocated per-tile SpMV scratch (see _scratch).
+        self._work: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- attributes ------------------------------------------------------
 
@@ -231,23 +239,49 @@ class BatchEll:
 
     # -- matrix-vector products ---------------------------------------------
 
+    def _scratch(self, tile: int, x_dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+        """Reused ``(tile, num_rows)`` gather and product buffers."""
+        work = self._work
+        if work is None or work[0].shape[0] < tile or work[0].dtype != x_dtype:
+            prod_dtype = np.result_type(self._values.dtype, x_dtype)
+            work = self._work = (
+                np.empty((tile, self.num_rows), dtype=x_dtype),
+                np.empty((tile, self.num_rows), dtype=prod_dtype),
+            )
+        return work
+
     def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Batched SpMV ``out[k] = A[k] @ x[k]``.
 
         One pass per ELL slot (``max_nnz_row`` passes — 9 for the XGC
-        stencil), each pass fully vectorised over batch × rows.  This is the
-        NumPy transcription of the paper's one-thread-per-row kernel: thread
-        ``i`` walks its row's slots sequentially while slot data for all rows
-        is contiguous.
+        stencil), each pass vectorised over a tile of systems × rows.  This
+        is the NumPy transcription of the paper's one-thread-per-row kernel:
+        thread ``i`` walks its row's slots sequentially while slot data for
+        all rows is contiguous.  The batch is walked in tiles of
+        :func:`~repro.core.types.batch_tile` systems so a tile's ``x``,
+        ``out`` and gather/product scratch stay cache-resident across all
+        slot passes; every row is still computed independently, so results
+        are bit-identical to an untiled pass.
         """
         self._shape.compatible_vector(x, "x")
+        num_batch = self.num_batch
         if out is None:
-            out = np.zeros((self.num_batch, self.num_rows), dtype=self._values.dtype)
-        else:
-            out[...] = 0.0
+            out = np.empty((num_batch, self.num_rows), dtype=self._values.dtype)
         cols = self._gather_cols  # pre-clamped sentinel; value 0 kills it
-        for k in range(self.max_nnz_row):
-            out += self._values[:, k, :] * x[:, cols[k]]
+        values = self._values
+        tile = min(num_batch, batch_tile(self.num_rows, out.itemsize))
+        gather, prod = self._scratch(tile, x.dtype)
+        for lo in range(0, num_batch, tile):
+            hi = min(lo + tile, num_batch)
+            xt, vt, ot = x[lo:hi], values[lo:hi], out[lo:hi]
+            g, p = gather[: hi - lo], prod[: hi - lo]
+            ot[...] = 0.0
+            for k in range(self.max_nnz_row):
+                # mode="clip" takes the unbuffered path (indices are
+                # pre-clamped, so nothing is actually clipped).
+                xt.take(cols[k], axis=1, out=g, mode="clip")
+                np.multiply(vt[:, k, :], g, out=p)
+                ot += p
         return out
 
     def advanced_apply(

@@ -535,9 +535,13 @@ class CountingMatrix:
         self.counts.spmvs += 1
         return self._inner.apply(x, out=out)
 
-    def advanced_apply(self, alpha, x, beta, y, out=None):
+    def advanced_apply(self, alpha, x, beta, y, *, work=None):
         self.counts.spmvs += 1
-        return self._inner.advanced_apply(alpha, x, beta, y, out=out)
+        # Forwarded only when given, like advanced_spmv, so wrapped custom
+        # formats without a ``work`` parameter keep working.
+        if work is None:
+            return self._inner.advanced_apply(alpha, x, beta, y)
+        return self._inner.advanced_apply(alpha, x, beta, y, work=work)
 
     def __getattr__(self, name):
         attr = getattr(self._inner, name)

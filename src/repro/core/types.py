@@ -24,6 +24,8 @@ import numpy as np
 __all__ = [
     "DTYPE",
     "INDEX_DTYPE",
+    "L2_TILE_BYTES",
+    "batch_tile",
     "BatchShape",
     "SolveResult",
     "DimensionMismatch",
@@ -36,6 +38,18 @@ DTYPE = np.float64
 
 #: Index dtype used for sparsity metadata (matches GPU int32 indices).
 INDEX_DTYPE = np.int32
+
+#: Cache budget of one batch tile of the host SpMV kernels: the ELL and DIA
+#: ``apply`` loops walk the batch in tiles whose four row vectors (``x``,
+#: ``out`` and two scratch rows) fit in this many bytes, so every stored
+#: slot/diagonal pass re-reads them from L2 instead of memory — the host
+#: counterpart of the paper's shared-memory residency (Section IV-D).
+L2_TILE_BYTES = 1 << 20
+
+
+def batch_tile(num_rows: int, itemsize: int) -> int:
+    """Systems per SpMV batch tile for rows of ``num_rows`` x ``itemsize`` bytes."""
+    return max(1, L2_TILE_BYTES // (4 * num_rows * itemsize))
 
 
 class DimensionMismatch(ValueError):

@@ -225,7 +225,10 @@ def serve_traffic(
     """
     import asyncio
 
-    async def _main() -> TrafficRun:
+    run: TrafficRun | None = None
+
+    async def _main() -> None:
+        nonlocal run
         clock = VirtualClock()
         service = SolverService(
             clock=clock,
@@ -238,6 +241,11 @@ def serve_traffic(
             results = await clock.drive(run_traffic(service, pattern, spec))
         finally:
             service.close()
-        return TrafficRun(report=service.report, results=results)
+        run = TrafficRun(report=service.report, results=results)
 
-    return asyncio.run(_main())
+    # The coroutine returns None on purpose: asyncio.Runner formats the
+    # finished main task's repr (result included) when it restores the
+    # SIGINT handler, and the repr of a run holding every result array
+    # costs seconds.
+    asyncio.run(_main())
+    return run

@@ -9,16 +9,73 @@ in both working precisions:
 * format round-trips are bit-exact (conversion never rounds),
 * ``take_batch`` composes like fancy indexing (gather of a gather),
 * every sparse SpMV agrees with the dense GEMV reference to the working
-  precision's resolution.
+  precision's resolution,
+* the batch-tiled ELL/DIA kernels are bit-identical to the same product
+  computed one system at a time, at every batch size around the tile.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BatchCsr, to_format
+from repro.core import BatchCsr, BatchDia, to_format
+from repro.core import types as core_types
 
 FORMATS = ("csr", "ell", "dia", "dense")
+TILED_FORMATS = ("ell", "dia")
+
+
+def tile_batch_sizes(tile: int) -> tuple[int, ...]:
+    """Batch sizes straddling the tile: 1, tile-1, tile, tile+1, 2*tile+3."""
+    return tuple(sorted({1, max(tile - 1, 1), tile, tile + 1, 2 * tile + 3}))
+
+
+@contextmanager
+def l2_budget(nbytes: int):
+    """Temporarily shrink the SpMV tile budget so small batches span tiles."""
+    saved = core_types.L2_TILE_BYTES
+    core_types.L2_TILE_BYTES = nbytes
+    try:
+        yield
+    finally:
+        core_types.L2_TILE_BYTES = saved
+
+
+def per_system_reference(m, x) -> np.ndarray:
+    """The untiled textbook ELL/DIA product, one system at a time.
+
+    Accumulates from +0.0 in slot (ELL) or diagonal (DIA) order, and DIA
+    skips every diagonal's fringe rows.
+    """
+    out = np.zeros((m.num_batch, m.num_rows), dtype=m.dtype)
+    for s in range(m.num_batch):
+        if m.format_name == "ell":
+            cols = np.maximum(m.col_idxs, 0)
+            for k in range(m.max_nnz_row):
+                out[s] += m.values[s, k] * x[s, cols[k]]
+        else:
+            for k, d in enumerate(m.offsets.tolist()):
+                lo, hi = max(0, -d), min(m.num_rows, m.num_cols - d)
+                if lo < hi:
+                    out[s, lo:hi] += m.values[s, k, lo:hi] * x[s, lo + d : hi + d]
+    return out
+
+
+def assert_tiled_apply_matches_per_system(m, x, supplied_out: bool) -> None:
+    """``m.apply`` equals the per-system reference bit for bit (signed
+    zeros included)."""
+    nb, n = m.num_batch, m.num_rows
+    out = np.full((nb, n), np.nan, dtype=m.dtype) if supplied_out else None
+    got = m.apply(x, out=out)
+    if supplied_out:
+        assert got is out
+    assert got.dtype == m.dtype
+    bits = np.uint64 if m.dtype == np.float64 else np.uint32
+    ref = per_system_reference(m, x)
+    np.testing.assert_array_equal(got.view(bits), ref.view(bits))
 
 
 def random_batch(seed: int, nb: int, n: int, density: float, dtype) -> np.ndarray:
@@ -155,3 +212,56 @@ class TestSpmvAgainstDense:
         ref = results["dense"]
         for fmt in ("csr", "ell", "dia"):
             np.testing.assert_allclose(results[fmt], ref, rtol=1e-13, atol=1e-13)
+
+
+class TestTiledSpmv:
+    """ELL and DIA walk the batch in cache-sized tiles; every row is still
+    computed independently, so tiling must never change a bit."""
+
+    @given(
+        fmt=st.sampled_from(TILED_FORMATS),
+        tile=st.integers(1, 4),
+        size_pick=st.integers(0, 4),
+        supplied_out=st.booleans(),
+        seed=batch_params["seed"],
+        n=batch_params["n"],
+        density=batch_params["density"],
+        dtype=batch_params["dtype"],
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_tiled_apply_bit_equal_per_system(
+        self, fmt, tile, size_pick, supplied_out, seed, n, density, dtype
+    ):
+        """Small budgets make tiles of 1-4 systems; batch sizes straddle
+        them (1, tile-1, tile, tile+1, 2*tile+3)."""
+        sizes = tile_batch_sizes(tile)
+        nb = sizes[min(size_pick, len(sizes) - 1)]
+        dense = random_batch(seed, nb, n, density, dtype)
+        m = to_format(BatchCsr.from_dense(dense), fmt)
+        rng = np.random.default_rng(seed + 3)
+        x = rng.standard_normal((nb, n)).astype(dtype)
+        # Signed zeros in x make all-zero products whose sign a different
+        # accumulation order would expose.
+        x[rng.random(x.shape) < 0.3] = -0.0
+        with l2_budget(tile * 4 * n * np.dtype(dtype).itemsize):
+            assert core_types.batch_tile(n, np.dtype(dtype).itemsize) == tile
+            assert_tiled_apply_matches_per_system(m, x, supplied_out)
+
+    @pytest.mark.parametrize("supplied_out", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("fmt", TILED_FORMATS)
+    def test_paper_size_tiles_at_the_real_budget(self, fmt, dtype, supplied_out):
+        """At n = 992 with the shipped budget (33 fp64 / 66 fp32 systems per
+        tile), on a 9-diagonal stencil whose boundary rows are padded."""
+        n = 992
+        tile = core_types.batch_tile(n, np.dtype(dtype).itemsize)
+        assert tile == {np.float64: 33, np.float32: 66}[dtype]
+        rng = np.random.default_rng(2022)
+        offsets = np.array([-33, -32, -31, -1, 0, 1, 31, 32, 33])
+        for nb in tile_batch_sizes(tile):
+            bands = rng.standard_normal((nb, offsets.size, n)).astype(dtype)
+            dia = BatchDia(n, offsets, bands, check=False)
+            bands[:, dia.fringe_mask()] = 0.0
+            m = dia if fmt == "dia" else to_format(dia, fmt)
+            x = rng.standard_normal((nb, n)).astype(dtype)
+            assert_tiled_apply_matches_per_system(m, x, supplied_out)

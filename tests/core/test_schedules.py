@@ -17,8 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import BatchCsr, make_solver
+from repro.core import BatchCsr, advanced_spmv, make_solver, to_format
+from repro.core.faults import SolverHealth
 from repro.core.solvers.schedule import (
+    CountingMatrix,
     iterative_solver_names,
     measure_op_counts,
     solver_schedule,
@@ -238,6 +240,121 @@ class TestConformance:
         assert np.array_equal(instrumented.x, bare.x)
         assert np.array_equal(instrumented.iterations, bare.iterations)
         assert np.array_equal(instrumented.residual_norms, bare.residual_norms)
+
+
+class TestCountingMatrix:
+    @pytest.mark.parametrize("fmt", ["csr", "ell", "dia", "dense"])
+    def test_advanced_apply_forwards_work(self, fmt):
+        """The counting wrapper takes ``work=`` like every format does, so
+        the fused update runs counted, allocation-free, and unchanged."""
+        matrix = to_format(make_batch(), fmt)
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((matrix.num_batch, matrix.num_rows))
+        y0 = rng.standard_normal(x.shape)
+        alpha, beta = rng.standard_normal(matrix.num_batch), 0.5
+        expected = matrix.advanced_apply(alpha, x, beta, y0.copy())
+
+        counted = CountingMatrix(matrix)
+        y1, y2 = y0.copy(), y0.copy()
+        w1, w2 = np.empty_like(x), np.empty_like(x)
+        assert counted.advanced_apply(alpha, x, beta, y1, work=w1) is y1
+        assert advanced_spmv(alpha, counted, x, beta, y2, work=w2) is y2
+        assert counted.advanced_apply(alpha, x, beta, y0) is y0
+        assert counted.counts.spmvs == 3
+        for y in (y0, y1, y2):
+            np.testing.assert_array_equal(y, expected)
+
+
+class FalseFlagOnce(AbsoluteResidual):
+    """Absolute criterion that fires falsely, once, for one system.
+
+    The first time the victim's checked norm drops below ``loose`` while it
+    is still above ``tol``, the victim is reported converged.  The flag
+    survives compaction: ``restrict`` remaps the victim's position and the
+    one-shot state is shared with every restricted view.
+    """
+
+    def __init__(self, tol, victim, loose, state=None):
+        super().__init__(tol)
+        self.victim = victim
+        self.loose = loose
+        self.state = state if state is not None else {"fired": 0}
+
+    def check(self, res_norms):
+        hit = super().check(res_norms)
+        v = self.victim
+        if (
+            v is not None
+            and not self.state["fired"]
+            and not hit[v]
+            and res_norms[v] < self.loose
+        ):
+            hit = hit.copy()
+            hit[v] = True
+            self.state["fired"] += 1
+        return hit
+
+    def restrict(self, indices):
+        base = super().restrict(indices)
+        idx = np.asarray(indices)
+        if idx.dtype == bool:
+            idx = np.flatnonzero(idx)
+        pos = np.flatnonzero(idx == self.victim) if self.victim is not None else []
+        sub = FalseFlagOnce(
+            self.tol, int(pos[0]) if len(pos) else None, self.loose, self.state
+        )
+        sub._num_batch = base._num_batch
+        return sub
+
+
+class TestCandidateOnlyVerification:
+    """Verify events compute the true residual of the candidates only.  A
+    false convergence flag must be caught and restarted, while every other
+    system — including a NaN-poisoned bystander — is untouched, and each
+    event still costs exactly one SpMV."""
+
+    VICTIM = 1
+    BYSTANDER = 4
+    VERIFIED = ("bicgstab", "cgs", "pipelined_cg", "pipelined_bicgstab")
+
+    @pytest.mark.parametrize("compact", [None, 0.5])
+    @pytest.mark.parametrize("fmt", ["csr", "ell"])
+    @pytest.mark.parametrize("name", VERIFIED)
+    def test_false_flag_restarts_only_the_victim(self, name, fmt, compact):
+        spd = name in SPD_ONLY
+        matrix = to_format(make_batch(num_batch=12, stagger=True, spd=spd), fmt)
+        b = rhs_for(matrix)
+        b_nan = b.copy()
+        b_nan[self.BYSTANDER, 3] = np.nan
+
+        def solve(criterion, rhs):
+            solver = make_solver(
+                name, preconditioner="jacobi", criterion=criterion,
+                max_iter=300, compact_threshold=compact, compact_min_batch=4,
+            )
+            counts, stats, result = measure_op_counts(solver, matrix, rhs)
+            assert_conformant(solver, counts, stats)
+            return stats, result
+
+        flag = FalseFlagOnce(1e-10, self.VICTIM, loose=1e-4)
+        s_flag, r_flag = solve(flag, b_nan)
+        _, r_plain = solve(AbsoluteResidual(1e-10), b)
+
+        assert flag.state["fired"] == 1
+        assert s_flag.restart_events >= 1
+        assert r_flag.converged[self.VICTIM]
+        assert r_flag.residual_norms[self.VICTIM] < 1e-10
+
+        assert not r_flag.converged[self.BYSTANDER]
+        assert r_flag.health[self.BYSTANDER] == SolverHealth.NON_FINITE
+
+        others = np.ones(matrix.num_batch, dtype=bool)
+        others[[self.VICTIM, self.BYSTANDER]] = False
+        assert r_flag.converged[others].all()
+        for field in ("x", "iterations", "residual_norms", "converged"):
+            np.testing.assert_array_equal(
+                getattr(r_flag, field)[others], getattr(r_plain, field)[others]
+            )
 
 
 class TestGoldenParity:

@@ -12,6 +12,7 @@ from repro.service import (
     make_request,
     serve_traffic,
     tridiag_template,
+    traffic,
 )
 
 
@@ -110,3 +111,25 @@ class TestServeTraffic:
         )
         submit_times = [r.submit_time for r in run.results if r is not None]
         assert submit_times == sorted(submit_times)
+
+    def test_run_is_never_formatted(self, monkeypatch):
+        """The event loop must not format the finished run: on Python 3.11+
+        asyncio.Runner formats the main task's repr (result included) when
+        it restores SIGINT, which for a run holding every result array cost
+        seconds.  Calls are counted rather than raised on, because reprlib
+        swallows exceptions from __repr__."""
+        calls = []
+        original = traffic.TrafficRun.__repr__
+
+        def counting_repr(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(traffic.TrafficRun, "__repr__", counting_repr)
+        run = serve_traffic(
+            TrafficPattern(rate_hz=20_000.0, duration_s=2e-3, seed=4),
+            WorkloadSpec(num_rows=32),
+        )
+        assert isinstance(run, traffic.TrafficRun)
+        assert run.report.completed == run.report.submitted
+        assert len(calls) == 0

@@ -1,13 +1,14 @@
-"""Autotuning-gym gate: searched policies beat hand rules, fast enough.
+"""Autotuning-gym gate: enumerated policies beat hand rules, fast enough.
 
 Runs the full distillation pipeline on the paper's n = 992 collision
 scenario over the Table-I hardware grid (V100/A100/MI100 x batch sizes
 16..16384) and gates four claims of the autotuning layer:
 
-* **never worse** — on EVERY (GPU, batch) cell the searched
+* **never worse** — on EVERY (GPU, batch) cell the distilled
   configuration's modelled batch wall-clock is <= the hand-rule
-  baseline's (guaranteed by baseline seeding, verified here end to end);
-* **strictly better somewhere** — the searched policy must win outright
+  baseline's (guaranteed by the hand-rule fallback, verified here end
+  to end);
+* **strictly better somewhere** — the distilled policy must win outright
   (beyond ``--min-gain``) on at least ``--min-win-fraction`` of the
   cells, otherwise the gym is dead weight;
 * **throughput** — the memoized cost-model environment must price at
@@ -19,9 +20,9 @@ scenario over the Table-I hardware grid (V100/A100/MI100 x batch sizes
   faster than cold construction (micro-benchmark of the schedule layer).
 
 Also verifies the policy JSON round-trip (save -> load -> identical
-decisions) and writes ``BENCH_autotune.json`` plus the search
-trajectories (``BENCH_autotune_trajectory.jsonl``) at the repo root.
-Run standalone (CI gate)::
+decisions) and writes ``BENCH_autotune.json`` plus the distilled
+``BENCH_autotune.best_configs.json`` at the repo root.  Run standalone
+(CI gate)::
 
     PYTHONPATH=src python benchmarks/bench_autotune.py
 
@@ -40,10 +41,7 @@ from repro.core.solvers.schedule import _FIXED_SCHEDULES, solver_schedule
 from repro.gpu import TABLE1_GPUS
 from repro.tune import (
     CostModelEnv,
-    HillClimbAgent,
-    TrajectoryLogger,
     TuningPolicy,
-    baseline_config,
     distill_policy,
     space_for_scenario,
     xgc_scenario,
@@ -90,9 +88,6 @@ def measure_memo_speedup(repeats: int = 2000):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--budget", type=int, default=160,
-                        help="search evaluations per grid cell")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--min-gain", type=float, default=0.02,
                         help="relative gain counting as a strict win")
     parser.add_argument("--min-win-fraction", type=float, default=0.10,
@@ -101,22 +96,14 @@ def main(argv=None) -> int:
     parser.add_argument("--min-memo-speedup", type=float, default=3.0)
     parser.add_argument("--output", type=pathlib.Path,
                         default=REPO_ROOT / "BENCH_autotune.json")
-    parser.add_argument("--trajectory", type=pathlib.Path,
-                        default=REPO_ROOT / "BENCH_autotune_trajectory.jsonl")
     args = parser.parse_args(argv)
 
     scenario = xgc_scenario()
     space = space_for_scenario(scenario)
 
     # -- distill the policy over the full hardware grid ----------------
-    logger = TrajectoryLogger()
     t0 = time.perf_counter()
-    policy = distill_policy(
-        TABLE1_GPUS, scenario, GRID_BATCHES,
-        agent_factory=lambda budget, seed: HillClimbAgent(
-            budget=budget, seed=seed, temperature=0.05),
-        budget=args.budget, seed=args.seed, logger=logger,
-    )
+    policy = distill_policy(TABLE1_GPUS, scenario, GRID_BATCHES)
     distill_s = time.perf_counter() - t0
 
     cells = []
@@ -146,13 +133,10 @@ def main(argv=None) -> int:
     policy.save(args.output.with_suffix(".best_configs.json"))
     reloaded = TuningPolicy.load(args.output.with_suffix(".best_configs.json"))
     roundtrip_ok = reloaded.to_dict() == policy.to_dict()
-    logger.save(args.trajectory)
 
     report = {
         "bench": "autotune",
         "config": {
-            "budget": args.budget,
-            "seed": args.seed,
             "grid_batches": list(GRID_BATCHES),
             "space_size": space.size(),
             "min_gain": args.min_gain,
@@ -168,16 +152,15 @@ def main(argv=None) -> int:
         "memo_cold_s_per_pass": cold_s,
         "memo_warm_s_per_pass": warm_s,
         "policy_roundtrip_ok": roundtrip_ok,
-        "trajectory_records": len(logger.records),
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n")
 
     print(f"Autotuning gate: {len(cells)} grid cells "
           f"({len(GRID_BATCHES)} batches x {len(TABLE1_GPUS)} GPUs), "
-          f"space of {space.size()} configs, budget {args.budget}/cell:")
+          f"space of {space.size()} configs enumerated per cell:")
     worst = min(cells, key=lambda c: c["relative_gain"])
     best = max(cells, key=lambda c: c["relative_gain"])
-    print(f"  searched vs hand rules: {wins}/{len(cells)} strict wins "
+    print(f"  distilled vs hand rules: {wins}/{len(cells)} strict wins "
           f"(>{args.min_gain:.0%}), worst cell {worst['key']} "
           f"{worst['relative_gain']:+.1%}, best cell {best['key']} "
           f"{best['relative_gain']:+.1%}")
@@ -185,15 +168,14 @@ def main(argv=None) -> int:
           f"{max(GRID_BATCHES)} ({rate_evals} true evaluations)")
     print(f"  memoization: cached schedules {memo_speedup:.1f}x faster "
           f"than cold construction")
-    print(f"  distilled {len(policy)} cells in {distill_s:.2f}s, "
-          f"trajectory {len(logger.records)} records")
+    print(f"  distilled {len(policy)} cells in {distill_s:.2f}s")
     print(f"  report: {args.output}")
 
     failures = []
     for cell in cells:
         if cell["searched_s"] > cell["baseline_s"] * (1 + 1e-12):
             failures.append(
-                f"searched config loses to hand rules on {cell['key']} "
+                f"distilled config loses to hand rules on {cell['key']} "
                 f"({cell['searched_s']:.3e}s vs {cell['baseline_s']:.3e}s)"
             )
     if win_fraction < args.min_win_fraction:

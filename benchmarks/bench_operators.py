@@ -14,9 +14,9 @@ multi-species Landau coupling) end to end and gates four claims:
 * **fig6 regenerates on every target** — the crossover study runs
   cleanly over the full hardware zoo (Table I + H100/MI250X/PVC) and
   produces a complete series per GPU;
-* **never worse on the expanded grid** — the autotuning gym, distilled
-  per operator scenario over all six GPUs, never loses to the hand-rule
-  baseline on any (GPU, scenario, batch) cell.
+* **never worse on the expanded grid** — the autotuning gym's policy,
+  enumerated per operator scenario over all six GPUs, never loses to the
+  hand-rule baseline on any (GPU, scenario, batch) cell.
 
 Writes ``BENCH_operators.json`` at the repo root.  Run standalone (CI
 gate)::
@@ -39,11 +39,7 @@ import numpy as np
 from repro.core import AbsoluteResidual, make_solver
 from repro.experiments.figures import fig6
 from repro.gpu import GPUS, estimate_iterative_solve
-from repro.tune import (
-    HillClimbAgent,
-    distill_policy,
-    tridiag_operator_scenario,
-)
+from repro.tune import distill_policy, tridiag_operator_scenario
 from repro.xgc import OPERATOR_SCENARIOS, run_operator_scenario
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -51,8 +47,8 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 #: Batch sizes for the measured direct-vs-iterative comparison.
 CROSSOVER_BATCHES = (8, 64, 256)
 
-#: Batch sizes of the expanded tuning grid (kept small: the gate runs
-#: budget x cells x scenarios cost-model evaluations in CI).
+#: Batch sizes of the expanded tuning grid (kept small: the gate prices
+#: the whole space on every cell of every scenario in CI).
 GRID_BATCHES = (16, 256, 4096)
 
 
@@ -148,16 +144,11 @@ def modelled_operator_table() -> list[dict]:
     return rows
 
 
-def autotune_gate(budget: int, seed: int) -> tuple[list[dict], bool]:
+def autotune_gate() -> tuple[list[dict], bool]:
     cells, ok = [], True
     for name in sorted(OPERATOR_SCENARIOS):
         scenario = tridiag_operator_scenario(name)
-        policy = distill_policy(
-            GPUS, scenario, GRID_BATCHES,
-            agent_factory=lambda budget, seed: HillClimbAgent(
-                budget=budget, seed=seed, temperature=0.05),
-            budget=budget, seed=seed,
-        )
+        policy = distill_policy(GPUS, scenario, GRID_BATCHES)
         for key in sorted(policy.entries):
             e = policy.entries[key]
             gain = (e.baseline_cost - e.cost) / e.baseline_cost
@@ -176,9 +167,6 @@ def autotune_gate(budget: int, seed: int) -> tuple[list[dict], bool]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--budget", type=int, default=40,
-                        help="search evaluations per tuning-grid cell")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", type=pathlib.Path,
                         default=REPO_ROOT / "BENCH_operators.json")
     args = parser.parse_args(argv)
@@ -186,13 +174,11 @@ def main(argv=None) -> int:
     conservation, conservation_ok = conservation_gate()
     crossover, crossover_ok = crossover_gate()
     fig6_summary, fig6_ok = fig6_zoo_gate()
-    tuning_cells, tuning_ok = autotune_gate(args.budget, args.seed)
+    tuning_cells, tuning_ok = autotune_gate()
 
     report = {
         "bench": "operators",
         "config": {
-            "budget": args.budget,
-            "seed": args.seed,
             "crossover_batches": list(CROSSOVER_BATCHES),
             "grid_batches": list(GRID_BATCHES),
             "gpus": [hw.name for hw in GPUS],

@@ -1,11 +1,10 @@
-"""Tour of the autotuning gym: search the space, distill, deploy.
+"""Tour of the autotuning gym: enumerate the space, distill, deploy.
 
 Walks the full loop of `repro.tune` on the paper's collision scenario:
-enumerate the configuration space and find its true optimum, race the
-three seeded agents against the hand-rule baseline, distill a
-best_configs.json policy over the Table-I GPUs, and feed it back into
-`tune_for_matrix` so the production entry point applies the searched
-configuration instead of the hand rules.
+enumerate the configuration space and find its true optimum against the
+hand-rule baseline, distill a best_configs.json policy over the Table-I
+GPUs, and feed it back into `tune_for_matrix` so the production entry
+point applies the distilled configuration instead of the hand rules.
 
 Run:  python examples/autotune_study.py
 """
@@ -13,9 +12,6 @@ Run:  python examples/autotune_study.py
 from repro.gpu import GPUS, V100, tune_for_matrix
 from repro.tune import (
     CostModelEnv,
-    GeneticAgent,
-    HillClimbAgent,
-    RandomSearchAgent,
     baseline_config,
     distill_policy,
     exhaustive_best,
@@ -43,23 +39,12 @@ def main():
     print(f"exhaustive optimum: {optimum.solver}/{optimum.fmt}/"
           f"{optimum.precision} @ {optimum.target_blocks_per_cu} "
           f"block(s)/CU -> {optimum_cost * 1e3:.3f} ms "
-          f"({base_cost / optimum_cost:.2f}x)\n")
+          f"({base_cost / optimum_cost:.2f}x, "
+          f"{env.evaluations} cost-model evaluations)")
 
-    # -- 2. the agents, seeded with the baseline -----------------------
-    print(f"{'agent':>10} {'best [ms]':>10} {'evals to optimum':>17}")
-    for agent in (RandomSearchAgent(budget=160, seed=0),
-                  HillClimbAgent(budget=160, seed=0, temperature=0.05),
-                  GeneticAgent(budget=160, seed=0)):
-        run_env = CostModelEnv(V100, scenario, num_batch)
-        res = agent.search(run_env, space, seed_config=base)
-        hit = next((step for step, cost, _ in res.history
-                    if cost <= optimum_cost), None)
-        print(f"{agent.name:>10} {res.best_cost * 1e3:10.3f} "
-              f"{str(hit) if hit else '-':>17}")
-
-    # -- 3. distill a deployable policy over the hardware grid ---------
+    # -- 2. distill a deployable policy over the hardware grid ---------
     batches = (16, 960, 16384)
-    policy = distill_policy(GPUS, scenario, batches, budget=160, seed=0)
+    policy = distill_policy(GPUS, scenario, batches)
     print(f"\ndistilled {len(policy)} cells "
           f"({len(GPUS)} GPUs x batches {batches}):")
     for key in sorted(policy.entries):
@@ -69,20 +54,20 @@ def main():
               f"@{c.target_blocks_per_cu}bpc   "
               f"{e.baseline_cost / e.cost:5.2f}x vs hand rules")
 
-    # -- 4. deploy: tune_for_matrix consults the policy ----------------
+    # -- 3. deploy: tune_for_matrix consults the policy ----------------
     app = CollisionProxyApp(ProxyAppConfig(num_mesh_nodes=8))
     matrix, _ = app.build_matrices()
     plain = tune_for_matrix(V100, matrix)
-    searched = tune_for_matrix(V100, matrix, policy=policy)
+    distilled = tune_for_matrix(V100, matrix, policy=policy)
     print(f"\ntune_for_matrix on the real batch "
           f"(batch {matrix.num_batch}):")
     print(f"  hand rules: {plain.fmt}, {plain.solver_variant}, "
           f"{plain.storage.num_shared}/{plain.storage.num_vectors} "
           "shared vectors")
-    print(f"  policy    : {searched.fmt}, {searched.solver_variant}, "
-          f"{searched.storage.num_shared}/{searched.storage.num_vectors} "
+    print(f"  policy    : {distilled.fmt}, {distilled.solver_variant}, "
+          f"{distilled.storage.num_shared}/{distilled.storage.num_vectors} "
           "shared vectors")
-    print(f"  rationale : {searched.rationale['policy']}")
+    print(f"  rationale : {distilled.rationale['policy']}")
 
 
 if __name__ == "__main__":

@@ -11,9 +11,9 @@ Commands
     Run the proxy app's Picard loop and print the Table-III style report.
 ``tune``
     Show the automatic solver configuration for the XGC matrices on every
-    modelled GPU.  ``--search`` runs the autotuning gym first and applies
-    the searched policy (``--policy`` applies a saved one); ``--out`` /
-    ``--trajectory`` write the ``best_configs.json`` and JSONL artifacts.
+    modelled GPU.  ``--search`` enumerates the configuration space first
+    and applies the distilled policy (``--policy`` applies a saved one);
+    ``--out`` writes the ``best_configs.json`` artifact.
 ``reproduce``
     Regenerate every paper artefact (figures and tables) and write them
     to a directory (default ``./results``).
@@ -144,25 +144,14 @@ def _cmd_tune(args) -> int:
 def _run_search(args, extra_batches=()):
     """``tune --search``: distill a policy over the hardware grid."""
     from repro.gpu import GPUS
-    from repro.tune import (
-        HillClimbAgent,
-        TrajectoryLogger,
-        distill_policy,
-        xgc_scenario,
-    )
+    from repro.tune import distill_policy, space_for_scenario, xgc_scenario
 
     scenario = xgc_scenario()
     batches = tuple(int(b) for b in args.batches.split(","))
     batches += tuple(b for b in extra_batches if b not in batches)
-    logger = TrajectoryLogger()
-    policy = distill_policy(
-        GPUS, scenario, batches,
-        agent_factory=lambda budget, seed: HillClimbAgent(
-            budget=budget, seed=seed, temperature=0.05),
-        budget=args.budget, seed=args.seed, logger=logger,
-    )
-    print(f"searched {len(policy)} cell(s) "
-          f"(budget {args.budget}/cell, seed {args.seed}):")
+    policy = distill_policy(GPUS, scenario, batches)
+    print(f"enumerated {len(policy)} cell(s) "
+          f"({space_for_scenario(scenario).size()} configs/cell):")
     for key in sorted(policy.entries):
         e = policy.entries[key]
         gain = e.baseline_cost / e.cost if e.cost > 0 else float("inf")
@@ -173,10 +162,6 @@ def _run_search(args, extra_batches=()):
     if args.out:
         policy.save(args.out)
         print(f"wrote policy to {args.out}")
-    if args.trajectory:
-        logger.save(args.trajectory)
-        print(f"wrote {len(logger.records)} trajectory records to "
-              f"{args.trajectory}")
     print()
     return policy
 
@@ -280,20 +265,15 @@ def main(argv=None) -> int:
     )
     tune = sub.add_parser("tune", help="automatic solver configuration report")
     tune.add_argument("--search", action="store_true",
-                      help="run the autotuning gym and apply the searched "
-                           "policy instead of the hand rules alone")
+                      help="enumerate the configuration space and apply "
+                           "the distilled policy instead of the hand "
+                           "rules alone")
     tune.add_argument("--policy", default=None, metavar="JSON",
                       help="apply a previously distilled best_configs.json")
-    tune.add_argument("--budget", type=int, default=160,
-                      help="cost-model evaluations per (GPU, batch) cell")
-    tune.add_argument("--seed", type=int, default=0,
-                      help="search RNG seed (fully deterministic per seed)")
     tune.add_argument("--batches", default="16,960,16384",
                       help="comma-separated batch sizes to distill")
     tune.add_argument("--out", default=None, metavar="JSON",
                       help="write the distilled policy (best_configs.json)")
-    tune.add_argument("--trajectory", default=None, metavar="JSONL",
-                      help="write per-evaluation search trajectories")
     rep = sub.add_parser("reproduce", help="regenerate all paper artefacts")
     rep.add_argument("--out", default="results", help="output directory")
     rep.add_argument("--quiet", action="store_true",

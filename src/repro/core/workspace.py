@@ -110,27 +110,6 @@ class StorageConfig:
     shared_bytes_used: int
     budget_bytes: int
 
-    def to_dict(self) -> dict:
-        """JSON-ready representation (stable key order, plain types)."""
-        return {
-            "shared_vectors": list(self.shared_vectors),
-            "global_vectors": list(self.global_vectors),
-            "vector_bytes": int(self.vector_bytes),
-            "shared_bytes_used": int(self.shared_bytes_used),
-            "budget_bytes": int(self.budget_bytes),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StorageConfig":
-        """Inverse of :meth:`to_dict` (exact round-trip)."""
-        return cls(
-            shared_vectors=tuple(data["shared_vectors"]),
-            global_vectors=tuple(data["global_vectors"]),
-            vector_bytes=int(data["vector_bytes"]),
-            shared_bytes_used=int(data["shared_bytes_used"]),
-            budget_bytes=int(data["budget_bytes"]),
-        )
-
     @property
     def num_shared(self) -> int:
         """Count of vectors placed in shared memory."""

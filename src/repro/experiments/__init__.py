@@ -18,7 +18,7 @@ assertions.
 from __future__ import annotations
 
 from .common import ExperimentResult
-from .figures import fig1, fig2, fig4, fig6, fig7, fig8, fig9, fig_tune
+from .figures import fig1, fig2, fig4, fig6, fig7, fig8, fig9
 from .tables import table1, table2, table3
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "fig7",
     "fig8",
     "fig9",
-    "fig_tune",
     "table1",
     "table2",
     "table3",
@@ -38,9 +37,7 @@ __all__ = [
     "run_all",
 ]
 
-#: Registry of every artefact generator, in paper order (the autotuning
-#: companion panel last — it is this reproduction's addition, not one of
-#: the paper's numbered figures).
+#: Registry of every artefact generator, in paper order.
 ALL_EXPERIMENTS = {
     "fig1": fig1,
     "fig2": fig2,
@@ -52,7 +49,6 @@ ALL_EXPERIMENTS = {
     "table3": table3,
     "fig8": fig8,
     "fig9": fig9,
-    "fig_tune": fig_tune,
 }
 
 

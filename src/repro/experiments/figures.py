@@ -31,8 +31,7 @@ from .common import (
     tile_iterations,
 )
 
-__all__ = ["fig1", "fig2", "fig4", "fig6", "fig7", "fig8", "fig9",
-           "fig_tune"]
+__all__ = ["fig1", "fig2", "fig4", "fig6", "fig7", "fig8", "fig9"]
 
 
 def fig1(num_systems: int = 1000) -> ExperimentResult:
@@ -344,91 +343,3 @@ def fig9() -> ExperimentResult:
         "dgbsv, 5 Picard iterations\n" + "\n".join(lines),
     )
 
-
-def fig_tune(num_batch: int = 960, budget: int = 160,
-             seed: int = 0) -> ExperimentResult:
-    """Autotuning gym — search trajectories and regret vs the hand rules.
-
-    Companion panel to Fig. 6: on one (GPU, batch) cell the three search
-    agents race over the full configuration space, each seeded with the
-    hand-rule baseline.  Because the space is small enough to enumerate,
-    the panel shows true *regret* (running best minus the exhaustive
-    optimum) per evaluation — the ArchGym-style view of how quickly each
-    agent closes the gap the hand rules leave open.
-    """
-    from ..tune import (
-        CostModelEnv,
-        GeneticAgent,
-        HillClimbAgent,
-        RandomSearchAgent,
-        baseline_config,
-        exhaustive_best,
-        space_for_scenario,
-        xgc_scenario,
-    )
-
-    hw = V100
-    scenario = xgc_scenario()
-    space = space_for_scenario(scenario)
-    env = CostModelEnv(hw, scenario, num_batch)
-    optimum, optimum_cost = exhaustive_best(env)
-    baseline = baseline_config(hw, scenario, num_batch)
-    baseline_cost = env.evaluate(baseline)
-
-    agents = (
-        RandomSearchAgent(budget=budget, seed=seed),
-        HillClimbAgent(budget=budget, seed=seed, temperature=0.05),
-        GeneticAgent(budget=budget, seed=seed),
-    )
-    series: dict[str, dict] = {}
-    for agent in agents:
-        agent_env = CostModelEnv(hw, scenario, num_batch)
-        res = agent.search(agent_env, space, seed_config=baseline)
-        series[agent.name] = {
-            "best_cost_s": res.best_cost,
-            "best_config": res.best_config.to_dict(),
-            "evaluations": res.evaluations,
-            "regret_s": res.regret_curve(optimum_cost),
-            "model_evaluations": agent_env.evaluations,
-        }
-
-    checkpoints = sorted({c for c in (1, 5, 10, 20, 40, 80, budget)
-                          if c <= budget})
-    lines = [
-        f"{'evals':>6} "
-        + " ".join(f"{name + ' [us]':>16}" for name in series)
-    ]
-    for c in checkpoints:
-        row = [f"{c:>6}"]
-        for name in series:
-            regret = series[name]["regret_s"]
-            row.append(f"{regret[min(c, len(regret)) - 1] * 1e6:16.3f}")
-        lines.append(" ".join(row))
-    text = (
-        f"Fig tune: search regret on {hw.name}, batch {num_batch} "
-        f"(space of {space.size()} configs)\n"
-        f"  hand rules: {baseline.solver}/{baseline.fmt}/"
-        f"{baseline.precision} -> {baseline_cost * 1e3:.3f} ms\n"
-        f"  optimum   : {optimum.solver}/{optimum.fmt}/{optimum.precision}"
-        f" @ {optimum.target_blocks_per_cu} block(s)/CU -> "
-        f"{optimum_cost * 1e3:.3f} ms "
-        f"({baseline_cost / optimum_cost:.2f}x over hand rules)\n\n"
-        "  running regret (best-so-far minus optimum):\n  "
-        + "\n  ".join(lines)
-    )
-    return ExperimentResult(
-        name="fig_tune",
-        description="autotuning search trajectories and regret",
-        data={
-            "hardware": hw.name,
-            "num_batch": num_batch,
-            "budget": budget,
-            "space_size": space.size(),
-            "baseline": {"config": baseline.to_dict(),
-                         "cost_s": baseline_cost},
-            "optimum": {"config": optimum.to_dict(),
-                        "cost_s": optimum_cost},
-            "agents": series,
-        },
-        text=text,
-    )

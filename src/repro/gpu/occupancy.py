@@ -39,23 +39,6 @@ class Occupancy:
     total_slots: int
     limiter: str
 
-    def to_dict(self) -> dict:
-        """JSON-ready representation (stable keys, plain types)."""
-        return {
-            "blocks_per_cu": int(self.blocks_per_cu),
-            "total_slots": int(self.total_slots),
-            "limiter": self.limiter,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Occupancy":
-        """Inverse of :meth:`to_dict` (exact round-trip)."""
-        return cls(
-            blocks_per_cu=int(data["blocks_per_cu"]),
-            total_slots=int(data["total_slots"]),
-            limiter=data["limiter"],
-        )
-
 
 def compute_occupancy(
     hw: GpuSpec,

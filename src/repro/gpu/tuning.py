@@ -81,10 +81,8 @@ class TuningDecision:
 
     Hashable value object: ``rationale`` (free-form provenance text) is
     excluded from equality and hashing, so two decisions reached by
-    different routes — hand rules vs a searched policy — compare equal
-    exactly when they configure the same kernel.  ``to_dict`` /
-    ``from_dict`` round-trip deterministically for policy files and
-    trajectory logs.
+    different routes — hand rules vs a distilled policy — compare equal
+    exactly when they configure the same kernel.
 
     Attributes
     ----------
@@ -120,33 +118,6 @@ class TuningDecision:
     fused_kernel: bool
     rationale: dict = field(default_factory=dict, compare=False)
     solver_variant: str | None = None
-
-    def to_dict(self) -> dict:
-        """JSON-ready representation with a stable schema."""
-        return {
-            "fmt": self.fmt,
-            "threads_per_block": int(self.threads_per_block),
-            "rows_per_thread": int(self.rows_per_thread),
-            "storage": self.storage.to_dict(),
-            "occupancy": self.occupancy.to_dict(),
-            "fused_kernel": bool(self.fused_kernel),
-            "rationale": dict(self.rationale),
-            "solver_variant": self.solver_variant,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TuningDecision":
-        """Inverse of :meth:`to_dict`: round-trips to an equal decision."""
-        return cls(
-            fmt=data["fmt"],
-            threads_per_block=int(data["threads_per_block"]),
-            rows_per_thread=int(data["rows_per_thread"]),
-            storage=StorageConfig.from_dict(data["storage"]),
-            occupancy=Occupancy.from_dict(data["occupancy"]),
-            fused_kernel=bool(data["fused_kernel"]),
-            rationale=dict(data.get("rationale", {})),
-            solver_variant=data.get("solver_variant"),
-        )
 
 
 def _choose_format(

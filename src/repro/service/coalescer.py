@@ -49,7 +49,7 @@ class CompatKey:
     ``scenario`` is the workload identity (``"xgc"``, ``"dougherty"``,
     ``"lenard_bernstein"``, ``"landau"``): requests from different
     operators never coalesce even when their patterns coincide, because
-    the scenario drives the tuner's validity masks and searched-policy
+    the scenario drives the tuner's validity masks and distilled-policy
     lookup — one batch must mean one tuning decision."""
 
     num_rows: int

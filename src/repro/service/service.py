@@ -30,8 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.faults import health_counts
+from ..core.solvers.schedule import solver_schedule
 from ..dist.multi_gpu import GpuNode, SUMMIT_NODE
-from ..utils.validation import as_value_array, check_shape
+from ..utils.validation import as_value_array, check_non_negative, check_shape
 from .clock import VirtualClock
 from .coalescer import CoalescePolicy, Coalescer, compat_key
 from .dispatcher import DispatchReport, Dispatcher
@@ -213,15 +214,18 @@ class SolverService:
     def submit(self, request: SolveRequest) -> SolveTicket:
         """Admit (or degrade, or shed) one request; returns its ticket.
 
-        A malformed right-hand side raises ``ValueError`` here, on the
-        caller: admitted, it would only fail inside the shared batch and
-        leave every other request of that batch unresolved.
+        A malformed right-hand side, an unknown solver or a negative/NaN
+        tolerance raises ``ValueError`` here, on the caller: admitted, it
+        would only fail inside the service loops and leave every other
+        tenant's ticket unresolved.
         """
         if self._closed:
             raise RuntimeError("service is closed")
         b = np.asarray(request.b)
         as_value_array(b, "b", ndim=2, dtype=b.dtype)
         check_shape(b, (request.matrix.num_batch, request.matrix.num_rows), "b")
+        solver_schedule(request.solver)
+        check_non_negative(request.tolerance, "tolerance")
         self._ensure_running()
         now = self.clock.now
         request.request_id = self._next_request_id

@@ -1,33 +1,25 @@
-"""Autotuning gym: searched solver configuration over the GPU cost model.
+"""Autotuning gym: enumerated solver configuration over the GPU cost model.
 
 The hand rules in :mod:`repro.gpu.tuning` encode the paper's automatic
-tuning strategy.  This package *searches* the same decision space — in
-ArchGym style — against the identical analytic cost model:
+tuning strategy.  This package prices the *whole* decision space against
+the identical analytic cost model and keeps the exact argmin:
 
 * :mod:`~repro.tune.space` — the typed configuration space (solver ×
   format × precision × restart × shared-memory residency × compaction)
   with per-scenario validity masks;
 * :mod:`~repro.tune.env` — the evaluation harness pricing configs via
-  :func:`repro.gpu.timing.estimate_iterative_solve` (memoized, counted);
-* :mod:`~repro.tune.agents` — seeded random / hill-climbing / genetic
-  search with JSONL trajectory logging;
+  :func:`repro.gpu.timing.estimate_iterative_solve` (memoized, counted)
+  and :func:`~repro.tune.env.exhaustive_best`, the enumerated argmin;
 * :mod:`~repro.tune.policy` — distilled ``best_configs.json`` policies
   that :func:`repro.gpu.tuning.tune_for_matrix` consults before its hand
   rules.
 
-Every search is seeded with the hand-rule baseline, so a distilled
-policy is never worse than the rules it replaces — and the CI gate in
-``benchmarks/bench_autotune.py`` enforces exactly that on the Table-I
-hardware grid.
+A distilled cell keeps the hand-rule config unless the argmin is
+strictly cheaper, so a policy is never worse than the rules it replaces
+— and the CI gate in ``benchmarks/bench_autotune.py`` enforces exactly
+that on the Table-I hardware grid.
 """
 
-from .agents import (
-    GeneticAgent,
-    HillClimbAgent,
-    RandomSearchAgent,
-    SearchResult,
-    TrajectoryLogger,
-)
 from .env import (
     CostModelEnv,
     TuneScenario,
@@ -43,12 +35,7 @@ from .space import ConfigSpace, TuneConfig, space_for_scenario
 __all__ = [
     "ConfigSpace",
     "CostModelEnv",
-    "GeneticAgent",
-    "HillClimbAgent",
     "PolicyEntry",
-    "RandomSearchAgent",
-    "SearchResult",
-    "TrajectoryLogger",
     "TuneConfig",
     "TuneScenario",
     "TuningPolicy",

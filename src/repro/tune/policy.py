@@ -1,13 +1,15 @@
-"""Distilled tuning policies: searched winners, keyed for deployment.
+"""Distilled tuning policies: enumerated winners, keyed for deployment.
 
-The gym's output is not a trajectory, it is a *policy*: for every
-(hardware, system size, batch size, scenario) cell, the best
-configuration the search found — never worse than the hand-rule
-baseline, because every search is seeded with it.  The policy serialises
-to ``best_configs.json`` and :func:`repro.gpu.tuning.tune_for_matrix`
-consults it (``policy=...``) before falling back to the hand rules, so a
-production run can ship the JSON artifact without importing any of the
-search machinery.
+The gym's output is a *policy*: for every (hardware, system size, batch
+size, scenario) cell, the exact argmin of the cost model over the
+scenario's space — or the hand-rule baseline when the argmin is not
+strictly cheaper, so a policy is never worse than the rules it replaces.
+The policy serialises to ``best_configs.json`` and
+:func:`repro.gpu.tuning.tune_for_matrix` consults it (``policy=...``)
+before falling back to the hand rules, so a production run can ship the
+JSON artifact without re-pricing anything.  A loaded file is outside
+input: its format tag, its cell keys and every entry's config are checked
+before any of it is applied.
 """
 
 from __future__ import annotations
@@ -16,16 +18,19 @@ import json
 
 from dataclasses import dataclass, field
 
-from .agents import HillClimbAgent, TrajectoryLogger
-from .env import CostModelEnv, TuneScenario
+from .env import CostModelEnv, TuneScenario, exhaustive_best
 from .space import TuneConfig, space_for_scenario
 
 __all__ = [
+    "POLICY_FORMAT",
     "PolicyEntry",
     "TuningPolicy",
     "baseline_config",
     "distill_policy",
 ]
+
+#: Format tag of a ``best_configs.json`` policy file.
+POLICY_FORMAT = "repro-tuning-policy-v1"
 
 
 def baseline_config(hw, scenario: TuneScenario, num_batch: int) -> TuneConfig:
@@ -35,8 +40,8 @@ def baseline_config(hw, scenario: TuneScenario, num_batch: int) -> TuneConfig:
     pattern statistics and lifts the decision into a :class:`TuneConfig`:
     the hand-rule format and solver variant, fp64 (the hand rules never
     drop precision), the hardware's default residency target, compaction
-    off.  Seeding any agent with this config makes "searched >= hand
-    rules" true by construction on every cell.
+    off.  :func:`distill_policy` falls back to this config whenever the
+    enumerated argmin is not strictly cheaper.
     """
     from ..gpu.tuning import tune_batched_solver
 
@@ -59,11 +64,11 @@ def baseline_config(hw, scenario: TuneScenario, num_batch: int) -> TuneConfig:
 
 @dataclass(frozen=True)
 class PolicyEntry:
-    """One distilled cell: the winning config plus its provenance.
+    """One distilled cell: the recorded config plus its audited costs.
 
     ``cost``/``baseline_cost`` are the modelled batch wall-clocks of the
-    searched winner and the hand-rule seed (same environment, same cost
-    model) — kept in the artifact so a reader can audit each cell's win.
+    recorded config and of the hand-rule baseline (same environment, same
+    cost model) — kept in the artifact so a reader can audit each cell.
     """
 
     hardware: str
@@ -73,7 +78,6 @@ class PolicyEntry:
     config: TuneConfig
     cost: float
     baseline_cost: float
-    agent: str = "hillclimb"
 
     def to_dict(self) -> dict:
         return {
@@ -84,7 +88,6 @@ class PolicyEntry:
             "config": self.config.to_dict(),
             "cost": float(self.cost),
             "baseline_cost": float(self.baseline_cost),
-            "agent": self.agent,
         }
 
     @classmethod
@@ -97,13 +100,12 @@ class PolicyEntry:
             config=TuneConfig.from_dict(data["config"]),
             cost=float(data["cost"]),
             baseline_cost=float(data["baseline_cost"]),
-            agent=data.get("agent", "unknown"),
         )
 
 
 @dataclass
 class TuningPolicy:
-    """Lookup table of searched winners, JSON round-trippable."""
+    """Lookup table of enumerated winners, JSON round-trippable."""
 
     entries: dict = field(default_factory=dict)
 
@@ -120,32 +122,55 @@ class TuningPolicy:
 
     def lookup(self, hardware: str, num_rows: int, num_batch: int,
                scenario: str) -> TuneConfig | None:
-        """The searched config for a cell, or ``None`` (→ hand rules)."""
+        """The recorded config for a cell, or ``None`` (→ hand rules)."""
         entry = self.entries.get(
             self.key_for(hardware, num_rows, num_batch, scenario))
         return None if entry is None else entry.config
-
-    def entry(self, hardware: str, num_rows: int, num_batch: int,
-              scenario: str) -> PolicyEntry | None:
-        """The full cell entry (config + audited costs), or ``None``."""
-        return self.entries.get(
-            self.key_for(hardware, num_rows, num_batch, scenario))
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def to_dict(self) -> dict:
         return {
-            "format": "repro-tuning-policy-v1",
+            "format": POLICY_FORMAT,
             "entries": {k: e.to_dict() for k, e in sorted(
                 self.entries.items())},
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "TuningPolicy":
+        """Parse and validate a policy; ``ValueError`` on a bad file.
+
+        The ``"format"`` tag must be :data:`POLICY_FORMAT`, each entry
+        must sit under its own cell key, and each config must lie in its
+        scenario's space — otherwise ``tune_for_matrix`` would apply a
+        solver, format or threshold the scenario was never priced for.
+        """
+        tag = data.get("format") if isinstance(data, dict) else None
+        if tag != POLICY_FORMAT:
+            raise ValueError(
+                f"not a tuning policy: format tag {tag!r}, expected "
+                f"{POLICY_FORMAT!r}"
+            )
         policy = cls()
         for key, raw in data.get("entries", {}).items():
-            policy.entries[key] = PolicyEntry.from_dict(raw)
+            try:
+                entry = PolicyEntry.from_dict(raw)
+                space = space_for_scenario(entry.scenario)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"policy entry {key!r} is malformed: {exc!r}") from None
+            if not space.is_valid(entry.config):
+                raise ValueError(
+                    f"policy entry {key!r}: {entry.config} is not a valid "
+                    f"{entry.scenario!r} configuration"
+                )
+            cell = cls.key_for(entry.hardware, entry.num_rows,
+                               entry.num_batch, entry.scenario)
+            if key != cell:
+                raise ValueError(
+                    f"policy entry {key!r} describes cell {cell!r}")
+            policy.entries[key] = entry
         return policy
 
     def save(self, path) -> None:
@@ -156,51 +181,38 @@ class TuningPolicy:
 
     @classmethod
     def load(cls, path) -> "TuningPolicy":
+        """Read and validate a policy file (see :meth:`from_dict`)."""
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
 
 
-def distill_policy(
-    hardware,
-    scenario: TuneScenario,
-    batch_sizes,
-    *,
-    agent_factory=None,
-    budget: int = 160,
-    seed: int = 0,
-    logger: TrajectoryLogger | None = None,
-) -> TuningPolicy:
-    """Search every (GPU, batch) cell and distill the winners.
+def distill_policy(hardware, scenario: TuneScenario,
+                   batch_sizes) -> TuningPolicy:
+    """Enumerate every (GPU, batch) cell and distill the winners.
 
     ``hardware`` is an iterable of :class:`~repro.gpu.hardware.GpuSpec`.
-    Each cell's search is seeded with :func:`baseline_config` (hand
-    rules) and a per-cell derived RNG seed, so the distilled policy is
-    deterministic and never loses to the hand rules.  ``agent_factory``
-    builds the agent per cell (``agent_factory(budget, seed)``); the
-    default is an annealed :class:`HillClimbAgent`.
+    Each cell records :func:`~repro.tune.env.exhaustive_best`'s config
+    when it is strictly cheaper than :func:`baseline_config`, and the
+    hand-rule config otherwise, so the policy is deterministic and never
+    loses to the hand rules.
     """
-    if agent_factory is None:
-        def agent_factory(budget, seed):
-            return HillClimbAgent(budget=budget, seed=seed, temperature=0.05)
-
     space = space_for_scenario(scenario)
     policy = TuningPolicy()
-    for i, hw in enumerate(hardware):
-        for j, num_batch in enumerate(batch_sizes):
+    for hw in hardware:
+        for num_batch in batch_sizes:
             env = CostModelEnv(hw, scenario, int(num_batch))
             base = baseline_config(hw, scenario, int(num_batch))
             base_cost = env.evaluate(base)
-            agent = agent_factory(budget, seed + 1000 * i + j)
-            result = agent.search(env, space, seed_config=base,
-                                  logger=logger)
+            config, cost = exhaustive_best(env, space)
+            if not cost < base_cost:
+                config, cost = base, base_cost
             policy.add(PolicyEntry(
                 hardware=hw.name,
                 num_rows=scenario.num_rows,
                 num_batch=int(num_batch),
                 scenario=scenario.name,
-                config=result.best_config,
-                cost=result.best_cost,
+                config=config,
+                cost=cost,
                 baseline_cost=base_cost,
-                agent=agent.name,
             ))
     return policy

@@ -2,16 +2,15 @@
 
 The hand rules in :mod:`repro.gpu.tuning` pick one point — format from the
 pattern, pipelined variant from the batch size, fp64, the hardware's
-default shared-memory residency.  The gym instead searches the full cross
-product
+default shared-memory residency.  The gym instead enumerates the full
+cross product
 
     solver × format × precision × gmres_restart × residency × compaction
 
 over the same analytic GPU cost model that the hand rules consult.  This
 module is the *space*: a frozen, hashable :class:`TuneConfig` point type
 with a stable dict round-trip, and a :class:`ConfigSpace` that knows which
-points are valid for a scenario, can enumerate/sample them, and provides
-the mutation/crossover moves the search agents use.
+points are valid for a scenario and enumerates them.
 
 Validity is per-scenario: the XGC collision batch is diagonal-structured
 (DIA applies) and the mixed policy's fp64 residual correction is pinned
@@ -24,7 +23,7 @@ would appear once per restart choice and inflate the space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..core.precision import POLICIES, precision_policy
 from ..core.solvers.schedule import solver_schedule
@@ -129,7 +128,7 @@ def _is_gmres(solver: str) -> bool:
 
 @dataclass(frozen=True)
 class ConfigSpace:
-    """The searchable cross product with its validity mask.
+    """The enumerable cross product with its validity mask.
 
     Each attribute lists the admissible values of one dimension; a config
     is valid when every field is drawn from its dimension AND the restart
@@ -196,80 +195,6 @@ class ConfigSpace:
                                     target_blocks_per_cu=target,
                                     compaction_threshold=thr,
                                 )
-
-    # -- stochastic moves (all take an explicit Generator: no global RNG)
-    def sample(self, rng) -> TuneConfig:
-        """Draw one valid configuration uniformly over the dimensions."""
-        solver = str(rng.choice(self.solvers))
-        restarts = self._restarts_for(solver)
-        return TuneConfig(
-            solver=solver,
-            fmt=str(rng.choice(self.formats)),
-            precision=str(rng.choice(self.precisions)),
-            gmres_restart=int(rng.choice(restarts)),
-            target_blocks_per_cu=int(rng.choice(self.residency_targets)),
-            compaction_threshold=float(rng.choice(self.compaction_thresholds)),
-        )
-
-    def mutate(self, config: TuneConfig, rng) -> TuneConfig:
-        """Change exactly one dimension to a different admissible value.
-
-        Mutating the solver re-canonicalises the restart (a GMRES restart
-        is meaningless on BiCGSTAB and vice versa), so the result is
-        always valid.
-        """
-        dims = ["solver", "fmt", "precision", "target_blocks_per_cu",
-                "compaction_threshold"]
-        if _is_gmres(config.solver) and len(self.gmres_restarts) > 1:
-            dims.append("gmres_restart")
-        candidates = {
-            "solver": self.solvers,
-            "fmt": self.formats,
-            "precision": self.precisions,
-            "target_blocks_per_cu": self.residency_targets,
-            "compaction_threshold": self.compaction_thresholds,
-            "gmres_restart": self._restarts_for(config.solver),
-        }
-        # Only dimensions with an alternative value can move.
-        dims = [d for d in dims
-                if len([v for v in candidates[d]
-                        if v != getattr(config, d)]) > 0]
-        if not dims:
-            return config
-        dim = dims[int(rng.integers(len(dims)))]
-        options = [v for v in candidates[dim] if v != getattr(config, dim)]
-        new = replace(config, **{dim: options[int(rng.integers(len(options)))]})
-        if dim == "solver":
-            restarts = self._restarts_for(new.solver)
-            if new.gmres_restart not in restarts:
-                repaired = (int(rng.choice(restarts))
-                            if _is_gmres(new.solver) else CANONICAL_RESTART)
-                new = replace(new, gmres_restart=repaired)
-        return new
-
-    def crossover(self, a: TuneConfig, b: TuneConfig, rng) -> TuneConfig:
-        """Uniform crossover: each dimension from one parent, repaired.
-
-        The restart follows the chosen solver's parent when that keeps
-        the config valid, and is re-canonicalised otherwise.
-        """
-        pick = lambda x, y: x if rng.random() < 0.5 else y  # noqa: E731
-        solver = pick(a.solver, b.solver)
-        restart = pick(a.gmres_restart, b.gmres_restart)
-        restarts = self._restarts_for(solver)
-        if restart not in restarts:
-            restart = (int(rng.choice(restarts)) if _is_gmres(solver)
-                       else CANONICAL_RESTART)
-        return TuneConfig(
-            solver=solver,
-            fmt=pick(a.fmt, b.fmt),
-            precision=pick(a.precision, b.precision),
-            gmres_restart=restart,
-            target_blocks_per_cu=pick(
-                a.target_blocks_per_cu, b.target_blocks_per_cu),
-            compaction_threshold=pick(
-                a.compaction_threshold, b.compaction_threshold),
-        )
 
 
 def space_for_scenario(scenario) -> ConfigSpace:

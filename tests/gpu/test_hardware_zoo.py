@@ -206,4 +206,3 @@ class TestTunerCoverage:
         assert decision.fmt in ("csr", "ell", "dia")
         assert decision.threads_per_block >= hw.warp_size
         assert decision.threads_per_block % hw.warp_size == 0
-        assert decision == decision.from_dict(decision.to_dict())

@@ -257,7 +257,7 @@ class TestVariantEstimates:
 
 
 class TestDecisionValueSemantics:
-    """TuningDecision is hashable and round-trips through plain dicts."""
+    """TuningDecision is a hashable value object."""
 
     def test_hashable_and_equal(self, paper_app):
         matrix, _ = paper_app.build_matrices()
@@ -265,20 +265,3 @@ class TestDecisionValueSemantics:
         b = tune_for_matrix(V100, matrix)
         assert a == b
         assert len({a, b}) == 1
-
-    def test_dict_round_trip(self, paper_app):
-        from repro.gpu import TuningDecision
-
-        matrix, _ = paper_app.build_matrices()
-        for hw in GPUS:
-            d = tune_for_matrix(hw, matrix)
-            again = TuningDecision.from_dict(d.to_dict())
-            assert again == d
-            assert again.rationale == d.rationale
-
-    def test_json_plain(self, paper_app):
-        import json
-
-        matrix, _ = paper_app.build_matrices()
-        d = tune_for_matrix(A100, matrix)
-        assert json.loads(json.dumps(d.to_dict())) == d.to_dict()

@@ -294,13 +294,34 @@ class TestSubmitValidation:
         """A malformed ``b`` raises at submit instead of failing inside
         the shared batch, and the request next to it still resolves
         bit-identical to its direct solve."""
+        self._check_rejected_next_to_healthy(srng, "b", bad_b, "b")
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("solver", "nope", "unknown solver"),
+            ("tolerance", -1e-10, "tolerance"),
+            ("tolerance", float("nan"), "tolerance"),
+        ],
+        ids=["unknown_solver", "negative_tolerance", "nan_tolerance"],
+    )
+    def test_bad_solver_or_tolerance_rejected_on_caller_healthy_request_unaffected(
+        self, srng, field, value, match
+    ):
+        """An unknown solver or a negative/NaN tolerance raises at submit
+        instead of killing a service loop, so other tenants' tickets still
+        resolve bit-identical to their direct solves."""
+        self._check_rejected_next_to_healthy(srng, field, value, match)
+
+    @staticmethod
+    def _check_rejected_next_to_healthy(srng, field, value, match):
         healthy = tridiag_request(srng)
         bad = tridiag_request(srng)
-        bad.b = bad_b
+        setattr(bad, field, value)
 
         async def client(service):
             ticket = service.submit(healthy)
-            with pytest.raises(ValueError, match="b"):
+            with pytest.raises(ValueError, match=match):
                 service.submit(bad)
             assert bad.request_id == -1
             assert service.report.submitted == 1

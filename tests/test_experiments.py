@@ -1,7 +1,6 @@
 """Tests for the programmatic experiment generators."""
 
 import numpy as np
-import pytest
 
 from repro.experiments import (
     ALL_EXPERIMENTS,
@@ -48,23 +47,8 @@ class TestIndividualGenerators:
 
     def test_registry_is_complete(self):
         expected = {"fig1", "fig2", "fig4", "fig6", "fig7", "fig8", "fig9",
-                    "fig_tune", "table1", "table2", "table3"}
+                    "table1", "table2", "table3"}
         assert set(ALL_EXPERIMENTS) == expected
-
-    def test_fig_tune_regret(self):
-        from repro.experiments import fig_tune
-
-        r = fig_tune(num_batch=960, budget=80)
-        assert r.data["optimum"]["cost_s"] <= r.data["baseline"]["cost_s"]
-        for agent, series in r.data["agents"].items():
-            regret = series["regret_s"]
-            # Regret is non-negative, non-increasing, and the baseline
-            # seeding pins the first point to baseline - optimum.
-            assert all(x >= 0.0 for x in regret)
-            assert all(a >= b for a, b in zip(regret, regret[1:]))
-            assert regret[0] == pytest.approx(
-                r.data["baseline"]["cost_s"] - r.data["optimum"]["cost_s"])
-        assert "running regret" in r.text
 
 
 class TestRunAll:

@@ -47,22 +47,18 @@ class TestCli:
     def test_tune_search(self, capsys, tmp_path):
         """--search distills a policy and applies it to the report."""
         policy_path = tmp_path / "best_configs.json"
-        traj_path = tmp_path / "trajectory.jsonl"
-        assert main(["tune", "--search", "--budget", "40",
-                     "--batches", "960",
-                     "--out", str(policy_path),
-                     "--trajectory", str(traj_path)]) == 0
+        assert main(["tune", "--search", "--batches", "960",
+                     "--out", str(policy_path)]) == 0
         out = capsys.readouterr().out
         assert "vs hand rules" in out
         assert "searched configuration" in out
         assert policy_path.is_file()
-        assert traj_path.is_file()
 
     def test_tune_policy_file(self, capsys, tmp_path):
         """A saved best_configs.json drives the report via --policy."""
         policy_path = tmp_path / "best_configs.json"
-        assert main(["tune", "--search", "--budget", "40",
-                     "--batches", "960", "--out", str(policy_path)]) == 0
+        assert main(["tune", "--search", "--batches", "960",
+                     "--out", str(policy_path)]) == 0
         capsys.readouterr()
         assert main(["tune", "--policy", str(policy_path)]) == 0
         out = capsys.readouterr().out

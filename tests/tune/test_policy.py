@@ -1,26 +1,31 @@
 """Policy pins: distillation wins, JSON round-trip, hand-rule fallback."""
 
 import json
+import re
 
 import pytest
 
-from repro.gpu import GPUS, V100, tune_for_matrix
+from repro.gpu import GPUS, H100, V100, tune_for_matrix
 from repro.gpu.tuning import decision_for_config
 from repro.tune import (
+    CostModelEnv,
     PolicyEntry,
     TuneConfig,
     TuningPolicy,
     baseline_config,
     distill_policy,
+    exhaustive_best,
+    tridiag_operator_scenario,
     xgc_scenario,
 )
 
 SC = xgc_scenario()
+GPU_BY_NAME = {hw.name: hw for hw in GPUS}
 
 
 @pytest.fixture(scope="module")
 def policy():
-    return distill_policy(GPUS, SC, (16, 960), budget=120, seed=0)
+    return distill_policy(GPUS, SC, (16, 960))
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +48,27 @@ class TestDistillation:
         for entry in policy.entries.values():
             assert entry.cost <= entry.baseline_cost
 
+    def test_cost_is_the_exhaustive_argmin(self, policy):
+        for entry in policy.entries.values():
+            env = CostModelEnv(GPU_BY_NAME[entry.hardware], SC,
+                               entry.num_batch)
+            _, best_cost = exhaustive_best(env)
+            assert entry.cost == best_cost
+            assert entry.cost <= entry.baseline_cost
+
+    def test_cost_tie_keeps_the_hand_rule_config(self):
+        """Where the argmin only ties the hand rules, the policy keeps the
+        hand-rule config instead of a cost-tied residency target."""
+        sc = tridiag_operator_scenario("dougherty")
+        base = baseline_config(H100, sc, 16)
+        best, best_cost = exhaustive_best(CostModelEnv(H100, sc, 16))
+        assert best != base
+        entry, = distill_policy([H100], sc, (16,)).entries.values()
+        assert entry.cost == best_cost == entry.baseline_cost
+        assert entry.config == base
+
     def test_deterministic(self, policy):
-        again = distill_policy(GPUS, SC, (16, 960), budget=120, seed=0)
+        again = distill_policy(GPUS, SC, (16, 960))
         assert again.to_dict() == policy.to_dict()
 
     def test_baseline_config_maps_hand_rules(self):
@@ -71,6 +95,58 @@ class TestSerialization:
     def test_key_format(self):
         assert (TuningPolicy.key_for("V100", 992, 960, "xgc")
                 == "V100|n992|b960|xgc")
+
+
+def _one_cell_file(matrix, tmp_path, edit):
+    """Write a one-cell policy for ``matrix``'s V100 cell after ``edit``."""
+    policy = TuningPolicy()
+    policy.add(PolicyEntry(
+        hardware="V100", num_rows=matrix.num_rows,
+        num_batch=matrix.num_batch, scenario="xgc",
+        config=TuneConfig("bicgstab", "dia", "fp64"),
+        cost=1.0, baseline_cost=1.0,
+    ))
+    data = policy.to_dict()
+    key, = data["entries"]
+    edit(data, key)
+    path = tmp_path / "best_configs.json"
+    path.write_text(json.dumps(data))
+    return path, key
+
+
+class TestPolicyFileValidation:
+    """A policy file is outside input: a bad one raises, naming the cell,
+    instead of silently configuring the kernel."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("fmt", "coo"),
+        ("solver", "richardson"),
+        ("compaction_threshold", 7.5),
+    ])
+    def test_config_outside_the_space_rejected(self, matrix, tmp_path,
+                                               field, value):
+        def edit(data, key):
+            data["entries"][key]["config"][field] = value
+
+        path, key = _one_cell_file(matrix, tmp_path, edit)
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            tune_for_matrix(V100, matrix, policy=str(path))
+
+    def test_wrong_format_tag_rejected(self, matrix, tmp_path):
+        def edit(data, key):
+            data["format"] = "repro-tuning-policy-v0"
+
+        path, _ = _one_cell_file(matrix, tmp_path, edit)
+        with pytest.raises(ValueError, match="format tag"):
+            tune_for_matrix(V100, matrix, policy=str(path))
+
+    def test_entry_under_another_cells_key_rejected(self, matrix, tmp_path):
+        def edit(data, key):
+            data["entries"] = {"V100|n992|b7|xgc": data["entries"][key]}
+
+        path, _ = _one_cell_file(matrix, tmp_path, edit)
+        with pytest.raises(ValueError, match=re.escape("V100|n992|b7|xgc")):
+            TuningPolicy.load(path)
 
 
 class TestTuneForMatrixIntegration:

@@ -4,7 +4,8 @@ Public surface:
 
 * Formats: :class:`BatchCsr`, :class:`BatchEll`, :class:`BatchDia`,
   :class:`BatchDense` (shared sparsity pattern, per-system values).
-* Kernels: :func:`spmv`, :func:`advanced_spmv`, the batched BLAS-1 helpers.
+* The format contract :class:`BatchMatrix` (shared pattern + per-system
+  values), :func:`to_format`, :func:`residual`, the batched BLAS-1 helpers.
 * Solvers: :func:`make_solver` / :class:`BatchBicgstab` et al., plus the
   direct baselines (:class:`BatchBandedLu`, :class:`BatchBandedQr`).
 * Components: preconditioners, stopping criteria, per-system loggers, and
@@ -14,18 +15,10 @@ Public surface:
 """
 
 from .batch_csr import BatchCsr
-from .batch_dense import (
-    BatchDense,
-    batch_axpy,
-    batch_copy,
-    batch_dot,
-    batch_norm2,
-    batch_scale,
-)
+from .batch_dense import BatchDense, batch_dot, batch_norm2
 from .batch_dia import BatchDia
 from .batch_ell import PAD_COL, BatchEll
 from .blas import (
-    axpby,
     fused_dots,
     fused_update,
     masked_assign,
@@ -34,21 +27,7 @@ from .blas import (
     pipelined_cg_update,
 )
 from .compaction import BatchCompactor
-from .convert import (
-    csr_to_dense,
-    csr_to_dia,
-    csr_to_ell,
-    dense_to_csr,
-    dense_to_dia,
-    dense_to_ell,
-    dia_to_csr,
-    dia_to_dense,
-    dia_to_ell,
-    ell_to_csr,
-    ell_to_dense,
-    ell_to_dia,
-    to_format,
-)
+from .convert import to_format
 from .faults import (
     HealthOptions,
     SolverHealth,
@@ -100,7 +79,7 @@ from .solvers import (
     thomas_solve,
 )
 from .scaling import ScaledSystem, row_scaling, symmetric_scaling
-from .spmv import BatchMatrix, advanced_spmv, residual, spmv
+from .spmv import BatchMatrix, residual
 from .stop import (
     AbsoluteResidual,
     CombinedCriterion,
@@ -133,16 +112,10 @@ __all__ = [
     "BatchDense",
     "PAD_COL",
     # kernels
-    "spmv",
-    "advanced_spmv",
     "residual",
     "BatchMatrix",
     "batch_dot",
     "batch_norm2",
-    "batch_axpy",
-    "batch_scale",
-    "batch_copy",
-    "axpby",
     "fused_dots",
     "fused_update",
     "masked_assign",
@@ -152,18 +125,6 @@ __all__ = [
     "BatchCompactor",
     # conversions
     "to_format",
-    "csr_to_ell",
-    "ell_to_csr",
-    "csr_to_dense",
-    "ell_to_dense",
-    "dense_to_csr",
-    "dense_to_ell",
-    "csr_to_dia",
-    "dia_to_csr",
-    "ell_to_dia",
-    "dia_to_ell",
-    "dia_to_dense",
-    "dense_to_dia",
     # solvers
     "make_solver",
     "BatchBicgstab",

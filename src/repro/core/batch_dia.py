@@ -39,12 +39,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..utils.validation import as_index_array, as_value_array
+from .spmv import BatchMatrix
 from .types import BatchShape, DimensionMismatch, InvalidFormatError, batch_tile
 
 __all__ = ["BatchDia"]
 
 
-class BatchDia:
+class BatchDia(BatchMatrix):
     """Batch of sparse matrices with a shared set of constant diagonals.
 
     Parameters
@@ -126,32 +127,6 @@ class BatchDia:
         return self._offsets
 
     @property
-    def values(self) -> np.ndarray:
-        """Per-system bands, shape ``(num_batch, num_diags, num_rows)``."""
-        return self._values
-
-    @property
-    def dtype(self) -> np.dtype:
-        """Value dtype of the stored entries (float32 or float64)."""
-        return self._values.dtype
-
-    @property
-    def shape(self) -> BatchShape:
-        return self._shape
-
-    @property
-    def num_batch(self) -> int:
-        return self._shape.num_batch
-
-    @property
-    def num_rows(self) -> int:
-        return self._shape.num_rows
-
-    @property
-    def num_cols(self) -> int:
-        return self._shape.num_cols
-
-    @property
     def num_diags(self) -> int:
         """Stored diagonals (the whole index metadata of the format)."""
         return self._offsets.shape[0]
@@ -178,103 +153,41 @@ class BatchDia:
         stored = self.stored_per_system
         return 0.0 if stored == 0 else 1.0 - self.nnz_per_system / stored
 
-    def storage_bytes(self) -> int:
-        """Total bytes: padded bands + the shared offsets (Fig. 3 style)."""
-        return self._values.nbytes + self._offsets.nbytes
+    # -- the format contract -----------------------------------------------
 
-    # -- construction ------------------------------------------------------
+    @property
+    def pattern(self) -> tuple[np.ndarray]:
+        return (self._offsets,)
+
+    def with_values(self, values: np.ndarray) -> "BatchDia":
+        return BatchDia(self.num_cols, self._offsets, values, check=False)
+
+    def entries(self):
+        """Every in-band position of every stored diagonal, stored zeros
+        included — the honest stored pattern of the batch."""
+        bands = [np.arange(lo, hi, dtype=np.int64) for _, _, lo, hi in self._spans]
+        lengths = [band.size for band in bands]
+        rows = np.concatenate(bands)
+        cols = rows + np.repeat(self._offsets.astype(np.int64), lengths)
+        slot = np.repeat(np.arange(self.num_diags), lengths)
+        order = np.argsort(rows * self.num_cols + cols, kind="stable")
+        rows = rows[order]
+        return rows, cols[order], (slot[order], rows)
 
     @classmethod
-    def from_dense(cls, dense_values: np.ndarray, *, tol: float = 0.0) -> "BatchDia":
-        """Build from a dense ``(num_batch, n, m)`` array (union pattern).
-
-        A diagonal is stored when any system has ``|a_ij| > tol`` anywhere
-        on it; in-band positions of a stored diagonal that are zero in every
-        system are stored as explicit zeros (the format has no way to skip
-        them — that is its padding trade-off).
-        """
-        dense_values = as_value_array(dense_values, "dense_values", ndim=3)
-        num_batch, num_rows, num_cols = dense_values.shape
-        mask = np.any(np.abs(dense_values) > tol, axis=0)
-        rows, cols = np.nonzero(mask)
-        diag_of = cols.astype(np.int64) - rows
+    def from_entries(cls, num_rows, num_cols, rows, cols, values) -> "BatchDia":
+        """One band per distinct ``col - row``; in-band positions the
+        entries skip (e.g. the XGC stencil's boundary holes) become
+        explicit zeros."""
+        diag_of = np.asarray(cols, dtype=np.int64) - rows
         offsets = np.unique(diag_of)
         if offsets.size == 0:
             offsets = np.zeros(1, dtype=np.int64)
-        bands = np.zeros((num_batch, offsets.size, num_rows), dtype=dense_values.dtype)
-        slot = np.searchsorted(offsets, diag_of)
-        bands[:, slot, rows] = dense_values[:, rows, cols]
+        bands = np.zeros((values.shape[0], offsets.size, num_rows), dtype=values.dtype)
+        bands[:, np.searchsorted(offsets, diag_of), rows] = values
         return cls(num_cols, offsets, bands, check=False)
 
-    # -- access / conversion -----------------------------------------------
-
-    def entry_dense(self, batch_index: int) -> np.ndarray:
-        """Materialise one batch entry as a dense 2-D array."""
-        out = np.zeros((self.num_rows, self.num_cols), dtype=self._values.dtype)
-        for k, d, lo, hi in self._spans:
-            rows = np.arange(lo, hi)
-            out[rows, rows + d] = self._values[batch_index, k, lo:hi]
-        return out
-
-    def diagonal(self) -> np.ndarray:
-        """Per-system main diagonals, shape ``(num_batch, min(n, m))``.
-
-        For DIA this is a pure slice of the offset-0 band — no search, no
-        gather (zeros when the main diagonal is not stored).
-        """
-        n = min(self.num_rows, self.num_cols)
-        pos = int(np.searchsorted(self._offsets, 0))
-        if pos < self.num_diags and self._offsets[pos] == 0:
-            return self._values[:, pos, :n].copy()
-        return np.zeros((self.num_batch, n), dtype=self._values.dtype)
-
-    def copy(self) -> "BatchDia":
-        """Deep copy (shared offset array reused; read-only by contract)."""
-        return BatchDia(
-            self.num_cols, self._offsets, self._values.copy(), check=False
-        )
-
-    def astype(self, dtype) -> "BatchDia":
-        """Batch with bands cast to ``dtype`` (self when already there)."""
-        if self._values.dtype == np.dtype(dtype):
-            return self
-        return BatchDia(
-            self.num_cols, self._offsets, self._values.astype(dtype), check=False
-        )
-
-    def take_batch(
-        self, indices: np.ndarray, *, values_out: np.ndarray | None = None
-    ) -> "BatchDia":
-        """Gather a sub-batch of systems into a compact batch.
-
-        ``indices`` is an integer index array or boolean mask over the
-        batch axis.  The shared offsets are reused by reference; only the
-        selected systems' bands are gathered, bit-for-bit (see
-        :meth:`BatchCsr.take_batch <repro.core.batch_csr.BatchCsr.take_batch>`)
-        — so :class:`~repro.core.compaction.BatchCompactor` works unchanged.
-        ``values_out`` is optional preallocated storage for the gathered
-        bands (leading ``len(indices)`` systems used).
-        """
-        indices = np.asarray(indices)
-        if values_out is None:
-            gathered = self._values[indices]
-        else:
-            if indices.dtype == np.bool_:
-                indices = np.flatnonzero(indices)
-            gathered = values_out[: indices.size]
-            np.take(self._values, indices, axis=0, out=gathered)
-        return BatchDia(self.num_cols, self._offsets, gathered, check=False)
-
-    def scale_values(self, factor: float | np.ndarray) -> "BatchDia":
-        """Return a new batch with values scaled per system (or globally)."""
-        factor = np.asarray(factor, dtype=self._values.dtype)
-        if factor.ndim == 1:
-            factor = factor[:, None, None]
-        return BatchDia(
-            self.num_cols, self._offsets, self._values * factor, check=False
-        )
-
-    # -- matrix-vector products ---------------------------------------------
+    # -- matrix-vector product ---------------------------------------------
 
     def _scratch(self, tile: int, x_dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
         """Reused ``(tile, ...)`` zero-padded ``x`` rows and product rows."""
@@ -324,38 +237,3 @@ class BatchDia:
                 np.multiply(vt[:, k, :], xp[:, pad + d : pad + d + num_rows], out=p)
                 ot += p
         return out
-
-    def advanced_apply(
-        self,
-        alpha: float | np.ndarray,
-        x: np.ndarray,
-        beta: float | np.ndarray,
-        y: np.ndarray,
-        *,
-        work: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """In-place fused ``y[k] = alpha*A[k]@x[k] + beta*y[k]``.
-
-        ``work`` is an optional ``(num_batch, num_rows)`` scratch buffer
-        (e.g. a :class:`~repro.core.workspace.SolverWorkspace` vector) that
-        receives the product; with it the update is allocation-free.
-        ``work`` must not alias ``x`` or ``y``.
-        """
-        ax = self.apply(x, out=work)
-        alpha = np.asarray(alpha, dtype=ax.dtype)
-        beta = np.asarray(beta, dtype=y.dtype)
-        if alpha.ndim == 1:
-            alpha = alpha[:, None]
-        if beta.ndim == 1:
-            beta = beta[:, None]
-        np.multiply(ax, alpha, out=ax)
-        np.multiply(y, beta, out=y)
-        np.add(y, ax, out=y)
-        return y
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        s = self._shape
-        return (
-            f"BatchDia(num_batch={s.num_batch}, shape={s.num_rows}x{s.num_cols}, "
-            f"num_diags={self.num_diags})"
-        )

@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..utils.validation import as_index_array, as_value_array
+from .spmv import BatchMatrix
 from .types import (
     INDEX_DTYPE,
     BatchShape,
@@ -37,7 +38,7 @@ __all__ = ["BatchEll", "PAD_COL"]
 PAD_COL = INDEX_DTYPE(-1)
 
 
-class BatchEll:
+class BatchEll(BatchMatrix):
     """Batch of sparse matrices with a shared ELL sparsity pattern.
 
     Parameters
@@ -51,7 +52,8 @@ class BatchEll:
         Per-system values, shape ``(num_batch, max_nnz_row, num_rows)``;
         padded positions must hold exactly ``0.0``.
     check:
-        Validate pattern invariants at construction (default True).
+        Validate pattern invariants at construction (default True):
+        in-range columns, zero padding, no column stored twice in one row.
     """
 
     format_name = "ell"
@@ -93,6 +95,8 @@ class BatchEll:
         self._gather_cols = np.maximum(col_idxs, 0)
         # Lazily-allocated per-tile SpMV scratch (see _scratch).
         self._work: tuple[np.ndarray, np.ndarray] | None = None
+        if check:
+            self._reject_repeated_columns()
 
     # -- attributes ------------------------------------------------------
 
@@ -100,32 +104,6 @@ class BatchEll:
     def col_idxs(self) -> np.ndarray:
         """Shared column indices, shape ``(max_nnz_row, num_rows)``."""
         return self._col_idxs
-
-    @property
-    def values(self) -> np.ndarray:
-        """Per-system values, shape ``(num_batch, max_nnz_row, num_rows)``."""
-        return self._values
-
-    @property
-    def dtype(self) -> np.dtype:
-        """Value dtype of the stored entries (float32 or float64)."""
-        return self._values.dtype
-
-    @property
-    def shape(self) -> BatchShape:
-        return self._shape
-
-    @property
-    def num_batch(self) -> int:
-        return self._shape.num_batch
-
-    @property
-    def num_rows(self) -> int:
-        return self._shape.num_rows
-
-    @property
-    def num_cols(self) -> int:
-        return self._shape.num_cols
 
     @property
     def max_nnz_row(self) -> int:
@@ -147,97 +125,41 @@ class BatchEll:
         stored = self.stored_per_system
         return 0.0 if stored == 0 else 1.0 - self.nnz_per_system / stored
 
-    def storage_bytes(self) -> int:
-        """Total bytes: padded values + shared indices (Fig. 3 accounting)."""
-        return self._values.nbytes + self._col_idxs.nbytes
+    # -- the format contract -----------------------------------------------
 
-    # -- construction ------------------------------------------------------
+    @property
+    def pattern(self) -> tuple[np.ndarray]:
+        return (self._col_idxs,)
+
+    def with_values(self, values: np.ndarray) -> "BatchEll":
+        return BatchEll(self.num_cols, self._col_idxs, values, check=False)
+
+    def entries(self):
+        # Row-major scan: slots already hold each row's entries in column
+        # order when the batch was built from entries, so the sort is one
+        # pass over sorted keys.
+        rows, slot = np.nonzero((self._col_idxs != PAD_COL).T)
+        cols = self._col_idxs[slot, rows].astype(np.int64)
+        order = np.argsort(rows * self.num_cols + cols, kind="stable")
+        rows = rows[order]
+        return rows, cols[order], (slot[order], rows)
 
     @classmethod
-    def from_dense(cls, dense_values: np.ndarray, *, tol: float = 0.0) -> "BatchEll":
-        """Build from a dense ``(num_batch, n, m)`` array (union pattern)."""
-        dense_values = as_value_array(dense_values, "dense_values", ndim=3)
-        num_batch, num_rows, num_cols = dense_values.shape
-        mask = np.any(np.abs(dense_values) > tol, axis=0)
-        per_row = mask.sum(axis=1)
-        max_nnz_row = max(int(per_row.max(initial=0)), 1)
-
-        col_idxs = np.full((max_nnz_row, num_rows), PAD_COL, dtype=INDEX_DTYPE)
-        values = np.zeros((num_batch, max_nnz_row, num_rows), dtype=dense_values.dtype)
-        # Rank of each stored entry within its row gives its ELL slot.
-        rows, cols = np.nonzero(mask)
+    def from_entries(cls, num_rows, num_cols, rows, cols, values) -> "BatchEll":
+        """Each row's entries fill its slots in CSR order; ``max_nnz_row``
+        is the longest row and shorter rows are padded."""
+        per_row = np.bincount(rows, minlength=num_rows)
         starts = np.zeros(num_rows + 1, dtype=np.int64)
         np.cumsum(per_row, out=starts[1:])
         slot = np.arange(rows.size, dtype=np.int64) - starts[rows]
+        max_nnz_row = max(int(per_row.max(initial=0)), 1)
+        col_idxs = np.full((max_nnz_row, num_rows), PAD_COL, dtype=INDEX_DTYPE)
         col_idxs[slot, rows] = cols
-        values[:, slot, rows] = dense_values[:, rows, cols]
-        return cls(num_cols, col_idxs, values)
+        padded = np.zeros((values.shape[0], max_nnz_row, num_rows), dtype=values.dtype)
+        padded[:, slot, rows] = values
+        return cls(num_cols, col_idxs, padded, check=False)
 
-    # -- access / conversion -----------------------------------------------
-
-    def entry_dense(self, batch_index: int) -> np.ndarray:
-        """Materialise one batch entry as a dense 2-D array."""
-        out = np.zeros((self.num_rows, self.num_cols), dtype=self._values.dtype)
-        slot, rows = np.nonzero(self._col_idxs != PAD_COL)
-        cols = self._col_idxs[slot, rows]
-        out[rows, cols] = self._values[batch_index, slot, rows]
-        return out
-
-    def diagonal(self) -> np.ndarray:
-        """Per-system main diagonals, shape ``(num_batch, min(n, m))``."""
-        n = min(self.num_rows, self.num_cols)
-        diag = np.zeros((self.num_batch, n), dtype=self._values.dtype)
-        row_of = np.broadcast_to(
-            np.arange(self.num_rows, dtype=INDEX_DTYPE), self._col_idxs.shape
-        )
-        on_diag = (self._col_idxs == row_of) & (row_of < n)
-        slot, rows = np.nonzero(on_diag)
-        diag[:, rows] = self._values[:, slot, rows]
-        return diag
-
-    def copy(self) -> "BatchEll":
-        """Deep copy (shared pattern arrays reused; read-only by contract)."""
-        return BatchEll(self.num_cols, self._col_idxs, self._values.copy(), check=False)
-
-    def astype(self, dtype) -> "BatchEll":
-        """Batch with values cast to ``dtype`` (self when already there)."""
-        if self._values.dtype == np.dtype(dtype):
-            return self
-        return BatchEll(
-            self.num_cols, self._col_idxs, self._values.astype(dtype), check=False
-        )
-
-    def take_batch(
-        self, indices: np.ndarray, *, values_out: np.ndarray | None = None
-    ) -> "BatchEll":
-        """Gather a sub-batch of systems into a compact batch.
-
-        ``indices`` is an integer index array or boolean mask over the batch
-        axis.  The shared ELL pattern is reused by reference; only the
-        selected systems' (padded) values are gathered, preserving each
-        system's values bit-for-bit (see
-        :meth:`BatchCsr.take_batch <repro.core.batch_csr.BatchCsr.take_batch>`).
-        ``values_out`` is optional preallocated storage for the gathered
-        values (leading ``len(indices)`` systems used).
-        """
-        indices = np.asarray(indices)
-        if values_out is None:
-            gathered = self._values[indices]
-        else:
-            if indices.dtype == np.bool_:
-                indices = np.flatnonzero(indices)
-            gathered = values_out[: indices.size]
-            np.take(self._values, indices, axis=0, out=gathered)
-        return BatchEll(self.num_cols, self._col_idxs, gathered, check=False)
-
-    def scale_values(self, factor: float | np.ndarray) -> "BatchEll":
-        """Return a new batch with values scaled per system (or globally)."""
-        factor = np.asarray(factor, dtype=self._values.dtype)
-        if factor.ndim == 1:
-            factor = factor[:, None, None]
-        return BatchEll(self.num_cols, self._col_idxs, self._values * factor, check=False)
-
-    # -- matrix-vector products ---------------------------------------------
+    # -- matrix-vector product ---------------------------------------------
 
     def _scratch(self, tile: int, x_dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
         """Reused ``(tile, num_rows)`` gather and product buffers."""
@@ -283,37 +205,3 @@ class BatchEll:
                 np.multiply(vt[:, k, :], g, out=p)
                 ot += p
         return out
-
-    def advanced_apply(
-        self,
-        alpha: float | np.ndarray,
-        x: np.ndarray,
-        beta: float | np.ndarray,
-        y: np.ndarray,
-        *,
-        work: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """In-place fused ``y[k] = alpha*A[k]@x[k] + beta*y[k]``.
-
-        ``work`` is an optional ``(num_batch, num_rows)`` scratch buffer
-        that receives the product; with it the update is allocation-free.
-        ``work`` must not alias ``x`` or ``y``.
-        """
-        ax = self.apply(x, out=work)
-        alpha = np.asarray(alpha, dtype=ax.dtype)
-        beta = np.asarray(beta, dtype=y.dtype)
-        if alpha.ndim == 1:
-            alpha = alpha[:, None]
-        if beta.ndim == 1:
-            beta = beta[:, None]
-        np.multiply(ax, alpha, out=ax)
-        np.multiply(y, beta, out=y)
-        np.add(y, ax, out=y)
-        return y
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        s = self._shape
-        return (
-            f"BatchEll(num_batch={s.num_batch}, shape={s.num_rows}x{s.num_cols}, "
-            f"max_nnz_row={self.max_nnz_row})"
-        )

@@ -29,7 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "axpby",
     "fused_dots",
     "masked_assign",
     "masked_fill",
@@ -94,35 +93,6 @@ def masked_axpy(
     else:
         np.add(y, work, out=y, where=_expand_mask(mask, y))
     return y
-
-
-def axpby(
-    alpha,
-    x: np.ndarray,
-    beta,
-    y: np.ndarray,
-    *,
-    out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
-) -> np.ndarray:
-    """Fused ``out[k] = alpha[k] * x[k] + beta[k] * y[k]``.
-
-    ``out`` may alias ``x`` or ``y`` (the common in-place updates).  One
-    scaled term always streams through ``work``; pass a workspace vector to
-    keep the update allocation-free.
-    """
-    if out is None:
-        out = np.empty_like(y)
-    if work is None:
-        work = np.empty_like(y)
-    if out is x:
-        np.multiply(y, _per_system(beta), out=work)
-        np.multiply(x, _per_system(alpha), out=out)
-    else:
-        np.multiply(x, _per_system(alpha), out=work)
-        np.multiply(y, _per_system(beta), out=out)
-    np.add(out, work, out=out)
-    return out
 
 
 def fused_dots(

@@ -181,25 +181,18 @@ class BatchCompactor:
         return out
 
     def _take_matrix(self, store: dict, matrix, sel: np.ndarray):
-        """Gather the active systems' matrix values into a slab when possible."""
-        values = getattr(matrix, "values", None)
-        if values is not None:
-            buf = store.get("matrix")
-            if (
-                buf is None
-                or buf.shape[0] < self._capacity
-                or buf.shape[1:] != values.shape[1:]
-                or buf.dtype != values.dtype
-            ):
-                buf = np.empty(
-                    (self._capacity,) + values.shape[1:], dtype=values.dtype
-                )
-                store["matrix"] = buf
-            try:
-                return matrix.take_batch(sel, values_out=buf)
-            except TypeError:
-                pass  # format without values_out support
-        return matrix.take_batch(sel)
+        """Gather the active systems' matrix values into this event's slab."""
+        values = matrix.values
+        buf = store.get("matrix")
+        if (
+            buf is None
+            or buf.shape[0] < self._capacity
+            or buf.shape[1:] != values.shape[1:]
+            or buf.dtype != values.dtype
+        ):
+            buf = np.empty((self._capacity,) + values.shape[1:], dtype=values.dtype)
+            store["matrix"] = buf
+        return matrix.take_batch(sel, values_out=buf)
 
     def finalize(self, x_full: np.ndarray, x: np.ndarray) -> None:
         """Scatter the compact iterate back into the full solution array."""

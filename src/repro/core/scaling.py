@@ -68,12 +68,9 @@ class ScaledSystem:
         return res
 
 
-def _scaled_values(csr: BatchCsr, row_scale: np.ndarray, col_scale: np.ndarray):
-    rows = np.repeat(
-        np.arange(csr.num_rows, dtype=np.int64), csr.nnz_per_row()
-    )
-    cols = csr.col_idxs.astype(np.int64)
-    return csr.values * row_scale[:, rows] * col_scale[:, cols]
+def _scaled(csr: BatchCsr, row_scale: np.ndarray, col_scale: np.ndarray) -> BatchCsr:
+    rows, cols, _ = csr.entries()
+    return csr.with_values(csr.values * row_scale[:, rows] * col_scale[:, cols])
 
 
 def row_scaling(matrix) -> ScaledSystem:
@@ -82,18 +79,14 @@ def row_scaling(matrix) -> ScaledSystem:
     Rows that are entirely zero in a system are left unscaled (factor 1).
     """
     csr = to_format(matrix, "csr")
-    rows = np.repeat(np.arange(csr.num_rows, dtype=np.int64), csr.nnz_per_row())
+    rows, _, _ = csr.entries()
     inf_norm = np.zeros((csr.num_batch, csr.num_rows), dtype=DTYPE)
     np.maximum.at(inf_norm, (slice(None), rows), np.abs(csr.values))
     # Lone zero rows: leave them alone rather than dividing by zero.
     safe = np.where(inf_norm > 0.0, inf_norm, 1.0)
     row_scale = 1.0 / safe
     col_scale = np.ones_like(row_scale)
-    scaled = BatchCsr(
-        csr.num_cols, csr.row_ptrs, csr.col_idxs,
-        _scaled_values(csr, row_scale, col_scale), check=False,
-    )
-    return ScaledSystem(scaled, row_scale, col_scale)
+    return ScaledSystem(_scaled(csr, row_scale, col_scale), row_scale, col_scale)
 
 
 def symmetric_scaling(matrix) -> ScaledSystem:
@@ -109,8 +102,4 @@ def symmetric_scaling(matrix) -> ScaledSystem:
             "symmetric scaling requires non-zero diagonals"
         )
     scale = 1.0 / np.sqrt(np.abs(diag))
-    scaled = BatchCsr(
-        csr.num_cols, csr.row_ptrs, csr.col_idxs,
-        _scaled_values(csr, scale, scale), check=False,
-    )
-    return ScaledSystem(scaled, scale.copy(), scale.copy())
+    return ScaledSystem(_scaled(csr, scale, scale), scale.copy(), scale.copy())

@@ -40,18 +40,6 @@ from .bicgstab import BatchBicgstab
 __all__ = ["RefinementSolver"]
 
 
-def _pattern_arrays(matrix) -> tuple:
-    """The shared sparsity-pattern arrays of a batch matrix (may be empty).
-
-    ``astype`` reuses these by reference, so identity (``is``) comparison
-    detects "same pattern, refreshed values" across re-assembled matrices.
-    """
-    for names in (("row_ptrs", "col_idxs"), ("col_idxs",), ("offsets",)):
-        if all(hasattr(matrix, n) for n in names):
-            return tuple(getattr(matrix, n) for n in names)
-    return ()
-
-
 class RefinementSolver:
     """Batched iterative refinement around a low-precision inner solver.
 
@@ -209,7 +197,10 @@ class RefinementSolver:
         if getattr(matrix, "dtype", None) == storage:
             return matrix
         cached = self._low_matrix
-        pattern = _pattern_arrays(matrix)
+        # ``astype`` shares the pattern arrays by reference, so identity
+        # (``is``) detects "same pattern, refreshed values" across
+        # re-assembled matrices.
+        pattern = matrix.pattern
         if (
             cached is not None
             and cached.shape == matrix.shape

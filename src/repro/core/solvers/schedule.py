@@ -512,11 +512,11 @@ class OpCounts:
 class CountingMatrix:
     """Transparent batch-matrix wrapper that counts SpMV invocations.
 
-    ``apply`` and ``advanced_apply`` increment the shared counter (the
-    residual helper routes through ``apply``, so true-residual checks are
-    counted too); ``take_batch`` returns a counting wrapper around the
-    gathered sub-batch sharing the same counter, so compaction does not
-    lose events.  Every other attribute forwards to the wrapped matrix.
+    ``apply`` increments the shared counter (the residual helper routes
+    through it, so true-residual checks are counted too); ``take_batch``
+    returns a counting wrapper around the gathered sub-batch sharing the
+    same counter, so compaction does not lose events.  Every other
+    attribute forwards to the wrapped matrix.
     """
 
     def __init__(self, inner, counts: OpCounts | None = None) -> None:
@@ -534,14 +534,6 @@ class CountingMatrix:
     def apply(self, x, out=None):
         self.counts.spmvs += 1
         return self._inner.apply(x, out=out)
-
-    def advanced_apply(self, alpha, x, beta, y, *, work=None):
-        self.counts.spmvs += 1
-        # Forwarded only when given, like advanced_spmv, so wrapped custom
-        # formats without a ``work`` parameter keep working.
-        if work is None:
-            return self._inner.advanced_apply(alpha, x, beta, y)
-        return self._inner.advanced_apply(alpha, x, beta, y, work=work)
 
     def __getattr__(self, name):
         attr = getattr(self._inner, name)

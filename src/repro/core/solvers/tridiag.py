@@ -26,7 +26,6 @@ import numpy as np
 
 from ...utils.banded import detect_bandwidths
 from ..batch_dense import batch_norm2
-from ..convert import to_format
 from ..types import DTYPE, SolveResult
 
 __all__ = ["BatchTridiag", "BatchThomas", "thomas_solve", "extract_tridiagonal"]
@@ -39,23 +38,22 @@ def extract_tridiagonal(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     diagonals.  Shapes: ``dl``/``du`` are ``(num_batch, n-1)``, ``d`` is
     ``(num_batch, n)``.
     """
-    csr = to_format(matrix, "csr")
-    bw = detect_bandwidths(csr)
+    bw = detect_bandwidths(matrix)
     if bw.kl > 1 or bw.ku > 1:
         raise ValueError(
             f"matrix is not tridiagonal: bandwidths kl={bw.kl}, ku={bw.ku}"
         )
-    n, nb = csr.num_rows, csr.num_batch
+    n, nb = matrix.num_rows, matrix.num_batch
     d = np.zeros((nb, n), dtype=DTYPE)
     dl = np.zeros((nb, max(n - 1, 0)), dtype=DTYPE)
     du = np.zeros((nb, max(n - 1, 0)), dtype=DTYPE)
 
-    rows = np.repeat(np.arange(n, dtype=np.int64), csr.nnz_per_row())
-    cols = csr.col_idxs.astype(np.int64)
+    rows, cols, index = matrix.entries()
+    values = matrix.values[(slice(None), *index)]
     off = cols - rows
-    d[:, rows[off == 0]] = csr.values[:, off == 0]
-    dl[:, rows[off == -1] - 1] = csr.values[:, off == -1]
-    du[:, rows[off == 1]] = csr.values[:, off == 1]
+    d[:, rows[off == 0]] = values[:, off == 0]
+    dl[:, rows[off == -1] - 1] = values[:, off == -1]
+    du[:, rows[off == 1]] = values[:, off == 1]
     return dl, d, du
 
 

@@ -517,28 +517,27 @@ def tune_for_matrix(
     """
     import numpy as np
 
-    from ..core.convert import to_format
-
     if value_bytes is None:
-        value_bytes = int(np.dtype(getattr(matrix, "dtype", np.float64)).itemsize)
+        value_bytes = int(np.dtype(matrix.dtype).itemsize)
 
-    csr = to_format(matrix, "csr")
-    nnz_row = csr.nnz_per_row()
-    if nnz_row.size == 0 or nnz_row.max() == 0:
+    num_rows = matrix.num_rows
+    rows, cols, _ = matrix.entries()
+    nnz_row = np.bincount(rows, minlength=num_rows)
+    if nnz_row.max(initial=0) == 0:
         raise ValueError("cannot tune for an empty sparsity pattern")
     if num_batch is None:
-        num_batch = int(getattr(csr, "num_batch", 0))
+        num_batch = matrix.num_batch
 
     if policy is not None:
         if isinstance(policy, (str, bytes)) or hasattr(policy, "read_text"):
             from ..tune.policy import TuningPolicy
 
             policy = TuningPolicy.load(policy)
-        hit = policy.lookup(hw.name, csr.num_rows, num_batch, scenario)
+        hit = policy.lookup(hw.name, num_rows, num_batch, scenario)
         if hit is not None:
             return decision_for_config(
-                hw, hit, csr.num_rows,
-                provenance=f"policy entry for {hw.name}, n={csr.num_rows}, "
+                hw, hit, num_rows,
+                provenance=f"policy entry for {hw.name}, n={num_rows}, "
                            f"batch={num_batch}, scenario={scenario!r}",
             )
 
@@ -546,12 +545,10 @@ def tune_for_matrix(
     hi = int(nnz_row.max())
     padding = 1.0 - float(nnz_row.mean()) / hi
 
-    rows = np.repeat(np.arange(csr.num_rows, dtype=np.int64), nnz_row)
-    offsets = np.unique(csr.col_idxs.astype(np.int64) - rows)
-    num_diags = int(offsets.size)
-    dia_padding = 1.0 - csr.nnz_per_system / (num_diags * csr.num_rows)
+    num_diags = int(np.unique(cols - rows).size)
+    dia_padding = 1.0 - rows.size / (num_diags * num_rows)
     return tune_batched_solver(
-        hw, csr.num_rows, lo, hi, solver=solver, gmres_restart=gmres_restart,
+        hw, num_rows, lo, hi, solver=solver, gmres_restart=gmres_restart,
         value_bytes=value_bytes, padding_fraction=padding,
         num_diags=num_diags, dia_padding_fraction=dia_padding,
         num_batch=num_batch or None,

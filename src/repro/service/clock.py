@@ -53,11 +53,6 @@ class VirtualClock:
         """Current virtual time in seconds."""
         return self._now
 
-    @property
-    def pending_timers(self) -> int:
-        """Number of timers not yet fired (including cancelled ones)."""
-        return len(self._timers)
-
     # -- waiting -------------------------------------------------------------
 
     def sleep_until(self, when: float) -> asyncio.Future:

@@ -30,10 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.batch_csr import BatchCsr
-from ..core.batch_dense import BatchDense
-from ..core.batch_dia import BatchDia
-from ..core.batch_ell import BatchEll
 from ..gpu.hardware import GpuSpec
 from ..gpu.tuning import tune_for_matrix
 from .queue import SolveRequest, SolveTicket
@@ -83,42 +79,20 @@ def _fingerprint_array(arr: np.ndarray) -> str:
     return digest
 
 
-#: Pattern arrays per format — the arrays whose *contents* define the
-#: shared sparsity structure a coalesced batch must agree on.
-_PATTERN_ATTRS = {
-    BatchCsr: ("row_ptrs", "col_idxs"),
-    BatchEll: ("col_idxs",),
-    BatchDia: ("offsets",),
-    BatchDense: (),
-}
-
-
-def _format_of(matrix) -> tuple[str, tuple[str, ...]]:
-    for cls, attrs in _PATTERN_ATTRS.items():
-        if isinstance(matrix, cls):
-            return cls.__name__.removeprefix("Batch").lower(), attrs
-    raise TypeError(
-        f"cannot coalesce matrices of type {type(matrix).__name__}; "
-        "supported: BatchCsr, BatchEll, BatchDia, BatchDense"
-    )
-
-
 def pattern_fingerprint(matrix) -> str:
     """Stable digest of a batch matrix's shared sparsity pattern."""
-    fmt, attrs = _format_of(matrix)
-    parts = [fmt, str(matrix.num_rows), str(matrix.num_cols)]
-    parts += [_fingerprint_array(getattr(matrix, a)) for a in attrs]
+    parts = [matrix.format_name, str(matrix.num_rows), str(matrix.num_cols)]
+    parts += [_fingerprint_array(p) for p in matrix.pattern]
     return "/".join(parts)
 
 
 def compat_key(request: SolveRequest) -> CompatKey:
     """The coalescing compatibility key of one request."""
     matrix = request.matrix
-    fmt, _ = _format_of(matrix)
     return CompatKey(
         num_rows=int(matrix.num_rows),
-        fmt=fmt,
-        dtype=str(np.dtype(getattr(matrix, "dtype", np.float64))),
+        fmt=matrix.format_name,
+        dtype=str(matrix.dtype),
         solver=request.solver,
         tolerance=float(request.tolerance),
         pattern_fp=pattern_fingerprint(matrix),
@@ -135,19 +109,9 @@ def concat_requests(requests: list[SolveRequest]):
     tickets resolve in *request* order regardless of which systems finish
     their iterations first inside the kernel.
     """
-    first = requests[0].matrix
-    fmt, _ = _format_of(first)
     values = np.concatenate([r.matrix.values for r in requests], axis=0)
     b = np.concatenate([r.b for r in requests], axis=0)
-    if fmt == "csr":
-        matrix = BatchCsr(first.num_cols, first.row_ptrs, first.col_idxs,
-                          values, check=False)
-    elif fmt == "ell":
-        matrix = BatchEll(first.num_cols, first.col_idxs, values, check=False)
-    elif fmt == "dia":
-        matrix = BatchDia(first.num_cols, first.offsets, values, check=False)
-    else:
-        matrix = BatchDense(values)
+    matrix = requests[0].matrix.with_values(values)
     slices = []
     start = 0
     for r in requests:
@@ -254,10 +218,6 @@ class Coalescer:
     # -- state ---------------------------------------------------------------
 
     @property
-    def pending_systems(self) -> int:
-        return sum(g.num_systems for g in self._groups.values())
-
-    @property
     def pending_requests(self) -> int:
         return sum(len(g.entries) for g in self._groups.values())
 
@@ -318,14 +278,6 @@ class Coalescer:
             if reason is not None:
                 out.append(self._flush(group, now, reason))
         return out
-
-    def flush_all(self, now: float) -> list[CoalescedBatch]:
-        """Flush everything (service drain/shutdown)."""
-        return [
-            self._flush(g, now, "drain")
-            for g in list(self._groups.values())
-            if g.entries
-        ]
 
     def next_flush_time(self) -> float | None:
         """Earliest virtual time at which some group becomes due."""

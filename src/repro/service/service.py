@@ -31,6 +31,7 @@ import numpy as np
 
 from ..core.faults import health_counts
 from ..core.solvers.schedule import solver_schedule
+from ..core.spmv import BatchMatrix
 from ..dist.multi_gpu import GpuNode, SUMMIT_NODE
 from ..utils.validation import as_value_array, check_non_negative, check_shape
 from .clock import VirtualClock
@@ -214,13 +215,20 @@ class SolverService:
     def submit(self, request: SolveRequest) -> SolveTicket:
         """Admit (or degrade, or shed) one request; returns its ticket.
 
-        A malformed right-hand side, an unknown solver or a negative/NaN
-        tolerance raises ``ValueError`` here, on the caller: admitted, it
-        would only fail inside the service loops and leave every other
-        tenant's ticket unresolved.
+        A matrix that is not a square :class:`~repro.core.spmv.BatchMatrix`
+        (``TypeError`` / ``ValueError``), a malformed right-hand side, an
+        unknown solver or a negative/NaN tolerance (``ValueError``) raises
+        here, on the caller: admitted, it would only fail inside the
+        service loops and leave every other tenant's ticket unresolved.
         """
         if self._closed:
             raise RuntimeError("service is closed")
+        if not isinstance(request.matrix, BatchMatrix):
+            raise TypeError(
+                "matrix must be a BatchMatrix (csr, ell, dia or dense), got "
+                f"{type(request.matrix).__name__}"
+            )
+        request.matrix.shape.require_square()
         b = np.asarray(request.b)
         as_value_array(b, "b", ndim=2, dtype=b.dtype)
         check_shape(b, (request.matrix.num_batch, request.matrix.num_rows), "b")

@@ -6,8 +6,8 @@ paper compares against is LAPACK's banded solver ``dgbsv``.  This module
 provides:
 
 * bandwidth detection for the shared sparsity pattern of a batch,
-* conversion between :class:`~repro.core.batch_csr.BatchCsr` and a batched
-  *row-band* working layout ``W[k, i, c] = A[k][i, i - kl_work + c]`` used by
+* conversion from any batch format (through its stored entries) to a
+  batched *row-band* working layout ``W[k, i, c] = A[k][i, i - kl_work + c]`` used by
   the banded LU/QR kernels (``kl_work = 2*kl`` leaves headroom for pivoting
   fill, mirroring the extra ``kl`` rows of LAPACK's ``AB`` storage),
 * conversion to the classical LAPACK ``gbsv`` column layout for
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.batch_csr import BatchCsr
 from ..core.types import DTYPE
 
 __all__ = ["Bandwidths", "detect_bandwidths", "BatchBanded", "csr_to_banded"]
@@ -39,12 +38,9 @@ class Bandwidths:
         return self.kl + self.ku + 1
 
 
-def detect_bandwidths(matrix: BatchCsr) -> Bandwidths:
-    """Bandwidths of the shared CSR pattern (pattern-based, not value-based)."""
-    rows = np.repeat(
-        np.arange(matrix.num_rows, dtype=np.int64), matrix.nnz_per_row()
-    )
-    cols = matrix.col_idxs.astype(np.int64)
+def detect_bandwidths(matrix) -> Bandwidths:
+    """Bandwidths of a batch's shared pattern (pattern-based, not value-based)."""
+    rows, cols, _ = matrix.entries()
     if rows.size == 0:
         return Bandwidths(0, 0)
     diff = cols - rows
@@ -156,13 +152,13 @@ class BatchBanded:
         return ab
 
 
-def csr_to_banded(matrix: BatchCsr, *, fill: int | None = None) -> BatchBanded:
-    """Convert a shared-pattern CSR batch to the banded working layout.
+def csr_to_banded(matrix, *, fill: int | None = None) -> BatchBanded:
+    """Convert a shared-pattern batch (any format) to the banded working layout.
 
     Parameters
     ----------
     matrix:
-        Source batch; its pattern determines ``kl``/``ku``.
+        Source batch; its stored pattern determines ``kl``/``ku``.
     fill:
         Extra upper diagonals to reserve.  Defaults to ``kl`` (what LU with
         partial pivoting can generate, matching LAPACK's ``AB`` headroom).
@@ -174,8 +170,6 @@ def csr_to_banded(matrix: BatchCsr, *, fill: int | None = None) -> BatchBanded:
     width = bw.kl + fill + bw.ku + 1
     work = np.zeros((matrix.num_batch, n, width), dtype=DTYPE)
 
-    rows = np.repeat(np.arange(n, dtype=np.int64), matrix.nnz_per_row())
-    cols = matrix.col_idxs.astype(np.int64)
-    wcol = cols - rows + bw.kl
-    work[:, rows, wcol] = matrix.values
+    rows, cols, index = matrix.entries()
+    work[:, rows, cols - rows + bw.kl] = matrix.values[(slice(None), *index)]
     return BatchBanded(work, bw.kl, bw.ku, fill)

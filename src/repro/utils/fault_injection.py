@@ -132,6 +132,7 @@ class FaultInjector:
         nb = matrix.shape.num_batch
         out = matrix.take_batch(np.arange(nb))
         values = out.values
+        at = _StoredEntries(out)
         for spec in self.specs:
             if spec.kind not in _MATRIX_KINDS:
                 continue
@@ -139,27 +140,27 @@ class FaultInjector:
             k = spec.system
             if spec.kind == "nan":
                 for r in spec.rows:
-                    _set_entry(out, k, r, r, np.nan)
+                    values[at.entry(k, r, r)] = np.nan
             elif spec.kind == "inf":
                 for r in spec.rows:
-                    _set_entry(out, k, r, r, np.inf)
+                    values[at.entry(k, r, r)] = np.inf
             elif spec.kind == "zero_pivot":
                 for r in spec.rows:
-                    _set_entry(out, k, r, r, 0.0)
+                    values[at.entry(k, r, r)] = 0.0
             elif spec.kind == "scale_row":
                 for r in spec.rows:
-                    _scale_row(out, k, r, spec.factor)
+                    values[at.row(k, r)] *= spec.factor
             elif spec.kind == "scale_diag":
                 for r in spec.rows:
-                    _scale_entry(out, k, r, r, spec.factor)
+                    values[at.entry(k, r, r)] *= spec.factor
             elif spec.kind == "scale_system":
                 values[k] *= spec.factor
             elif spec.kind == "breakdown":
                 values[k] = 0.0
-                _set_entry(out, k, 0, 1, 1.0)
-                _set_entry(out, k, 1, 0, -1.0)
+                values[at.entry(k, 0, 1)] = 1.0
+                values[at.entry(k, 1, 0)] = -1.0
                 for r in range(2, matrix.shape.num_rows):
-                    _set_entry(out, k, r, r, 1.0)
+                    values[at.entry(k, r, r)] = 1.0
             elif spec.kind == "drop":
                 values[k] = 0.0
         return out
@@ -212,57 +213,28 @@ class FaultInjector:
             )
 
 
-# -- format-aware entry/row accessors ----------------------------------------
+class _StoredEntries:
+    """Value indices of a batch matrix's stored entries (via ``entries()``).
 
+    Fault injection writes only stored entries, so corrupting a copy never
+    changes its sparsity pattern.
+    """
 
-def _entry_index(matrix, r: int, c: int) -> tuple:
-    """Index (minus the batch axis) of stored entry ``(r, c)``; the entry
-    must exist in the shared sparsity pattern."""
-    fmt = getattr(matrix, "format_name", None)
-    if fmt == "dense":
-        return (r, c)
-    if fmt == "csr":
-        lo, hi = int(matrix.row_ptrs[r]), int(matrix.row_ptrs[r + 1])
-        hit = np.flatnonzero(matrix.col_idxs[lo:hi] == c)
-        if hit.size:
-            return (lo + int(hit[0]),)
-    elif fmt == "ell":
-        hit = np.flatnonzero(matrix.col_idxs[:, r] == c)
-        if hit.size:
-            return (int(hit[0]), r)
-    elif fmt == "dia":
-        d = c - r
-        pos = int(np.searchsorted(matrix.offsets, d))
-        if pos < matrix.offsets.size and matrix.offsets[pos] == d:
-            return (pos, r)
-    else:
-        raise TypeError(f"unsupported matrix format {fmt!r}")
-    raise ValueError(
-        f"entry ({r}, {c}) is not in the {fmt} sparsity pattern; "
-        f"fault injection can only write stored entries"
-    )
+    def __init__(self, matrix) -> None:
+        self.format_name = matrix.format_name
+        self.rows, self.cols, self.index = matrix.entries()
 
+    def entry(self, k: int, r: int, c: int) -> tuple:
+        """Index into ``values`` of entry ``(r, c)`` of system ``k``."""
+        hit = np.flatnonzero((self.rows == r) & (self.cols == c))
+        if not hit.size:
+            raise ValueError(
+                f"entry ({r}, {c}) is not in the {self.format_name} sparsity "
+                "pattern; fault injection can only write stored entries"
+            )
+        return (k, *(i[hit[0]] for i in self.index))
 
-def _set_entry(matrix, k: int, r: int, c: int, value: float) -> None:
-    matrix.values[(k, *_entry_index(matrix, r, c))] = value
-
-
-def _scale_entry(matrix, k: int, r: int, c: int, factor: float) -> None:
-    matrix.values[(k, *_entry_index(matrix, r, c))] *= factor
-
-
-def _scale_row(matrix, k: int, r: int, factor: float) -> None:
-    """Scale every stored entry of row ``r`` in system ``k``."""
-    fmt = getattr(matrix, "format_name", None)
-    values = matrix.values
-    if fmt == "dense":
-        values[k, r, :] *= factor
-    elif fmt == "csr":
-        lo, hi = int(matrix.row_ptrs[r]), int(matrix.row_ptrs[r + 1])
-        values[k, lo:hi] *= factor
-    elif fmt in ("ell", "dia"):
-        # Both store row r's entries at [:, r] along the slot/diagonal axis
-        # (padding entries are zero, so scaling them is a no-op).
-        values[k, :, r] *= factor
-    else:
-        raise TypeError(f"unsupported matrix format {fmt!r}")
+    def row(self, k: int, r: int) -> tuple:
+        """Index into ``values`` of every stored entry of row ``r`` of ``k``."""
+        on_row = self.rows == r
+        return (k, *(i[on_row] for i in self.index))

@@ -36,7 +36,9 @@ import numpy as np
 
 from ..core.batch_csr import BatchCsr
 from ..core.batch_dia import BatchDia
-from ..core.batch_ell import PAD_COL, BatchEll
+from ..core.batch_ell import BatchEll
+from ..core.convert import to_format
+from ..core.spmv import BatchMatrix
 from ..core.types import DTYPE, INDEX_DTYPE
 from .collision import CollisionCoefficients
 from .grid import VelocityGrid
@@ -66,11 +68,9 @@ class CollisionStencil:
         self._build_east_faces()
         self._build_north_faces()
         self._finalize()
-        # DIA- and ELL-layout patterns and templates, built lazily on the
-        # first assemble_dia() / assemble_ell() call (once per grid, like
-        # the CSR pattern).
-        self._dia_templates: np.ndarray | None = None
-        self._ell_templates: np.ndarray | None = None
+        # The five templates as a 5-system batch per format, built lazily
+        # on the first assembly in that format (once per grid).
+        self._template_batches: dict[str, BatchMatrix] = {}
 
     # -- public API -------------------------------------------------------
 
@@ -99,6 +99,39 @@ class CollisionStencil:
         c[:, 4] = dt_nu * coeffs.u_par  # drift, -u part (sign folded in)
         return c
 
+    def _template_batch(self, fmt: str) -> BatchMatrix:
+        """The five geometric templates as a 5-system batch in ``fmt``.
+
+        Built once per grid and format by converting the union-pattern CSR
+        templates, so its values array *is* the template matrix of the
+        assembly GEMM: ELL padding and the DIA fringe and boundary holes
+        stay zero in every template, and the GEMM writes the exact 0.0
+        those formats require.  Every assembled batch shares this batch's
+        pattern arrays by reference.
+        """
+        batch = self._template_batches.get(fmt)
+        if batch is None:
+            csr = BatchCsr(
+                self.num_rows, self.row_ptrs, self.col_idxs, self.templates,
+                check=False,
+            )
+            batch = self._template_batches[fmt] = to_format(csr, fmt)
+        return batch
+
+    def _assemble(self, fmt: str, coeffs: CollisionCoefficients, out):
+        """One GEMM of the coefficient matrix against the ``fmt`` templates."""
+        templates = self._template_batch(fmt)
+        if out is None:
+            out = np.empty(
+                (coeffs.num_batch,) + templates.values.shape[1:], dtype=DTYPE
+            )
+        np.matmul(
+            self._coefficient_matrix(coeffs),
+            templates.values.reshape(len(_TEMPLATES), -1),
+            out=out.reshape(coeffs.num_batch, -1),
+        )
+        return templates.with_values(out)
+
     def assemble(
         self, coeffs: CollisionCoefficients, *, out: np.ndarray | None = None
     ) -> BatchCsr:
@@ -109,109 +142,30 @@ class CollisionStencil:
         ``(num_batch, nnz)`` values buffer (a Picard driver reuses one
         across all its assemblies).
         """
-        if out is None:
-            out = np.empty((coeffs.num_batch, self.nnz), dtype=DTYPE)
-        np.matmul(self._coefficient_matrix(coeffs), self.templates, out=out)
-        return BatchCsr(
-            self.num_rows, self.row_ptrs, self.col_idxs, out, check=False
-        )
+        return self._assemble("csr", coeffs, out)
 
     def assemble_ell(
         self, coeffs: CollisionCoefficients, *, out: np.ndarray | None = None
     ) -> BatchEll:
         """Assemble directly into the ELL format (same values, ELL layout).
 
-        The union pattern is mapped onto ELL slots once per grid
-        (:meth:`_ensure_ell_templates`); after that every assembly is a
-        single GEMM landing straight in the padded slot layout — no CSR
-        intermediate, no per-iteration index manipulation — and every
-        assembled :class:`BatchEll` shares one ``ell_col_idxs`` array.
-        ``out`` is an optional ``(num_batch, max_nnz_row, num_rows)``
-        values buffer.
+        The same single GEMM as :meth:`assemble`, landing straight in the
+        padded slot layout — no CSR intermediate, no per-iteration index
+        manipulation.  ``out`` is an optional ``(num_batch, max_nnz_row,
+        num_rows)`` values buffer.
         """
-        ell_templates = self._ensure_ell_templates()
-        shape = (coeffs.num_batch, self.ell_col_idxs.shape[0], self.num_rows)
-        if out is None:
-            out = np.empty(shape, dtype=DTYPE)
-        np.matmul(
-            self._coefficient_matrix(coeffs),
-            ell_templates,
-            out=out.reshape(coeffs.num_batch, -1),
-        )
-        return BatchEll(self.num_rows, self.ell_col_idxs, out, check=False)
+        return self._assemble("ell", coeffs, out)
 
     def assemble_dia(
         self, coeffs: CollisionCoefficients, *, out: np.ndarray | None = None
     ) -> BatchDia:
         """Assemble directly into the gather-free DIA format.
 
-        The union pattern is mapped onto diagonal offsets once per grid
-        (:meth:`_ensure_dia_templates`); after that every assembly is the
-        same single GEMM as :meth:`assemble`, with the values landing in
-        band layout — zero index manipulation per Picard iteration.
-        ``out`` is an optional ``(num_batch, num_diags, num_rows)``
-        values buffer.
+        The same single GEMM as :meth:`assemble`, with the values landing
+        in band layout.  ``out`` is an optional ``(num_batch, num_diags,
+        num_rows)`` values buffer.
         """
-        dia_templates = self._ensure_dia_templates()
-        shape = (coeffs.num_batch, self.dia_offsets.size, self.num_rows)
-        if out is None:
-            out = np.empty(shape, dtype=DTYPE)
-        np.matmul(
-            self._coefficient_matrix(coeffs),
-            dia_templates,
-            out=out.reshape(coeffs.num_batch, -1),
-        )
-        return BatchDia(self.num_rows, self.dia_offsets, out, check=False)
-
-    def _ensure_ell_templates(self) -> np.ndarray:
-        """Scatter the union-pattern templates into ELL slot layout (once).
-
-        Produces ``ell_col_idxs`` (shared, int32, padded with
-        :data:`~repro.core.batch_ell.PAD_COL`) and a
-        ``(5, max_nnz_row * num_rows)`` template matrix whose GEMM output
-        *is* the padded ELL values array; padded slots stay zero in every
-        template, so the GEMM writes the exact 0.0 the format requires.
-        """
-        if self._ell_templates is None:
-            n = self.num_rows
-            per_row = self.nnz_per_row()
-            max_nnz = max(int(per_row.max(initial=0)), 1)
-            rows = np.repeat(np.arange(n, dtype=np.int64), per_row)
-            slot = (
-                np.arange(self.nnz, dtype=np.int64)
-                - self.row_ptrs[rows].astype(np.int64)
-            )
-            col_idxs = np.full((max_nnz, n), PAD_COL, dtype=INDEX_DTYPE)
-            col_idxs[slot, rows] = self.col_idxs
-            self.ell_col_idxs = col_idxs
-            scattered = np.zeros((len(_TEMPLATES), max_nnz, n), dtype=DTYPE)
-            scattered[:, slot, rows] = self.templates
-            self._ell_templates = scattered.reshape(len(_TEMPLATES), -1)
-        return self._ell_templates
-
-    def _ensure_dia_templates(self) -> np.ndarray:
-        """Scatter the union-pattern templates into DIA band layout (once).
-
-        Produces ``dia_offsets`` (the stencil's constant diagonals — 9 for
-        an interior 9-point stencil) and a ``(5, num_diags * num_rows)``
-        template matrix whose GEMM output *is* the band values array; the
-        boundary rows' missing entries simply stay zero in every template,
-        so partially-filled diagonals need no special casing.
-        """
-        if self._dia_templates is None:
-            n = self.num_rows
-            rows = np.repeat(np.arange(n, dtype=np.int64), self.nnz_per_row())
-            diag_of = self.col_idxs.astype(np.int64) - rows
-            # int32 (the format's index dtype) so every assembled BatchDia
-            # shares this array by reference, like the CSR pattern arrays.
-            self.dia_offsets = np.unique(diag_of).astype(np.int32)
-            slot = np.searchsorted(self.dia_offsets, diag_of)
-            scattered = np.zeros(
-                (len(_TEMPLATES), self.dia_offsets.size, n), dtype=DTYPE
-            )
-            scattered[:, slot, rows] = self.templates
-            self._dia_templates = scattered.reshape(len(_TEMPLATES), -1)
-        return self._dia_templates
+        return self._assemble("dia", coeffs, out)
 
     # -- template construction ------------------------------------------------
 

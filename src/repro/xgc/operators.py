@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.batch_dia import BatchDia
-from ..core.convert import to_format
+from ..core.convert import to_format, tridiag_to_dia
 from ..core.solvers.tridiag import BatchThomas, BatchTridiag
 from ..core.types import DTYPE, SolveResult
 from .species import Species
@@ -247,13 +247,7 @@ class CollisionOperator1D:
 
     def dia(self) -> BatchDia:
         """Assemble into the gather-free DIA band layout, offsets (-1,0,1)."""
-        dl, d, du = self.bands()
-        nb, n = d.shape
-        values = np.zeros((nb, 3, n), dtype=DTYPE)
-        values[:, 0, 1:] = dl  # offset -1: position r holds (r, r-1)
-        values[:, 1, :] = d  # offset 0
-        values[:, 2, :-1] = du  # offset +1: position r holds (r, r+1)
-        return BatchDia(n, np.array([-1, 0, 1]), values)
+        return tridiag_to_dia(self)
 
     def matrix(self, fmt: str = "tridiag"):
         """Assemble into any solver-facing format.

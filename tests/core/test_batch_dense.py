@@ -1,18 +1,9 @@
-"""Tests for the BatchDense format and batched BLAS-1 kernels."""
+"""Tests for the BatchDense format and the batched BLAS-1 reductions."""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    BatchDense,
-    DimensionMismatch,
-    InvalidFormatError,
-    batch_axpy,
-    batch_copy,
-    batch_dot,
-    batch_norm2,
-    batch_scale,
-)
+from repro.core import BatchDense, DimensionMismatch, batch_dot, batch_norm2
 
 
 class TestBatchDense:
@@ -40,42 +31,10 @@ class TestBatchDense:
         assert res is out
         np.testing.assert_allclose(out, m.apply(x))
 
-    def test_advanced_apply(self, rng, dense_batch):
-        m = BatchDense(dense_batch)
-        nb = m.num_batch
-        x = rng.standard_normal((nb, m.num_cols))
-        y = rng.standard_normal((nb, m.num_rows))
-        alpha = rng.standard_normal(nb)
-        beta = rng.standard_normal(nb)
-        expected = alpha[:, None] * m.apply(x) + beta[:, None] * y
-        got = m.advanced_apply(alpha, x, beta, y.copy())
-        np.testing.assert_allclose(got, expected, rtol=1e-12)
-
     def test_apply_rejects_bad_shape(self, dense_batch):
         m = BatchDense(dense_batch)
         with pytest.raises(DimensionMismatch):
             m.apply(np.zeros((m.num_batch, m.num_cols + 1)))
-
-    def test_from_matrices(self, rng):
-        mats = [rng.standard_normal((4, 4)) for _ in range(3)]
-        m = BatchDense.from_matrices(mats)
-        assert m.num_batch == 3
-        np.testing.assert_array_equal(m.entry(1), mats[1])
-
-    def test_from_matrices_empty_raises(self):
-        with pytest.raises(InvalidFormatError):
-            BatchDense.from_matrices([])
-
-    def test_from_matrices_mismatched_raises(self, rng):
-        with pytest.raises(DimensionMismatch):
-            BatchDense.from_matrices(
-                [rng.standard_normal((3, 3)), rng.standard_normal((4, 4))]
-            )
-
-    def test_identity(self):
-        m = BatchDense.identity(3, 5)
-        x = np.arange(15, dtype=float).reshape(3, 5)
-        np.testing.assert_array_equal(m.apply(x), x)
 
     def test_copy_is_deep(self, dense_batch):
         m = BatchDense(dense_batch)
@@ -109,39 +68,3 @@ class TestBlas1:
         a = rng.standard_normal((5, 7))
         out = np.empty(5)
         assert batch_norm2(a, out=out) is out
-
-    def test_batch_axpy_scalar(self, rng):
-        x = rng.standard_normal((3, 4))
-        y = rng.standard_normal((3, 4))
-        expected = y + 2.5 * x
-        assert batch_axpy(2.5, x, y) is y
-        np.testing.assert_allclose(y, expected)
-
-    def test_batch_axpy_per_system(self, rng):
-        x = rng.standard_normal((3, 4))
-        y = rng.standard_normal((3, 4))
-        alpha = np.array([1.0, -2.0, 0.5])
-        expected = y + alpha[:, None] * x
-        batch_axpy(alpha, x, y)
-        np.testing.assert_allclose(y, expected)
-
-    def test_batch_axpy_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            batch_axpy(1.0, np.zeros((2, 3)), np.zeros((2, 4)))
-
-    def test_batch_scale(self, rng):
-        x = rng.standard_normal((3, 4))
-        ref = x.copy()
-        alpha = np.array([2.0, 0.0, -1.0])
-        batch_scale(alpha, x)
-        np.testing.assert_allclose(x, alpha[:, None] * ref)
-
-    def test_batch_copy(self, rng):
-        src = rng.standard_normal((2, 5))
-        dst = np.zeros((2, 5))
-        batch_copy(src, dst)
-        np.testing.assert_array_equal(dst, src)
-
-    def test_batch_copy_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            batch_copy(np.zeros((2, 3)), np.zeros((3, 2)))

@@ -148,33 +148,6 @@ class TestApply:
             dia_batch.apply(np.zeros((dia_batch.num_batch, 1)))
 
 
-class TestAdvancedApply:
-    def test_matches_csr(self, rng, dia_batch, csr_batch):
-        nb, n = csr_batch.num_batch, csr_batch.num_rows
-        x = rng.standard_normal((nb, n))
-        y = rng.standard_normal((nb, n))
-        alpha = rng.standard_normal(nb)
-        expected = csr_batch.advanced_apply(alpha, x, 3.0, y.copy())
-        got = dia_batch.advanced_apply(alpha, x, 3.0, y.copy())
-        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13)
-
-    def test_work_buffer_gives_same_result(self, rng, dia_batch):
-        nb, n = dia_batch.num_batch, dia_batch.num_rows
-        x = rng.standard_normal((nb, n))
-        y = rng.standard_normal((nb, n))
-        work = np.empty((nb, n))
-        without = dia_batch.advanced_apply(2.0, x, -1.0, y.copy())
-        with_work = dia_batch.advanced_apply(2.0, x, -1.0, y.copy(), work=work)
-        np.testing.assert_array_equal(with_work, without)
-
-    def test_updates_y_in_place(self, rng, dia_batch):
-        nb, n = dia_batch.num_batch, dia_batch.num_rows
-        x = rng.standard_normal((nb, n))
-        y = rng.standard_normal((nb, n))
-        out = dia_batch.advanced_apply(1.0, x, 0.5, y)
-        assert out is y
-
-
 class TestAccessors:
     def test_diagonal(self, dia_batch, dense_batch):
         np.testing.assert_array_equal(
@@ -190,14 +163,6 @@ class TestAccessors:
         c = m.copy()
         c.values[0, 1, 0] = 99.0
         assert m.values[0, 1, 0] != 99.0
-
-    def test_scale_values(self):
-        m = tiny_dia()
-        s = m.scale_values(np.array([3.0, -1.0]))
-        np.testing.assert_allclose(s.values[0], 3.0 * m.values[0])
-        np.testing.assert_allclose(s.values[1], -m.values[1])
-        # Fringe stays exactly zero after scaling.
-        assert np.all(s.values[:, s.fringe_mask()] == 0.0)
 
     def test_take_batch_matches_csr(self, rng, dia_batch, csr_batch):
         idx = np.array([4, 1])

@@ -51,6 +51,14 @@ class TestConstruction:
         with pytest.raises(InvalidFormatError):
             BatchEll(3, col_idxs, values)
 
+    def test_rejects_repeated_column(self):
+        """Two slots of one row naming the same column: apply() would sum
+        them while every entry-based view keeps one."""
+        col_idxs = np.array([[0, 1], [0, PAD_COL]], dtype=np.int32)
+        values = np.array([[[1.0, 5.0], [2.0, 0.0]]])
+        with pytest.raises(InvalidFormatError, match="row 0 stores column 0"):
+            BatchEll(2, col_idxs, values)
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             BatchEll(3, np.zeros((2, 3), dtype=np.int32), np.zeros((1, 3, 2)))
@@ -92,28 +100,6 @@ class TestApply:
         y = m.apply(x)
         np.testing.assert_allclose(y[0], [1.0 + 2.0, 3.0, 4.0 + 5.0])
 
-    def test_advanced_apply(self, rng, ell_batch):
-        nb, n = ell_batch.num_batch, ell_batch.num_rows
-        x = rng.standard_normal((nb, n))
-        y = rng.standard_normal((nb, n))
-        alpha = rng.standard_normal(nb)
-        expected = alpha[:, None] * ell_batch.apply(x) + 3.0 * y
-        got = ell_batch.advanced_apply(alpha, x, 3.0, y.copy())
-        np.testing.assert_allclose(got, expected, rtol=1e-12)
-
-    def test_advanced_apply_work_buffer(self, rng, ell_batch):
-        """The optional scratch buffer changes allocation, not the result,
-        and the update lands in ``y`` itself."""
-        nb, n = ell_batch.num_batch, ell_batch.num_rows
-        x = rng.standard_normal((nb, n))
-        y = rng.standard_normal((nb, n))
-        work = np.empty((nb, n))
-        without = ell_batch.advanced_apply(2.0, x, -1.0, y.copy())
-        y_in = y.copy()
-        with_work = ell_batch.advanced_apply(2.0, x, -1.0, y_in, work=work)
-        np.testing.assert_array_equal(with_work, without)
-        assert with_work is y_in
-
     def test_gather_indices_cached_at_construction(self):
         """Padded columns are pre-clamped once, not per apply call."""
         m = tiny_ell()
@@ -144,12 +130,3 @@ class TestAccessors:
         c = m.copy()
         c.values[0, 0, 0] = 99.0
         assert m.values[0, 0, 0] != 99.0
-
-    def test_scale_values(self):
-        m = tiny_ell()
-        s = m.scale_values(np.array([3.0, -1.0]))
-        np.testing.assert_allclose(s.values[0], 3.0 * m.values[0])
-        np.testing.assert_allclose(s.values[1], -m.values[1])
-        # Padding stays exactly zero after scaling.
-        pad = s.col_idxs == PAD_COL
-        assert np.all(s.values[:, pad] == 0.0)

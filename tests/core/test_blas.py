@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    axpby,
     batch_dot,
     batch_norm2,
     fused_dots,
@@ -105,37 +104,6 @@ class TestMaskedAxpy:
         # Bookkeeping-size allocations only (mask reshape etc.), no batch
         # vector (nb * n * 8 bytes) temporaries.
         assert peak < nb * n * 8
-
-
-class TestAxpby:
-    def test_matches_reference(self, arrays):
-        a = arrays
-        expected = a["alpha"][:, None] * a["x"] + a["beta"][:, None] * a["y"]
-        out = axpby(a["alpha"], a["x"], a["beta"], a["y"], work=a["work"])
-        np.testing.assert_array_equal(out, expected)
-
-    def test_out_aliases_x(self, arrays):
-        a = arrays
-        expected = a["alpha"][:, None] * a["x"] + a["beta"][:, None] * a["y"]
-        x = a["x"].copy()
-        ret = axpby(a["alpha"], x, a["beta"], a["y"], out=x, work=a["work"])
-        assert ret is x
-        np.testing.assert_array_equal(x, expected)
-
-    def test_out_aliases_y(self, arrays):
-        a = arrays
-        expected = a["alpha"][:, None] * a["x"] + a["beta"][:, None] * a["y"]
-        y = a["y"].copy()
-        ret = axpby(a["alpha"], a["x"], a["beta"], y, out=y, work=a["work"])
-        assert ret is y
-        np.testing.assert_array_equal(y, expected)
-
-    def test_x_is_y(self, arrays):
-        a = arrays
-        x = a["x"].copy()
-        expected = (a["alpha"] + a["beta"])[:, None] * a["x"]
-        out = axpby(a["alpha"], x, a["beta"], x, out=x, work=a["work"])
-        np.testing.assert_allclose(out, expected, rtol=1e-14)
 
 
 class TestFusedUpdate:

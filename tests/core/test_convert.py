@@ -6,22 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core import (
-    BatchCsr,
-    BatchDense,
-    csr_to_dense,
-    csr_to_dia,
-    csr_to_ell,
-    dense_to_csr,
-    dense_to_dia,
-    dense_to_ell,
-    dia_to_csr,
-    dia_to_ell,
-    ell_to_csr,
-    ell_to_dense,
-    ell_to_dia,
-    to_format,
-)
+from repro.core import BatchCsr, BatchDense, BatchDia, to_format
 
 
 @pytest.fixture
@@ -31,59 +16,59 @@ def dia_batch(csr_batch):
 
 class TestPairwise:
     def test_csr_to_ell_values(self, csr_batch, dense_batch):
-        ell = csr_to_ell(csr_batch)
+        ell = to_format(csr_batch, "ell")
         for k in range(ell.num_batch):
             np.testing.assert_array_equal(ell.entry_dense(k), dense_batch[k])
 
     def test_ell_to_csr_roundtrip(self, csr_batch):
-        back = ell_to_csr(csr_to_ell(csr_batch))
+        back = to_format(to_format(csr_batch, "ell"), "csr")
         np.testing.assert_array_equal(back.row_ptrs, csr_batch.row_ptrs)
         np.testing.assert_array_equal(back.col_idxs, csr_batch.col_idxs)
         np.testing.assert_allclose(back.values, csr_batch.values)
 
     def test_csr_to_dense(self, csr_batch, dense_batch):
-        np.testing.assert_array_equal(csr_to_dense(csr_batch).values, dense_batch)
+        np.testing.assert_array_equal(to_format(csr_batch, "dense").values, dense_batch)
 
     def test_ell_to_dense(self, ell_batch, dense_batch):
-        np.testing.assert_array_equal(ell_to_dense(ell_batch).values, dense_batch)
+        np.testing.assert_array_equal(to_format(ell_batch, "dense").values, dense_batch)
 
     def test_dense_to_csr_to_ell_chain(self, dense_batch):
         d = BatchDense(dense_batch)
-        chain = csr_to_ell(dense_to_csr(d))
+        chain = to_format(to_format(d, "csr"), "ell")
         for k in range(d.num_batch):
             np.testing.assert_array_equal(chain.entry_dense(k), dense_batch[k])
 
     def test_dense_to_ell_direct(self, dense_batch):
-        e = dense_to_ell(BatchDense(dense_batch))
+        e = to_format(BatchDense(dense_batch), "ell")
         for k in range(e.num_batch):
             np.testing.assert_array_equal(e.entry_dense(k), dense_batch[k])
 
     def test_csr_to_dia_values(self, csr_batch, dense_batch):
-        dia = csr_to_dia(csr_batch)
+        dia = to_format(csr_batch, "dia")
         for k in range(dia.num_batch):
             np.testing.assert_array_equal(dia.entry_dense(k), dense_batch[k])
 
     def test_ell_to_dia_matches_csr_to_dia(self, csr_batch, ell_batch):
-        via_csr = csr_to_dia(csr_batch)
-        via_ell = ell_to_dia(ell_batch)
+        via_csr = to_format(csr_batch, "dia")
+        via_ell = to_format(ell_batch, "dia")
         np.testing.assert_array_equal(via_ell.offsets, via_csr.offsets)
         np.testing.assert_array_equal(via_ell.values, via_csr.values)
 
     def test_dia_to_csr_widens_to_in_band_pattern(self, csr_batch, dense_batch):
-        """dia_to_csr reports the full in-band pattern (stored zeros
+        """DIA -> CSR reports the full in-band pattern (stored zeros
         included), so the pattern may widen — the values must not."""
-        back = dia_to_csr(csr_to_dia(csr_batch))
+        back = to_format(to_format(csr_batch, "dia"), "csr")
         assert back.nnz_per_system >= csr_batch.nnz_per_system
         for k in range(back.num_batch):
             np.testing.assert_array_equal(back.entry_dense(k), dense_batch[k])
 
     def test_dia_to_ell_entries(self, dia_batch, dense_batch):
-        ell = dia_to_ell(dia_batch)
+        ell = to_format(dia_batch, "ell")
         for k in range(ell.num_batch):
             np.testing.assert_array_equal(ell.entry_dense(k), dense_batch[k])
 
     def test_dense_to_dia_roundtrip(self, dense_batch):
-        dia = dense_to_dia(BatchDense(dense_batch))
+        dia = to_format(BatchDense(dense_batch), "dia")
         for k in range(dia.num_batch):
             np.testing.assert_array_equal(dia.entry_dense(k), dense_batch[k])
 
@@ -107,8 +92,7 @@ class TestToFormat:
         dst = to_format(src, dst_name)
         assert dst.format_name == dst_name
         for k in range(dst.num_batch):
-            got = dst.entry_dense(k) if dst_name != "dense" else dst.entry(k)
-            np.testing.assert_array_equal(got, dense_batch[k])
+            np.testing.assert_array_equal(dst.entry_dense(k), dense_batch[k])
 
     def test_unknown_format_raises(self, csr_batch):
         with pytest.raises(ValueError, match="no conversion"):
@@ -141,13 +125,13 @@ class TestPropertyBased:
     @settings(max_examples=60, deadline=None)
     def test_dense_csr_dense_roundtrip(self, dense):
         m = BatchCsr.from_dense(dense)
-        np.testing.assert_array_equal(csr_to_dense(m).values, dense)
+        np.testing.assert_array_equal(to_format(m, "dense").values, dense)
 
     @given(dense=sparse_batches())
     @settings(max_examples=60, deadline=None)
     def test_csr_ell_agree_on_spmv(self, dense):
         csr = BatchCsr.from_dense(dense)
-        ell = csr_to_ell(csr)
+        ell = to_format(csr, "ell")
         rng = np.random.default_rng(0)
         x = rng.standard_normal((csr.num_batch, csr.num_cols))
         np.testing.assert_allclose(
@@ -157,8 +141,8 @@ class TestPropertyBased:
     @given(dense=sparse_batches())
     @settings(max_examples=60, deadline=None)
     def test_ell_csr_ell_preserves_entries(self, dense):
-        ell = dense_to_ell(BatchDense(dense))
-        back = csr_to_ell(ell_to_csr(ell))
+        ell = to_format(BatchDense(dense), "ell")
+        back = to_format(to_format(ell, "csr"), "ell")
         for k in range(ell.num_batch):
             np.testing.assert_array_equal(
                 back.entry_dense(k), ell.entry_dense(k)
@@ -167,16 +151,14 @@ class TestPropertyBased:
     @given(dense=sparse_batches())
     @settings(max_examples=60, deadline=None)
     def test_dense_dia_dense_roundtrip(self, dense):
-        from repro.core import BatchDia, dia_to_dense
-
         m = BatchDia.from_dense(dense)
-        np.testing.assert_array_equal(dia_to_dense(m).values, dense)
+        np.testing.assert_array_equal(to_format(m, "dense").values, dense)
 
     @given(dense=sparse_batches())
     @settings(max_examples=60, deadline=None)
     def test_csr_dia_agree_on_spmv(self, dense):
         csr = BatchCsr.from_dense(dense)
-        dia = csr_to_dia(csr)
+        dia = to_format(csr, "dia")
         rng = np.random.default_rng(0)
         x = rng.standard_normal((csr.num_batch, csr.num_cols))
         np.testing.assert_allclose(
@@ -188,10 +170,8 @@ class TestPropertyBased:
     def test_dia_csr_dia_preserves_entries(self, dense):
         """DIA -> CSR -> DIA is stable: the widened in-band pattern is a
         fixed point, so bands and offsets round-trip exactly."""
-        from repro.core import BatchDia
-
         dia = BatchDia.from_dense(dense)
-        back = csr_to_dia(dia_to_csr(dia))
+        back = to_format(to_format(dia, "csr"), "dia")
         np.testing.assert_array_equal(back.offsets, dia.offsets)
         np.testing.assert_array_equal(back.values, dia.values)
 
@@ -202,5 +182,5 @@ class TestPropertyBased:
         (per Fig. 3, when the pattern is genuinely sparse the values
         dominate and sharing the pattern amortises the metadata)."""
         d = BatchDense(dense)
-        csr = dense_to_csr(d)
+        csr = to_format(d, "csr")
         assert csr.values.nbytes <= d.values.nbytes

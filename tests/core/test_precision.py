@@ -1,7 +1,7 @@
 """Tests for the precision-policy layer.
 
 Covers the policy resolver, dtype parametricity of the four batch formats
-and every converter, dtype stability through the iterative solvers (no
+and every conversion, dtype stability through the iterative solvers (no
 silent upcast mid-iteration), the mixed policy's fp64 reductions, exact
 fp64 bit-identity against the default path, the iterative-refinement
 wrapper, and the allocation-reuse plumbing (``take_batch`` scratch and the
@@ -14,20 +14,6 @@ import pytest
 from repro.core import BatchCsr, BatchDense, BatchEll, to_format
 from repro.core.batch_dia import BatchDia
 from repro.core.compaction import BatchCompactor
-from repro.core.convert import (
-    csr_to_dense,
-    csr_to_dia,
-    csr_to_ell,
-    dense_to_csr,
-    dense_to_dia,
-    dense_to_ell,
-    dia_to_csr,
-    dia_to_dense,
-    dia_to_ell,
-    ell_to_csr,
-    ell_to_dense,
-    ell_to_dia,
-)
 from repro.core.precision import (
     FP32,
     FP64,
@@ -91,6 +77,15 @@ class TestPolicyResolver:
         assert isinstance(FP32, PrecisionPolicy)
 
 
+#: Every (source, target) pair of distinct built-in formats.
+_PAIRS = [
+    (src, dst)
+    for src in ("csr", "ell", "dia", "dense")
+    for dst in ("csr", "ell", "dia", "dense")
+    if src != dst
+]
+
+
 class TestFormatDtypes:
     @pytest.fixture
     def f32_csr(self, dense_batch) -> BatchCsr:
@@ -128,47 +123,26 @@ class TestFormatDtypes:
             assert y.dtype == np.float32, fmt
 
     @pytest.mark.parametrize(
-        "convert,fmt",
-        [
-            (csr_to_ell, "csr"),
-            (csr_to_dense, "csr"),
-            (csr_to_dia, "csr"),
-            (ell_to_csr, "ell"),
-            (ell_to_dense, "ell"),
-            (ell_to_dia, "ell"),
-            (dia_to_csr, "dia"),
-            (dia_to_ell, "dia"),
-            (dia_to_dense, "dia"),
-            (dense_to_csr, "dense"),
-            (dense_to_ell, "dense"),
-            (dense_to_dia, "dense"),
-        ],
+        "fmt,target", _PAIRS, ids=[f"{s}_to_{t}-{s}" for s, t in _PAIRS]
     )
-    def test_converters_preserve_dtype(self, dense_batch, convert, fmt):
+    def test_converters_preserve_dtype(self, dense_batch, fmt, target):
         src = to_format(BatchCsr.from_dense(dense_batch), fmt)
         for dtype in (np.float64, np.float32):
-            out = convert(src.astype(dtype))
+            out = to_format(src.astype(dtype), target)
             assert out.dtype == dtype
-            a = out.entry_dense(0) if hasattr(out, "entry_dense") else out.values[0]
-            b = (
-                src.entry_dense(0)
-                if hasattr(src, "entry_dense")
-                else src.values[0]
-            )
             np.testing.assert_allclose(
-                np.asarray(a, dtype=np.float64),
-                np.asarray(b, dtype=np.float64),
+                out.entry_dense(0).astype(np.float64), src.entry_dense(0),
                 rtol=1e-6,
             )
 
     def test_round_trip_float32_exact(self, f32_csr):
         # f32 -> ell -> csr touches no arithmetic, only layout.
-        back = ell_to_csr(csr_to_ell(f32_csr))
+        back = to_format(to_format(f32_csr, "ell"), "csr")
         assert back.dtype == np.float32
         np.testing.assert_array_equal(back.values, f32_csr.values)
         # Through DIA the padded fringe widens the pattern but the dense
         # materialisation is still exactly the float32 input.
-        dense = dia_to_dense(ell_to_dia(csr_to_ell(f32_csr)))
+        dense = to_format(to_format(to_format(f32_csr, "ell"), "dia"), "dense")
         assert dense.dtype == np.float32
         np.testing.assert_array_equal(
             dense.values[0], f32_csr.entry_dense(0)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import BatchCsr, advanced_spmv, make_solver, to_format
+from repro.core import BatchCsr, make_solver, to_format
 from repro.core.faults import SolverHealth
 from repro.core.solvers.schedule import (
     CountingMatrix,
@@ -244,25 +244,19 @@ class TestConformance:
 
 class TestCountingMatrix:
     @pytest.mark.parametrize("fmt", ["csr", "ell", "dia", "dense"])
-    def test_advanced_apply_forwards_work(self, fmt):
-        """The counting wrapper takes ``work=`` like every format does, so
-        the fused update runs counted, allocation-free, and unchanged."""
+    def test_take_batch_forwards_values_out(self, fmt):
+        """The compactor gathers into its slab through the wrapper: the
+        sub-batch lands in ``values_out`` and its SpMVs stay counted."""
         matrix = to_format(make_batch(), fmt)
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((matrix.num_batch, matrix.num_rows))
-        y0 = rng.standard_normal(x.shape)
-        alpha, beta = rng.standard_normal(matrix.num_batch), 0.5
-        expected = matrix.advanced_apply(alpha, x, beta, y0.copy())
-
         counted = CountingMatrix(matrix)
-        y1, y2 = y0.copy(), y0.copy()
-        w1, w2 = np.empty_like(x), np.empty_like(x)
-        assert counted.advanced_apply(alpha, x, beta, y1, work=w1) is y1
-        assert advanced_spmv(alpha, counted, x, beta, y2, work=w2) is y2
-        assert counted.advanced_apply(alpha, x, beta, y0) is y0
-        assert counted.counts.spmvs == 3
-        for y in (y0, y1, y2):
-            np.testing.assert_array_equal(y, expected)
+        buf = np.empty((4,) + matrix.values.shape[1:])
+        sub = counted.take_batch(np.array([3, 1]), values_out=buf)
+        assert np.shares_memory(sub.values, buf)
+        x = np.random.default_rng(3).standard_normal((2, matrix.num_cols))
+        np.testing.assert_array_equal(
+            sub.apply(x), matrix.take_batch(np.array([3, 1])).apply(x)
+        )
+        assert counted.counts.spmvs == 1
 
 
 class FalseFlagOnce(AbsoluteResidual):

@@ -186,22 +186,6 @@ class TestFlushPolicy:
             tols = {r.tolerance for r in batch.requests}
             assert len(tols) == 1
 
-    def test_flush_all_drains_everything(self, srng):
-        def scenario():
-            async def main(clock):
-                co = make_coalescer(max_batch=64)
-                for tol in (1e-8, 1e-10):
-                    req = tridiag_request(srng, tolerance=tol)
-                    co.add(req, SolveTicket(req), clock.now)
-                batches = co.flush_all(clock.now)
-                return batches, co.pending_requests
-
-            return drive(main)
-
-        batches, pending = scenario()
-        assert len(batches) == 2
-        assert pending == 0
-
     def test_oversized_request_flushes_alone(self, srng):
         """A request bigger than max_batch still goes through (one batch)."""
         def scenario():

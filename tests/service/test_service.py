@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import BatchCsr, BatchTridiag
 from repro.service import (
     CoalescePolicy,
     QosPolicy,
@@ -313,15 +314,40 @@ class TestSubmitValidation:
         resolve bit-identical to their direct solves."""
         self._check_rejected_next_to_healthy(srng, field, value, match)
 
+    @pytest.mark.parametrize(
+        "matrix, error, match",
+        [
+            (
+                BatchTridiag(np.zeros((1, 31)), np.full((1, 32), 4.0),
+                             np.zeros((1, 31))),
+                TypeError,
+                "BatchMatrix",
+            ),
+            (
+                BatchCsr(40, np.arange(33), np.arange(32), np.ones((1, 32))),
+                ValueError,
+                "square",
+            ),
+        ],
+        ids=["tridiag", "non_square"],
+    )
+    def test_bad_matrix_rejected_on_caller_healthy_request_unaffected(
+        self, srng, matrix, error, match
+    ):
+        """A matrix the service cannot coalesce (not a BatchMatrix) or
+        solve (32x40, with a right-hand side that fits its rows) raises at
+        submit instead of killing the scheduler or dispatch loop."""
+        self._check_rejected_next_to_healthy(srng, "matrix", matrix, match, error)
+
     @staticmethod
-    def _check_rejected_next_to_healthy(srng, field, value, match):
+    def _check_rejected_next_to_healthy(srng, field, value, match, error=ValueError):
         healthy = tridiag_request(srng)
         bad = tridiag_request(srng)
         setattr(bad, field, value)
 
         async def client(service):
             ticket = service.submit(healthy)
-            with pytest.raises(ValueError, match=match):
+            with pytest.raises(error, match=match):
                 service.submit(bad)
             assert bad.request_id == -1
             assert service.report.submitted == 1

@@ -32,12 +32,12 @@ def _masses(nodes=2):
 
 class TestAssemblyStructureCaching:
     def test_assemble_ell_matches_legacy_conversion(self, small_grid, small_stencil):
-        from repro.core.convert import csr_to_ell
+        from repro.core.convert import to_format
 
         f = _f0(small_grid, nodes=1)
         coeffs = linearized_coefficients(small_grid, DEUTERON, f, dt=0.05)
         direct = small_stencil.assemble_ell(coeffs)
-        via_csr = csr_to_ell(small_stencil.assemble(coeffs))
+        via_csr = to_format(small_stencil.assemble(coeffs), "ell")
         np.testing.assert_array_equal(direct.col_idxs, via_csr.col_idxs)
         np.testing.assert_array_equal(direct.values, via_csr.values)
 

@@ -151,8 +151,7 @@ class BlockJacobiPreconditioner(BatchPreconditioner):
 
         # Extract the dense diagonal blocks from the shared CSR pattern.
         blocks = np.zeros((csr.num_batch, nb, bs, bs), dtype=csr.dtype)
-        rows = np.repeat(np.arange(n, dtype=np.int64), csr.nnz_per_row())
-        cols = csr.col_idxs.astype(np.int64)
+        rows, cols, _ = csr.entries()
         in_full = (rows < nb * bs) & (rows // bs == cols // bs)
         br = rows[in_full] // bs
         ir = rows[in_full] % bs

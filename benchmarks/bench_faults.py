@@ -5,8 +5,10 @@ Two questions, one gate each:
 * **Overhead when healthy** — wrapping the batched BiCGSTAB in the
   escalation ladder must be (near) free when *zero* systems are unhealthy:
   the primary rung runs the exact same instruction stream, the ladder is
-  never climbed, and the results are bit-identical.  The gate fails the
-  run when the escalation overhead exceeds ``--max-overhead`` (CI: 5%%).
+  never climbed, and the results are bit-identical.  The two solvers are
+  timed in interleaved pairs, alternating which runs first, and the
+  overhead is the median per-pair time ratio minus one; the gate fails
+  the run when it exceeds ``--max-overhead`` (CI: 5%%).
 * **Recovery cost** — with a handful of deterministically injected faults
   (BiCG breakdown, underflow-to-omega-breakdown, NaN warm starts) the
   ladder must recover every recoverable system to the 1e-10 tolerance;
@@ -30,7 +32,7 @@ import time
 
 import numpy as np
 
-from conftest import percentiles
+from timing import best_of, percentiles
 
 from repro.core import (
     AbsoluteResidual,
@@ -90,34 +92,36 @@ def make_escalating():
     )
 
 
-def time_solve(solver, matrix, b, repeats: int):
-    """Best-of-``repeats`` wall-clock, the repeat samples, and the result."""
-    solver.solve(matrix, b)  # warm-up: allocates the workspace
-    samples = []
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = solver.solve(matrix, b)
-        samples.append(time.perf_counter() - t0)
-    return min(samples), samples, result
-
-
 def bench_healthy_overhead(matrix, b, repeats):
-    t_plain, samples_plain, res_plain = time_solve(make_plain(), matrix, b, repeats)
-    esc = make_escalating()
-    t_esc, samples_esc, res_esc = time_solve(esc, matrix, b, repeats)
-    overhead = t_esc / t_plain - 1.0
+    """Plain vs escalation solve of a healthy batch, in ``repeats`` pairs.
+
+    Both solvers run back to back within each pair, and the pairs
+    alternate which one goes first, so a load change on the machine hits
+    both sides of a pair alike.
+    """
+    solvers = (make_plain(), make_escalating())
+    # Warm-up: allocates the workspaces.
+    results = [solver.solve(matrix, b) for solver in solvers]
+    samples = ([], [])
+    for pair in range(repeats):
+        for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
+            t0 = time.perf_counter()
+            results[side] = solvers[side].solve(matrix, b)
+            samples[side].append(time.perf_counter() - t0)
+    res_plain, res_esc = results
+    samples_plain, samples_esc = samples
+    ratios = np.divide(samples_esc, samples_plain)
     return {
-        "time_plain_s": t_plain,
-        "time_escalation_s": t_esc,
+        "time_plain_s": float(np.median(samples_plain)),
+        "time_escalation_s": float(np.median(samples_esc)),
         "plain_stats": percentiles(samples_plain),
         "escalation_stats": percentiles(samples_esc),
-        "overhead": overhead,
+        "overhead": float(np.median(ratios)) - 1.0,
         "solutions_identical": bool(np.array_equal(res_plain.x, res_esc.x)),
         "iterations_identical": bool(
             np.array_equal(res_plain.iterations, res_esc.iterations)
         ),
-        "rungs_climbed": len(esc.last_report.rung_attempts),
+        "rungs_climbed": len(solvers[1].last_report.rung_attempts),
         "all_converged": bool(res_esc.converged.all()),
     }
 
@@ -134,14 +138,7 @@ def bench_recovery(matrix, b, num_rows, repeats):
 
     esc = make_escalating()
     with np.errstate(all="ignore"):
-        esc.solve(mc, bc, x0=x0)  # warm-up
-        samples = []
-        res = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            res = esc.solve(mc, bc, x0=x0)
-            samples.append(time.perf_counter() - t0)
-        best = min(samples)
+        best, samples, res = best_of(lambda: esc.solve(mc, bc, x0=x0), repeats)
 
     report = esc.last_report
     true_res = np.linalg.norm(bc - mc.apply(res.x), axis=1)
@@ -176,7 +173,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--num-batch", type=int, default=192)
     ap.add_argument("--num-rows", type=int, default=992)
-    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--repeats", type=int, default=7,
+                    help="interleaved plain/escalation pairs for the "
+                    "overhead gate, and timed recovery solves")
     ap.add_argument("--max-overhead", type=float, default=0.05,
                     help="fail (exit 1) when the healthy-batch escalation "
                     "overhead exceeds this fraction (CI: 0.05)")
@@ -205,7 +204,8 @@ def main(argv=None) -> int:
     args.output.write_text(json.dumps(report, indent=2) + "\n")
 
     print(f"healthy batch ({args.num_batch} systems, n={args.num_rows}):")
-    print(f"  plain:      {healthy['time_plain_s'] * 1e3:8.2f} ms")
+    print(f"  plain:      {healthy['time_plain_s'] * 1e3:8.2f} ms   "
+          f"(medians of {args.repeats} interleaved pairs)")
     print(f"  escalation: {healthy['time_escalation_s'] * 1e3:8.2f} ms   "
           f"(overhead {healthy['overhead']:+.2%}, "
           f"bit-identical: {healthy['solutions_identical']})")

@@ -30,7 +30,7 @@ import time
 
 import numpy as np
 
-from conftest import percentiles
+from timing import best_of, percentiles
 
 from repro.core import (
     AbsoluteResidual,
@@ -87,18 +87,6 @@ def make_solver(compact_threshold):
         max_iter=500,
         compact_threshold=compact_threshold,
     )
-
-
-def time_solve(solver, matrix, b, x0, repeats: int):
-    """Best-of-``repeats`` wall time; returns (seconds, last SolveResult)."""
-    solver.solve(matrix, b, x0=x0)  # warm-up: allocates the workspace
-    best = np.inf
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = solver.solve(matrix, b, x0=x0)
-        best = min(best, time.perf_counter() - t0)
-    return best, result
 
 
 def bench_blas_micro(num_batch: int, num_rows: int, reps: int = 100):
@@ -204,11 +192,13 @@ def main(argv=None) -> int:
         args.num_batch, args.num_rows, args.hard_fraction
     )
 
-    t_plain, res_plain = time_solve(
-        make_solver(None), matrix, b, x0, args.repeats
+    solver_plain, solver_comp = make_solver(None), make_solver(0.5)
+    t_plain, _, res_plain = best_of(
+        lambda: solver_plain.solve(matrix, b, x0=x0), args.repeats
     )
-    solver_comp = make_solver(0.5)
-    t_comp, res_comp = time_solve(solver_comp, matrix, b, x0, args.repeats)
+    t_comp, _, res_comp = best_of(
+        lambda: solver_comp.solve(matrix, b, x0=x0), args.repeats
+    )
 
     iters_identical = bool(
         np.array_equal(res_plain.iterations, res_comp.iterations)

@@ -32,9 +32,10 @@ import argparse
 import json
 import pathlib
 import sys
-import time
 
 import numpy as np
+
+from timing import best_of
 
 from repro.core import AbsoluteResidual, make_solver
 from repro.experiments.figures import fig6
@@ -50,16 +51,6 @@ CROSSOVER_BATCHES = (8, 64, 256)
 #: Batch sizes of the expanded tuning grid (kept small: the gate prices
 #: the whole space on every cell of every scenario in CI).
 GRID_BATCHES = (16, 256, 4096)
-
-
-def time_solve(fn, *args, repeats: int = 3) -> float:
-    """Best-of-``repeats`` wall-clock of one solve call."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def conservation_gate() -> tuple[list[dict], bool]:
@@ -91,9 +82,9 @@ def crossover_gate() -> tuple[list[dict], bool]:
     for nb in CROSSOVER_BATCHES:
         outcome = run_operator_scenario("dougherty", num_nodes=nb)
         op, f0 = outcome.operator, outcome.f_before
-        t_direct = time_solve(op.solve_direct, f0)
+        t_direct = best_of(lambda: op.solve_direct(f0), 3)[0]
         dia = op.matrix("dia")
-        t_iter = time_solve(iterative.solve, dia, f0)
+        t_iter = best_of(lambda: iterative.solve(dia, f0), 3)[0]
         rows.append({
             "num_batch": nb,
             "thomas_per_entry_s": t_direct / nb,

@@ -30,9 +30,10 @@ import argparse
 import json
 import pathlib
 import sys
-import time
 
 import numpy as np
+
+from timing import best_of
 
 from repro.core import to_format
 from repro.core.solvers import BatchBicgstab, RefinementSolver
@@ -63,18 +64,6 @@ def build_batch(num_batch: int, seed: int = 2022):
     return matrix, f
 
 
-def time_call(fn, repeats: int, inner: int) -> float:
-    """Best-of-``repeats`` mean time of one ``fn()`` call (seconds)."""
-    fn()  # warm-up (allocates any lazy scratch)
-    best = np.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        best = min(best, (time.perf_counter() - t0) / inner)
-    return best
-
-
 def sweep_batch(num_batch: int, repeats: int) -> dict:
     """Time SpMV and a solver iteration at fp64/fp32 for one batch size."""
     csr64, f64 = build_batch(num_batch)
@@ -86,8 +75,8 @@ def sweep_batch(num_batch: int, repeats: int) -> dict:
         m32 = m64.astype(np.float32)
         out64 = np.empty_like(f64)
         out32 = np.empty_like(f32)
-        t64 = time_call(lambda: m64.apply(f64, out=out64), repeats, inner=5)
-        t32 = time_call(lambda: m32.apply(f32, out=out32), repeats, inner=5)
+        t64 = best_of(lambda: m64.apply(f64, out=out64), repeats, inner=5)[0]
+        t32 = best_of(lambda: m32.apply(f32, out=out32), repeats, inner=5)[0]
         entry["formats"][fmt] = {
             "spmv_fp64_s": t64,
             "spmv_fp32_s": t32,
@@ -106,7 +95,7 @@ def sweep_batch(num_batch: int, repeats: int) -> dict:
         mat = mat if mat is not None else ell64.astype(np.float32)
         res = solver.solve(mat, rhs)  # warm-up + iteration count
         iters = float(res.iterations.sum())
-        t = time_call(lambda: solver.solve(mat, rhs), max(repeats // 2, 1), inner=1)
+        t = best_of(lambda: solver.solve(mat, rhs), max(repeats // 2, 1))[0]
         solve[prec] = {"time_s": t, "iterations": iters,
                        "time_per_iteration_s": t / iters}
     entry["solve"] = solve

@@ -38,7 +38,7 @@ import sys
 
 import numpy as np
 
-from conftest import percentiles
+from timing import percentiles
 
 from repro.service import (
     CoalescePolicy,

@@ -18,7 +18,8 @@ Run standalone (CI parity + perf gate)::
     PYTHONPATH=src python benchmarks/bench_spmv_formats.py --min-dia-speedup 1.0
 
 Exit status is non-zero when any format diverges from CSR beyond
-``--parity-tol``, when DIA is not the fastest sparse format, when the
+``--parity-tol``, when DIA is not the fastest sparse format, when ELL is
+not faster than CSR (the host echo of the paper's Fig. 7), when the
 DIA-vs-ELL speedup at the largest batch falls below ``--min-dia-speedup``,
 or when the DIA Picard step's iteration counts differ from ELL's.
 """
@@ -29,9 +30,10 @@ import argparse
 import json
 import pathlib
 import sys
-import time
 
 import numpy as np
+
+from timing import best_of
 
 from repro.core import to_format
 from repro.xgc import CollisionProxyApp, PicardOptions, ProxyAppConfig
@@ -53,19 +55,6 @@ def build_batch(num_batch: int, seed: int = 2022):
     ))
     matrix, f = app.build_matrices()
     return matrix, f
-
-
-def time_spmv(matrix, x, repeats: int, inner: int = 5) -> float:
-    """Best-of-``repeats`` mean time of one ``apply`` (seconds)."""
-    out = np.empty((matrix.num_batch, matrix.num_rows))
-    matrix.apply(x, out=out)  # warm-up (allocates any lazy scratch)
-    best = np.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(inner):
-            matrix.apply(x, out=out)
-        best = min(best, (time.perf_counter() - t0) / inner)
-    return best
 
 
 def parity_error(matrix, x, ref: np.ndarray) -> float:
@@ -90,9 +79,10 @@ def sweep_batch(num_batch: int, repeats: int) -> dict:
         "dia_num_diags": mats["dia"].num_diags,
         "formats": {},
     }
+    out = np.empty_like(f)
     for name, m in mats.items():
         entry["formats"][name] = {
-            "time_s": time_spmv(m, f, repeats),
+            "time_s": best_of(lambda: m.apply(f, out=out), repeats, inner=5)[0],
             "parity_vs_csr": parity_error(m, f, ref),
             "storage_bytes": m.storage_bytes(),
         }
@@ -187,6 +177,10 @@ def main(argv=None) -> int:
             failures.append(
                 f"dia is not the fastest sparse format at batch "
                 f"{s['num_batch']}"
+            )
+        if t["ell"]["time_s"] >= t["csr"]["time_s"]:
+            failures.append(
+                f"ell is not faster than csr at batch {s['num_batch']}"
             )
     if sweeps[-1]["dia_speedup_vs_ell"] < args.min_dia_speedup:
         failures.append(

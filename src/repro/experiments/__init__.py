@@ -9,16 +9,27 @@ data and a rendered text block:
 >>> result = fig6()                       # doctest: +SKIP
 >>> result.data["series"][3840]["A100-ell"]   # doctest: +SKIP
 
-``run_all`` regenerates everything (also exposed as
-``python -m repro reproduce``); the pytest-benchmark suite in
-``benchmarks/`` wraps the same generators with timing and shape
-assertions.
+Besides the figures and tables, :mod:`repro.experiments.studies`
+regenerates the studies the paper's text relies on (the dense and
+block-diagonal alternatives, batched tridiagonal solvers, the
+shared-memory and tuning ablations, and the tolerance study).
+``run_all`` regenerates everything (also exposed as ``python -m repro
+reproduce``); ``tests/integration/test_reproduction_claims.py`` checks
+the paper's claims on the generators' data.
 """
 
 from __future__ import annotations
 
 from .common import ExperimentResult
 from .figures import fig1, fig2, fig4, fig6, fig7, fig8, fig9
+from .studies import (
+    ablation_blockdiag,
+    ablation_shmem,
+    ablation_tuning,
+    motivation_dense,
+    related_tridiag,
+    tolerance_study,
+)
 from .tables import table1, table2, table3
 
 __all__ = [
@@ -33,6 +44,12 @@ __all__ = [
     "table1",
     "table2",
     "table3",
+    "motivation_dense",
+    "ablation_blockdiag",
+    "related_tridiag",
+    "ablation_shmem",
+    "ablation_tuning",
+    "tolerance_study",
     "ALL_EXPERIMENTS",
     "run_all",
 ]
@@ -41,7 +58,12 @@ __all__ = [
 ALL_EXPERIMENTS = {
     "fig1": fig1,
     "fig2": fig2,
+    "motivation_dense": motivation_dense,
+    "ablation_blockdiag": ablation_blockdiag,
+    "related_tridiag": related_tridiag,
     "fig4": fig4,
+    "ablation_shmem": ablation_shmem,
+    "ablation_tuning": ablation_tuning,
     "table1": table1,
     "fig6": fig6,
     "fig7": fig7,
@@ -49,6 +71,7 @@ ALL_EXPERIMENTS = {
     "table3": table3,
     "fig8": fig8,
     "fig9": fig9,
+    "tolerance_study": tolerance_study,
 }
 
 

@@ -1,11 +1,11 @@
 """Shared machinery of the experiment generators.
 
-Each module in :mod:`repro.experiments` regenerates one artefact of the
-paper (a figure's data series or a table's rows) and returns an
-:class:`ExperimentResult`: structured data for programmatic use plus a
-rendered text block for humans.  The benchmark suite wraps these
-generators with pytest-benchmark timing and shape assertions;
-``python -m repro reproduce`` writes them all to disk.
+Each generator in :mod:`repro.experiments` regenerates one artefact of
+the paper (a figure's data series, a table's rows or a study) and returns
+an :class:`ExperimentResult`: structured data for programmatic use plus a
+rendered text block for humans.  The tier-1 claim tests assert on the
+data; ``python -m repro reproduce`` writes the text of them all to disk.
+The measured solves are cached here, so generators share them.
 """
 
 from __future__ import annotations
@@ -15,7 +15,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..core import AbsoluteResidual, BatchBicgstab, BatchLogger, make_solver
+from ..core import (
+    AbsoluteResidual,
+    BatchBicgstab,
+    BatchLogger,
+    make_solver,
+    to_format,
+)
+from ..utils import batch_eigenvalues, condition_number, summarize_spectrum
 from ..xgc import CollisionProxyApp, PicardOptions, PicardStepper, ProxyAppConfig
 
 __all__ = [
@@ -29,6 +36,7 @@ __all__ = [
     "measured_zero_guess",
     "measured_variant_iterations",
     "measured_picard",
+    "species_spectra",
     "spd_stencil_batch",
     "tile_iterations",
 ]
@@ -95,6 +103,24 @@ def measured_zero_guess(num_mesh_nodes: int = 8):
 
 
 @lru_cache(maxsize=2)
+def species_spectra(num_mesh_nodes: int = 2):
+    """Spectrum and condition number of node 0's electron and ion systems.
+
+    Returns ``{species: (SpectrumSummary, condition_number)}``; the dense
+    eigendecompositions are the costly part of Fig. 2, hence the cache.
+    """
+    matrix, _ = paper_app(num_mesh_nodes).build_matrices()
+    csr = to_format(matrix, "csr")
+    return {
+        species: (
+            summarize_spectrum(batch_eigenvalues(csr, idx)),
+            condition_number(csr, idx),
+        )
+        for idx, species in ((0, "electron"), (1, "ion"))
+    }
+
+
+@lru_cache(maxsize=2)
 def spd_stencil_batch(num_mesh_nodes: int = 2):
     """An SPD batch on the paper's n = 992 stencil pattern.
 
@@ -104,7 +130,7 @@ def spd_stencil_batch(num_mesh_nodes: int = 2):
     (hence SPD).  Returns ``(matrix, rhs)`` as :class:`~repro.core.
     BatchCsr`.
     """
-    from ..core import BatchCsr, to_format
+    from ..core import BatchCsr
 
     app = paper_app(num_mesh_nodes)
     matrix, f = app.build_matrices()

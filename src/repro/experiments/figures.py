@@ -15,7 +15,6 @@ from ..gpu import (
     estimate_spmv,
     variant_estimates,
 )
-from ..utils import batch_eigenvalues, summarize_spectrum
 from ..xgc import simulate_picard_timeline
 from .common import (
     BATCH_SIZES,
@@ -28,6 +27,7 @@ from .common import (
     measured_variant_iterations,
     measured_zero_guess,
     paper_app,
+    species_spectra,
     tile_iterations,
 )
 
@@ -61,26 +61,21 @@ def fig1(num_systems: int = 1000) -> ExperimentResult:
 
 def fig2(num_mesh_nodes: int = 2) -> ExperimentResult:
     """Fig. 2 — eigenvalue spectra of the electron and ion matrices."""
-    from ..core import to_format
-
-    app = paper_app(num_mesh_nodes)
-    matrix, _ = app.build_matrices()
-    csr = to_format(matrix, "csr")
-    spectra = {}
+    data = {"condition_number": {}}
     lines = ["Fig 2: eigenvalue spectra of the species matrices"]
-    for idx, species in ((0, "electron"), (1, "ion")):
-        ev = batch_eigenvalues(csr, idx)
-        s = summarize_spectrum(ev)
-        spectra[species] = s
+    for species, (s, kappa) in species_spectra(num_mesh_nodes).items():
+        data[species] = s
+        data["condition_number"][species] = kappa
         lines.append(
             f"  {species:>9}: Re in [{s.real_min:8.4f}, {s.real_max:9.3f}]"
             f"  |Im| <= {s.imag_max_abs:7.4f}"
             f"  Re-spread {s.real_spread:8.2f}x"
+            f"  cond {kappa:7.2f}"
         )
     return ExperimentResult(
         name="fig2",
         description="species eigenvalue spectra",
-        data=spectra,
+        data=data,
         text="\n".join(lines),
     )
 
@@ -316,6 +311,7 @@ def fig9() -> ExperimentResult:
     nnz = app.stencil.nnz
     ns = len(app.config.species)
     combined: dict[str, list] = {hw.name: [] for hw in TABLE1_GPUS}
+    by_species: dict[str, list] = {"ion": [], "electron": []}
     lines = [f"{'batch':>6} "
              + " ".join(f"{hw.name + ' comb':>11}" for hw in TABLE1_GPUS)
              + f" {'V100 ion':>11} {'V100 e-':>11}"]
@@ -334,11 +330,13 @@ def fig9() -> ExperimentResult:
         s_e = t_cpu / _picard_gpu_total(
             warm, V100, nb, nnz, "ell", select=slice(0, None, ns)
         )
+        by_species["ion"].append((nb, s_ion))
+        by_species["electron"].append((nb, s_e))
         row += [f"{s_ion:11.2f}", f"{s_e:11.2f}"]
         lines.append(" ".join(row))
     return ExperimentResult(
         name="fig9", description="speedup over Skylake dgbsv",
-        data={"combined": combined},
+        data={"combined": combined, "v100_by_species": by_species},
         text="Fig 9: speedup of batched BiCGSTAB (ELL, warm) over Skylake "
         "dgbsv, 5 Picard iterations\n" + "\n".join(lines),
     )

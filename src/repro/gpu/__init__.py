@@ -8,7 +8,7 @@ scheduling behaviour (the MI100 staircase), profiler metrics (Table II),
 and CPU-baseline costs.
 """
 
-from .cpu_model import CpuSolveEstimate, estimate_cpu_dgbsv, estimate_cpu_iterative
+from .cpu_model import CpuSolveEstimate, estimate_cpu_dgbsv
 from .hardware import (
     A100,
     GPUS,
@@ -115,7 +115,6 @@ __all__ = [
     "variant_estimates",
     "CpuSolveEstimate",
     "estimate_cpu_dgbsv",
-    "estimate_cpu_iterative",
     "KernelMetrics",
     "collect_metrics",
     "metrics_table",

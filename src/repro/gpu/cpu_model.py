@@ -7,9 +7,6 @@ operation count at the core's sustained rate and schedules statically:
 ``ceil(num_batch / cores)`` rounds.  Like the GPU wave model this produces
 small steps at multiples of the core count — they are invisible at the
 paper's scale because one round is cheap relative to the total.
-
-The iterative-CPU variant (:func:`estimate_cpu_iterative`) exists for the
-ablation studies; the paper's CPU baseline is the direct solver only.
 """
 
 from __future__ import annotations
@@ -17,13 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..core.solvers.schedule import solver_schedule
 from .hardware import CpuSpec
-from .kernel import banded_lu_work, iteration_work, storage_for_solver
+from .kernel import banded_lu_work
 
-__all__ = ["CpuSolveEstimate", "estimate_cpu_dgbsv", "estimate_cpu_iterative"]
+__all__ = ["CpuSolveEstimate", "estimate_cpu_dgbsv"]
 
 
 @dataclass(frozen=True)
@@ -63,47 +57,4 @@ def estimate_cpu_dgbsv(
         per_entry_time_s=total / num_batch,
         per_system_s=t_sys,
         rounds=rounds,
-    )
-
-
-def estimate_cpu_iterative(
-    cpu: CpuSpec,
-    num_rows: int,
-    nnz: int,
-    iterations: np.ndarray,
-    *,
-    fmt: str = "csr",
-    stored_nnz: int | None = None,
-) -> CpuSolveEstimate:
-    """Model a batched iterative solve on the CPU (one system per core).
-
-    Iterative solvers on the CPU run at memory-stream rates rather than
-    peak flops for these sizes; the model charges the per-iteration flop
-    count at the ``dgbsv`` sustained rate, which is mildly favourable to
-    the CPU — the comparison the paper cares about (GPU iterative vs CPU
-    direct) is unaffected.
-    """
-    iterations = np.asarray(iterations, dtype=np.float64)
-    num_batch = iterations.shape[0]
-    if num_batch < 1:
-        raise ValueError("iterations must be non-empty")
-    storage = storage_for_solver("bicgstab", num_rows, 0)
-    work = iteration_work(
-        solver_schedule("bicgstab"), num_rows, nnz, fmt, storage,
-        stored_nnz=stored_nnz,
-    )
-    t_iter = work.flops / cpu.effective_flops_per_core
-    per_system = iterations * t_iter
-
-    # Static round-robin over cores: core c gets systems c, c+P, ...
-    cores = cpu.cores_used
-    core_loads = np.zeros(cores)
-    for c in range(cores):
-        core_loads[c] = per_system[c::cores].sum()
-    total = float(core_loads.max()) if num_batch else 0.0
-    return CpuSolveEstimate(
-        total_time_s=total,
-        per_entry_time_s=total / num_batch,
-        per_system_s=float(per_system.mean()),
-        rounds=math.ceil(num_batch / cores),
     )

@@ -158,8 +158,14 @@ class SolveTicket:
         if not self._future.done():
             self._future.set_exception(RequestShed(reason))
 
+    def fail(self, exc: BaseException) -> None:
+        """Resolve with the error the request's own solve raised."""
+        if not self._future.done():
+            self._future.set_exception(exc)
+
     async def result(self) -> TicketResult:
-        """Await the solve outcome; raises :class:`RequestShed` if refused."""
+        """Await the solve outcome; raises :class:`RequestShed` if refused,
+        or the error the request's own solve raised."""
         return await self._future
 
     async def result_or_none(self) -> TicketResult | None:

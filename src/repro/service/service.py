@@ -9,7 +9,9 @@ coroutines on one asyncio loop, all timed by the shared
   the coalescer, and forwards due batches to the dispatch backlog;
 * the **dispatch loop** executes backlogged batches one at a time through
   the :class:`~repro.service.dispatcher.Dispatcher` — the virtual node is
-  a serial resource, exactly like a busy GPU stream.
+  a serial resource, exactly like a busy GPU stream.  A batch whose solve
+  raises is re-run request by request, so only the request at fault
+  fails, with the error its solve raised.
 
 ``submit()`` is the tenant-facing entry point: it applies the QoS
 admission verdict (admit / degrade / shed) against the service's total
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import asyncio
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -301,8 +303,30 @@ class SolverService:
             self._dispatch_wake.clear()
             while self._backlog:
                 batch = self._backlog.popleft()
-                report = await self.dispatcher.execute(batch)
+                try:
+                    report = await self.dispatcher.execute(batch)
+                except Exception as exc:
+                    self._isolate_failure(batch, exc)
+                    continue
                 self._complete(batch, report)
+
+    def _isolate_failure(self, batch, exc: Exception) -> None:
+        """Re-run a failed batch request by request, failing only the culprit.
+
+        Systems are independent and the solver variant is cached per key,
+        so a healthy request re-run alone is bit-identical to
+        :meth:`direct_solve`.
+        """
+        if len(batch.requests) == 1:
+            self._inflight -= 1
+            batch.tickets[0].fail(exc)
+            return
+        self._backlog.extendleft(
+            replace(batch, requests=[request], tickets=[ticket])
+            for request, ticket in reversed(
+                list(zip(batch.requests, batch.tickets))
+            )
+        )
 
     # -- completion ----------------------------------------------------------
 

@@ -1,9 +1,8 @@
 """Tests for the CPU (dgbsv) baseline cost model."""
 
-import numpy as np
 import pytest
 
-from repro.gpu import SKYLAKE_NODE, estimate_cpu_dgbsv, estimate_cpu_iterative
+from repro.gpu import SKYLAKE_NODE, estimate_cpu_dgbsv
 
 
 class TestDgbsvModel:
@@ -32,46 +31,3 @@ class TestDgbsvModel:
     def test_invalid_batch(self):
         with pytest.raises(ValueError):
             estimate_cpu_dgbsv(SKYLAKE_NODE, 992, 33, 33, 0)
-
-
-class TestCpuIterativeModel:
-    def test_round_robin_parity_trap(self):
-        """An alternating hard/easy pattern with an even core count lands
-        every hard system on the same cores: the makespan tracks the hard
-        systems, not the mean — a real static-scheduling pathology."""
-        its = np.tile([30, 4], 380)  # period 2 vs 38 cores
-        est = estimate_cpu_iterative(SKYLAKE_NODE, 992, 8554, its)
-        uniform = estimate_cpu_iterative(
-            SKYLAKE_NODE, 992, 8554, np.full(760, 17)
-        )
-        assert est.total_time_s == pytest.approx(
-            uniform.total_time_s * 30 / 17, rel=0.05
-        )
-
-    def test_shuffled_work_balances(self, ):
-        """Randomly ordered work balances to within a few percent."""
-        rng = np.random.default_rng(3)
-        its = rng.permutation(np.tile([30, 4], 380))
-        est = estimate_cpu_iterative(SKYLAKE_NODE, 992, 8554, its)
-        uniform = estimate_cpu_iterative(
-            SKYLAKE_NODE, 992, 8554, np.full(760, 17)
-        )
-        assert est.total_time_s < 1.35 * uniform.total_time_s
-
-    def test_scales_with_iterations(self):
-        fast = estimate_cpu_iterative(SKYLAKE_NODE, 992, 8554, np.full(76, 5))
-        slow = estimate_cpu_iterative(SKYLAKE_NODE, 992, 8554, np.full(76, 50))
-        assert slow.total_time_s == pytest.approx(10 * fast.total_time_s, rel=0.01)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_cpu_iterative(SKYLAKE_NODE, 992, 8554, np.array([]))
-
-    def test_direct_wins_on_cpu_for_this_problem(self):
-        """The paper's premise: dgbsv is the right CPU solver — a CPU
-        iterative solve at electron iteration counts is not clearly
-        better, which is why the GPU is needed at all."""
-        its = np.tile([32, 4], 380)
-        t_iter = estimate_cpu_iterative(SKYLAKE_NODE, 992, 8554, its).total_time_s
-        t_direct = estimate_cpu_dgbsv(SKYLAKE_NODE, 992, 33, 33, 760).total_time_s
-        assert t_iter > 0.2 * t_direct

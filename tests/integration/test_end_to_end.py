@@ -48,6 +48,7 @@ class TestSolverAgreementOnXgcMatrices:
         )
         r_ell = s.solve(matrix, f)
         r_csr = s.solve(csr, f)
+        assert r_ell.all_converged and r_csr.all_converged
         np.testing.assert_allclose(r_ell.x, r_csr.x, rtol=1e-9, atol=1e-12)
         np.testing.assert_array_equal(r_ell.iterations, r_csr.iterations)
 

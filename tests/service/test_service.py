@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import BatchCsr, BatchTridiag
+from repro.core import BatchCsr, BatchTridiag, InvalidFormatError
 from repro.service import (
     CoalescePolicy,
     QosPolicy,
@@ -276,6 +276,38 @@ class TestServiceLifecycle:
         assert result.converged.all()
         with pytest.raises(RuntimeError, match="closed"):
             service.submit(tridiag_request(srng))
+
+
+class TestFailureIsolation:
+    def test_raising_request_fails_alone(self, srng):
+        """A request that passes submit but whose solve raises (a zero on
+        one system's diagonal makes Jacobi raise) fails on its own ticket.
+        The healthy requests coalesced with it still resolve bit-identical
+        to their direct solves, and nothing is left pending."""
+        healthy = [tridiag_request(srng), tridiag_request(srng, num_systems=2)]
+        poison = tridiag_request(srng)
+        poison.matrix.values[0, 1, 5] = 0.0
+
+        async def client(service):
+            tickets = [
+                service.submit(r) for r in (healthy[0], poison, healthy[1])
+            ]
+            results = [await tickets[0].result(), await tickets[2].result()]
+            with pytest.raises(InvalidFormatError):
+                await tickets[1].result()
+            return results
+
+        results, service = run_service(
+            client, coalesce=CoalescePolicy(max_batch=16, max_wait_s=1e-3)
+        )
+        assert service.pending == 0
+        for request, result in zip(healthy, results):
+            direct = service.direct_solve(request)
+            np.testing.assert_array_equal(result.x, direct.x)
+            np.testing.assert_array_equal(result.iterations, direct.iterations)
+            np.testing.assert_array_equal(
+                result.residual_norms, direct.residual_norms
+            )
 
 
 class TestSubmitValidation:

@@ -36,6 +36,7 @@ class TestIndividualGenerators:
     def test_table1_catalog(self):
         r = table1()
         assert r.data["A100"]["tflops"] == 9.7
+        assert r.data["V100"]["bw"] == 990.0
         assert r.data["MI100"]["cus"] == 120
 
     def test_table3_shape(self):
@@ -47,7 +48,9 @@ class TestIndividualGenerators:
 
     def test_registry_is_complete(self):
         expected = {"fig1", "fig2", "fig4", "fig6", "fig7", "fig8", "fig9",
-                    "table1", "table2", "table3"}
+                    "table1", "table2", "table3", "motivation_dense",
+                    "ablation_blockdiag", "related_tridiag", "ablation_shmem",
+                    "ablation_tuning", "tolerance_study"}
         assert set(ALL_EXPERIMENTS) == expected
 
 

@@ -65,6 +65,18 @@ class TestCli:
         assert "loaded policy" in out
         assert "searched configuration" in out
 
+    def test_reproduce_writes_every_artefact(self, capsys, tmp_path):
+        from repro.experiments import ALL_EXPERIMENTS
+
+        assert main(["reproduce", "--quiet", "--out", str(tmp_path)]) == 0
+        assert f"wrote {len(ALL_EXPERIMENTS)} artefacts" in \
+            capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"{name}.txt" for name in ALL_EXPERIMENTS
+        )
+        for name in ALL_EXPERIMENTS:
+            assert (tmp_path / f"{name}.txt").read_text().strip(), name
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -38,11 +38,12 @@ GMRES_RESTART = 30
 
 
 def build_xgc_batch(num_mesh_nodes: int, seed: int = 2022):
-    from repro.xgc import CollisionProxyApp, ProxyAppConfig
+    from repro.xgc import CollisionProxyApp, PicardOptions, ProxyAppConfig
 
-    app = CollisionProxyApp(
-        ProxyAppConfig(num_mesh_nodes=num_mesh_nodes, seed=seed)
-    )
+    app = CollisionProxyApp(ProxyAppConfig(
+        num_mesh_nodes=num_mesh_nodes, seed=seed,
+        picard=PicardOptions(matrix_format="ell"),  # the paper's format
+    ))
     matrix, f = app.build_matrices()
     return app, matrix, f
 

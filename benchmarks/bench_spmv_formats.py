@@ -4,7 +4,8 @@ Times the batched SpMV of every matrix format (CSR / ELL / DIA / dense) on
 the paper's n = 992 collision stencil over a range of batch sizes, checks
 that every format's products agree with CSR to tight tolerance, verifies
 that a full Picard step with ``matrix_format="dia"`` reproduces the exact
-per-system linear iteration counts of ``"ell"``, and writes
+per-system linear iteration counts and the bit-exact final state of
+``"ell"`` (the ground for stepping in DIA by default), and writes
 ``BENCH_spmv_formats.json`` at the repo root (next to
 ``BENCH_host_kernels.json``) so the perf trajectory is tracked.
 
@@ -21,7 +22,8 @@ Exit status is non-zero when any format diverges from CSR beyond
 ``--parity-tol``, when DIA is not the fastest sparse format, when ELL is
 not faster than CSR (the host echo of the paper's Fig. 7), when the
 DIA-vs-ELL speedup at the largest batch falls below ``--min-dia-speedup``,
-or when the DIA Picard step's iteration counts differ from ELL's.
+or when the DIA Picard step's iteration counts or final state differ from
+ELL's.
 """
 
 from __future__ import annotations
@@ -93,24 +95,26 @@ def sweep_batch(num_batch: int, repeats: int) -> dict:
 
 
 def picard_iteration_parity(num_mesh_nodes: int = 4, num_steps: int = 1) -> dict:
-    """Per-system linear iteration counts of a Picard step, ELL vs DIA."""
-    per_format = {}
+    """Per-system linear iteration counts and the final state of a Picard
+    run, ELL vs DIA."""
+    iterations, f_final = {}, {}
     for fmt in ("ell", "dia"):
         app = CollisionProxyApp(ProxyAppConfig(
             num_mesh_nodes=num_mesh_nodes,
             picard=PicardOptions(matrix_format=fmt),
         ))
         result = app.run(num_steps)
-        per_format[fmt] = np.concatenate(
+        iterations[fmt] = np.concatenate(
             [step.linear_iterations.ravel() for step in result.step_results]
         )
-    identical = bool(np.array_equal(per_format["ell"], per_format["dia"]))
+        f_final[fmt] = result.f_final.tobytes()
     return {
         "num_mesh_nodes": num_mesh_nodes,
         "num_steps": num_steps,
-        "total_linear_iterations_ell": int(per_format["ell"].sum()),
-        "total_linear_iterations_dia": int(per_format["dia"].sum()),
-        "iterations_identical": identical,
+        "total_linear_iterations_ell": int(iterations["ell"].sum()),
+        "total_linear_iterations_dia": int(iterations["dia"].sum()),
+        "iterations_identical": bool(np.array_equal(iterations["ell"], iterations["dia"])),
+        "f_final_identical": f_final["ell"] == f_final["dia"],
     }
 
 
@@ -161,7 +165,8 @@ def main(argv=None) -> int:
         row += f"{s['dia_speedup_vs_ell']:9.2f}x"
         print(row)
     print(f"  picard iterations dia==ell: {picard['iterations_identical']} "
-          f"({picard['total_linear_iterations_ell']} total)")
+          f"({picard['total_linear_iterations_ell']} total), "
+          f"f_final bit-identical: {picard['f_final_identical']}")
     print(f"  report: {args.output}")
 
     failures = []
@@ -190,6 +195,8 @@ def main(argv=None) -> int:
         )
     if not picard["iterations_identical"]:
         failures.append("picard iteration counts differ between dia and ell")
+    if not picard["f_final_identical"]:
+        failures.append("picard f_final differs between dia and ell")
 
     for msg in failures:
         print(f"FAIL: {msg}", file=sys.stderr)

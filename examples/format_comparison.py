@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from repro.core import to_format
-from repro.xgc import CollisionProxyApp, ProxyAppConfig
+from repro.xgc import CollisionProxyApp, PicardOptions, ProxyAppConfig
 
 
 def time_spmv(matrix, x, repeats=20):
@@ -27,7 +27,9 @@ def time_spmv(matrix, x, repeats=20):
 
 
 def main():
-    app = CollisionProxyApp(ProxyAppConfig(num_mesh_nodes=16))
+    app = CollisionProxyApp(ProxyAppConfig(
+        num_mesh_nodes=16, picard=PicardOptions(matrix_format="ell"),
+    ))
     ell, f = app.build_matrices()
     csr = to_format(ell, "csr")
     dia = app.stencil.assemble_dia(

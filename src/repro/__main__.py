@@ -236,6 +236,8 @@ def _cmd_reproduce(args) -> int:
 
 def main(argv=None) -> int:
     """Parse arguments and dispatch to a command."""
+    from repro.xgc import PicardOptions
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description=__doc__,
@@ -249,12 +251,14 @@ def main(argv=None) -> int:
     demo.add_argument("--batch", type=int, default=1920,
                       help="projected batch size")
     demo.add_argument("--format", choices=("csr", "ell", "dia"),
-                      default="ell", help="batch matrix format")
+                      default="ell",
+                      help="batch matrix format (default: the paper's ell)")
     picard = sub.add_parser("picard", help="Picard loop report (Table III)")
     picard.add_argument("--nodes", type=int, default=4)
     picard.add_argument("--steps", type=int, default=1)
     picard.add_argument("--format", choices=("csr", "ell", "dia"),
-                        default="ell", help="batch matrix format")
+                        default=PicardOptions.matrix_format,
+                        help="batch matrix format (default: %(default)s)")
     picard.add_argument(
         "--solver",
         choices=("bicgstab", "pipelined_bicgstab", "cgs", "gmres",

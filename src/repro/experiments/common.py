@@ -84,8 +84,11 @@ class ExperimentResult:
 
 @lru_cache(maxsize=4)
 def paper_app(num_mesh_nodes: int = 8) -> CollisionProxyApp:
-    """The paper-scale proxy app (cached — the stencil build is shared)."""
-    return CollisionProxyApp(ProxyAppConfig(num_mesh_nodes=num_mesh_nodes))
+    """The paper-scale proxy app in the paper's ELL format (cached — the
+    stencil build is shared)."""
+    return CollisionProxyApp(ProxyAppConfig(
+        num_mesh_nodes=num_mesh_nodes, picard=PicardOptions(matrix_format="ell"),
+    ))
 
 
 @lru_cache(maxsize=4)

@@ -16,10 +16,17 @@ experiments:
 * the **linear tolerance** (Section V): 1e-10 absolute is the loosest
   setting for which the conservation acceptance test (1e-7) passes and the
   Picard loop converges.
+
+The systems of a batch are independent, so a large batch's linear solve is
+split into contiguous shards that run concurrently, at most one per usable
+core (the GPU solves one system per work-group).  No system's result
+depends on the shard that solved it, so a sharded step is bit-identical
+to a serial one.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +36,7 @@ from ..core.logging_ import BatchLogger
 from ..core.solvers import EscalationSolver, RefinementSolver, make_solver
 from ..core.solvers.schedule import iterative_solver_names
 from ..core.stop import AbsoluteResidual, RelativeResidual
+from ..core.types import DTYPE, batch_tile
 from ..core.workspace import SolverWorkspace
 from ..utils.validation import check_in, check_positive
 from .assembly import CollisionStencil
@@ -41,6 +49,64 @@ from .conservation import (
 from .grid import VelocityGrid
 
 __all__ = ["PicardOptions", "PicardStepResult", "PicardStepper"]
+
+#: Smallest shard of a sharded linear solve, in SpMV batch tiles
+#: (:func:`~repro.core.types.batch_tile`; 33 systems at n = 992).  On two
+#: cores, one warm DIA step at n = 992 was slower with two shards than
+#: with one at 34 and 66 systems, even at 128 and faster at 240 (1.55 s
+#: against 1.71 s).  Three tiles (99 systems) keep batches of 128 and
+#: fewer on the serial path.
+MIN_SHARD_TILES = 3
+
+#: The thread pool that runs shards 1.. of a sharded solve, and the process
+#: that built it.  Both are set on the first sharded solve.  A pool inherited
+#: across a fork has no threads and would never run a task, so a forked
+#: child builds its own.
+_POOL = None
+_POOL_PID = 0
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+def _shard_bounds(num_batch: int, num_rows: int) -> list[tuple[int, int]]:
+    """Contiguous ``[lo, hi)`` shards of a linear solve, at most one per core.
+
+    Each shard holds at least :data:`MIN_SHARD_TILES` SpMV batch tiles, so
+    a small batch is a single shard: the serial path.
+    """
+    min_shard = MIN_SHARD_TILES * batch_tile(num_rows, np.dtype(DTYPE).itemsize)
+    count = max(1, min(_usable_cores(), num_batch // min_shard))
+    return [(k * num_batch // count, (k + 1) * num_batch // count) for k in range(count)]
+
+
+def _shard_pool():
+    """This process's shard thread pool (imported and built on first use)."""
+    global _POOL, _POOL_PID
+    if _POOL is None or _POOL_PID != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+
+        _POOL = ThreadPoolExecutor(
+            max_workers=max(1, _usable_cores() - 1), thread_name_prefix="picard-shard"
+        )
+        _POOL_PID = os.getpid()
+    return _POOL
+
+
+def _solve_shard(solver, matrix, b, x0, workspace):
+    """One shard's solve: ``(x, iterations, converged, health)``."""
+    res = solver.solve(matrix, b, x0=x0, workspace=workspace)
+    health = (
+        res.health
+        if res.health is not None
+        else derive_health(res.converged, res.residual_norms)
+    )
+    return res.x, res.iterations, res.converged, health
 
 
 @dataclass(frozen=True)
@@ -69,8 +135,11 @@ class PicardOptions:
     max_linear_iter:
         Inner-solver iteration cap.
     matrix_format:
-        ``"ell"`` (paper's best), ``"csr"``, or ``"dia"`` (the gather-free
-        stencil format; identical numerics, lowest host SpMV cost).
+        ``"dia"`` (the default: the gather-free stencil format the tuner
+        picks for the collision stencil on every GPU, with the lowest host
+        SpMV cost), ``"ell"`` (the paper's best, used by its experiments)
+        or ``"csr"``.  ELL and DIA steps are bit-identical: each row sums
+        its products in the same order.
     preconditioner:
         Preconditioner name for the inner solver (paper: ``"jacobi"``).
     picard_tol:
@@ -115,7 +184,7 @@ class PicardOptions:
     warm_start: bool = True
     linear_tol: float = 1e-10
     max_linear_iter: int = 500
-    matrix_format: str = "ell"
+    matrix_format: str = "dia"
     preconditioner: str = "jacobi"
     picard_tol: float = 0.0
     conservation_fix: bool = True
@@ -219,8 +288,21 @@ class PicardStepper:
         self.kurtosis_gamma = float(kurtosis_gamma)
         self.options = options or PicardOptions()
         self.stencil = stencil or CollisionStencil(grid)
+        self._solver = self._make_solver()
+        # One (lo, hi, solver, arena) per shard of the linear solve, built
+        # on the first step; shard 0 owns self._solver.  The five solves of
+        # each Picard loop, and every loop of every time step, reuse the
+        # arenas' batch vectors, so the hot path performs no allocations
+        # after the first solve.
+        self._shards: list[tuple] = []
+        # Per-format assembly values buffer: every re-assembly of the
+        # Picard loop writes its GEMM output into the same array.
+        self._assembly_out: np.ndarray | None = None
+
+    def _make_solver(self):
+        """The inner linear solver the options describe (one per shard)."""
         if self.options.precision == "fp64":
-            self._solver = make_solver(
+            solver = make_solver(
                 self.options.solver,
                 preconditioner=self.options.preconditioner,
                 criterion=AbsoluteResidual(self.options.linear_tol),
@@ -241,7 +323,7 @@ class PicardStepper:
                 compact_threshold=self.options.compact_threshold,
                 precision=self.options.precision,
             )
-            self._solver = RefinementSolver(
+            solver = RefinementSolver(
                 inner,
                 criterion=AbsoluteResidual(self.options.linear_tol),
             )
@@ -249,21 +331,14 @@ class PicardStepper:
             # Primary rung is the solver built above — healthy batches run
             # its exact instruction stream; only unhealthy systems pay for
             # the ladder.
-            self._solver = EscalationSolver(
-                ladder=(self._solver, "gmres", "refinement", "direct"),
+            solver = EscalationSolver(
+                ladder=(solver, "gmres", "refinement", "direct"),
                 preconditioner=self.options.preconditioner,
                 criterion=AbsoluteResidual(self.options.linear_tol),
                 max_iter=self.options.max_linear_iter,
                 compact_threshold=self.options.compact_threshold,
             )
-        # One arena for all inner solves: the five solves of each Picard
-        # loop — and every loop of every time step — reuse these batch
-        # vectors, so the hot path performs no allocations after the first
-        # solve.
-        self._workspace = SolverWorkspace(self.num_batch, grid.num_cells)
-        # Per-format assembly values buffer: every re-assembly of the
-        # Picard loop writes its GEMM output into the same array.
-        self._assembly_out: np.ndarray | None = None
+        return solver
 
     @property
     def num_batch(self) -> int:
@@ -272,22 +347,57 @@ class PicardStepper:
 
     def assemble(self, f_k: np.ndarray, dt: float):
         """Assemble the batched matrix linearised at ``f_k`` (public for
-        benchmarks that need the matrices without stepping)."""
+        benchmarks that need the matrices without stepping).  The matrix
+        owns its values: later steps never write into them."""
+        return self._assemble(f_k, dt, None)
+
+    def _assemble(self, f_k: np.ndarray, dt: float, out: np.ndarray | None):
+        """Assemble at ``f_k``; the GEMM writes into ``out`` when given."""
         coeffs = linearized_coefficients_masses(
             self.grid, self.masses, f_k, dt=dt, nu_ref=self.nu_ref,
             eta=self.eta, kurtosis_gamma=self.kurtosis_gamma,
         )
         if self.options.matrix_format == "ell":
-            matrix = self.stencil.assemble_ell(coeffs, out=self._assembly_out)
-        elif self.options.matrix_format == "dia":
-            matrix = self.stencil.assemble_dia(coeffs, out=self._assembly_out)
-        else:
-            matrix = self.stencil.assemble(coeffs, out=self._assembly_out)
-        # The stencil pattern is shared by reference across assemblies, and
-        # from the second Picard iteration on the GEMM lands in this same
-        # values array — re-assembly allocates nothing.
-        self._assembly_out = matrix.values
-        return matrix
+            return self.stencil.assemble_ell(coeffs, out=out)
+        if self.options.matrix_format == "dia":
+            return self.stencil.assemble_dia(coeffs, out=out)
+        return self.stencil.assemble(coeffs, out=out)
+
+    def _solve(self, matrix, b: np.ndarray, x0: np.ndarray | None):
+        """One linear solve of the Picard loop: ``(x, iterations, converged,
+        health)`` in batch order.
+
+        The batch is solved in the contiguous shards of
+        :func:`_shard_bounds`, each with its own solver and arena and a view
+        of the matrix values.  Shard 0 runs on this thread and the others on
+        the shard pool: moving shard 0 to a pool thread too raised peak
+        memory by 7-9% on a 240-system step.
+        """
+        bounds = _shard_bounds(self.num_batch, self.grid.num_cells)
+        if [shard[:2] for shard in self._shards] != bounds:
+            self._shards = [
+                (lo, hi, self._solver if k == 0 else self._make_solver(),
+                 SolverWorkspace(hi - lo, self.grid.num_cells))
+                for k, (lo, hi) in enumerate(bounds)
+            ]
+        if len(bounds) == 1:
+            _, _, solver, arena = self._shards[0]
+            return _solve_shard(solver, matrix, b, x0, arena)
+        from concurrent.futures import wait
+
+        jobs = [
+            (solver, matrix.with_values(matrix.values[lo:hi]), b[lo:hi],
+             None if x0 is None else x0[lo:hi], arena)
+            for lo, hi, solver, arena in self._shards
+        ]
+        futures = [_shard_pool().submit(_solve_shard, *job) for job in jobs[1:]]
+        try:
+            parts = [_solve_shard(*jobs[0])]
+        finally:
+            # No shard outlives the call: the next solve reuses its arena.
+            wait(futures)
+        parts += [future.result() for future in futures]
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
     def step(self, f_n: np.ndarray, dt: float) -> PicardStepResult:
         """Advance the batch one backward-Euler step of size ``dt``."""
@@ -308,7 +418,10 @@ class PicardStepper:
         injector = self.options.fault_injector
 
         for _ in range(self.options.num_iterations):
-            matrix = self.assemble(f_k, dt)
+            # From the second Picard iteration on the GEMM lands in the
+            # first one's values array: re-assembly allocates nothing.
+            matrix = self._assemble(f_k, dt, self._assembly_out)
+            self._assembly_out = matrix.values
             b = f_n
             x0 = f_k if self.options.warm_start else None
             if injector is not None:
@@ -317,19 +430,14 @@ class PicardStepper:
                 matrix = injector.corrupt_matrix(matrix)
                 b = injector.corrupt_rhs(b)
                 x0 = injector.corrupt_guess(x0)
-            res = self._solver.solve(matrix, b, x0=x0, workspace=self._workspace)
-            converged &= res.converged
-            step_health = (
-                res.health
-                if res.health is not None
-                else derive_health(res.converged, res.residual_norms)
-            )
+            x, iterations, solved, step_health = self._solve(matrix, b, x0)
+            converged &= solved
             health = step_health if health is None else worst_health(health, step_health)
-            iters_per_picard.append(res.iterations)
+            iters_per_picard.append(iterations)
 
-            update = np.linalg.norm(res.x - f_k, axis=1) / rhs_scale
+            update = np.linalg.norm(x - f_k, axis=1) / rhs_scale
             updates.append(float(update.max()))
-            f_k = res.x
+            f_k = x
             if self.options.picard_tol and update.max() < self.options.picard_tol:
                 break
 

@@ -17,7 +17,7 @@ from repro.gpu import (
     estimate_cpu_dgbsv,
     estimate_iterative_solve,
 )
-from repro.xgc import CollisionProxyApp, ProxyAppConfig
+from repro.xgc import CollisionProxyApp, PicardOptions, ProxyAppConfig
 
 
 class TestSolverAgreementOnXgcMatrices:
@@ -25,7 +25,10 @@ class TestSolverAgreementOnXgcMatrices:
 
     @pytest.fixture(scope="class")
     def problem(self, request):
-        app = CollisionProxyApp(ProxyAppConfig(num_mesh_nodes=2))
+        # The paper's ELL: test_solve_then_model prices its stored slots.
+        app = CollisionProxyApp(ProxyAppConfig(
+            num_mesh_nodes=2, picard=PicardOptions(matrix_format="ell"),
+        ))
         matrix, f = app.build_matrices()
         return app, matrix, f
 

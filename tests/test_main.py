@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import main
+from repro.xgc import PicardOptions
 
 
 class TestCli:
@@ -18,12 +19,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "converged=True" in out
         assert "Skylake" in out
+        assert "ELL format" in out  # the demo prices the paper's format
 
     def test_picard_small(self, capsys):
         assert main(["picard", "--nodes", "1", "--steps", "1"]) == 0
         out = capsys.readouterr().out
         assert "electron" in out
         assert "conservation drifts" in out
+
+    def test_picard_format_defaults_to_picard_options(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["picard", "--help"])
+        assert f"(default: {PicardOptions.matrix_format})" in capsys.readouterr().out
 
     def test_demo_dia_format(self, capsys):
         assert main(["demo", "--nodes", "1", "--batch", "240",

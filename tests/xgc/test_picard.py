@@ -1,8 +1,18 @@
 """Tests for the backward-Euler + Picard time stepper."""
 
+import contextlib
+import faulthandler
+import functools
+import multiprocessing
+import sys
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
+from repro.core.faults import SolverHealth
+from repro.dist import run_distributed
+from repro.utils import FaultInjector, FaultSpec
 from repro.xgc import (
     DEUTERON,
     ELECTRON,
@@ -10,6 +20,7 @@ from repro.xgc import (
     PicardStepper,
     maxwellian,
     moments,
+    picard,
 )
 
 
@@ -162,3 +173,152 @@ class TestPicardStep:
             results[-1].total_linear_iterations.sum()
             <= results[0].total_linear_iterations.sum()
         )
+
+
+# -- sharded linear solves -----------------------------------------------------
+
+
+def varied_batch(grid, num_batch):
+    """``num_batch`` distinct off-equilibrium states (one per system)."""
+    return np.stack([
+        0.7 * maxwellian(grid, 1.0, 0.8 + 0.1 * k, -0.5)
+        + 0.3 * maxwellian(grid, 1.0, 2.5, 1.5 - 0.2 * k)
+        for k in range(num_batch)
+    ])
+
+
+def sharding_stepper(grid, masses, idx):
+    """Module-level stepper factory, so dist ranks can build it in a fork."""
+    return PicardStepper(grid, masses[idx])
+
+
+@contextlib.contextmanager
+def hang_guard(seconds=300):
+    """Abort the run with every thread's traceback instead of hanging."""
+    faulthandler.dump_traceback_later(seconds, exit=True)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture
+def two_shards(monkeypatch):
+    """Two usable cores and one-system SpMV tiles: a batch of six or more
+    splits into two shards of at least MIN_SHARD_TILES systems."""
+    monkeypatch.setattr(picard, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(picard, "batch_tile", lambda num_rows, itemsize: 1)
+
+
+class TestShardPlan:
+    @pytest.mark.parametrize("num_batch, bounds", [
+        (16, [(0, 16)]),
+        (128, [(0, 128)]),
+        (240, [(0, 120), (120, 240)]),
+    ])
+    def test_two_cores_at_paper_size(self, monkeypatch, num_batch, bounds):
+        monkeypatch.setattr(picard, "_usable_cores", lambda: 2)
+        assert picard._shard_bounds(num_batch, 992) == bounds
+
+    def test_one_core_is_one_shard(self, monkeypatch):
+        monkeypatch.setattr(picard, "_usable_cores", lambda: 1)
+        assert picard._shard_bounds(240, 992) == [(0, 240)]
+
+
+class TestShardedStep:
+    NB = 6
+
+    def step(self, grid, stencil, **options):
+        stepper = PicardStepper(grid, mixed_masses(self.NB // 2), stencil=stencil,
+                                options=PicardOptions(**options))
+        return stepper, stepper.step(varied_batch(grid, self.NB), dt=0.05)
+
+    @staticmethod
+    def assert_same(a, b):
+        np.testing.assert_array_equal(a.f_new, b.f_new)
+        np.testing.assert_array_equal(a.linear_iterations, b.linear_iterations)
+        np.testing.assert_array_equal(a.converged, b.converged)
+        np.testing.assert_array_equal(a.health, b.health)
+        assert a.picard_updates == b.picard_updates
+
+    @pytest.mark.parametrize("warm_start", [True, False])
+    def test_bit_identical_to_one_shard(
+        self, small_grid, small_stencil, monkeypatch, warm_start
+    ):
+        serial_stepper, serial = self.step(small_grid, small_stencil,
+                                           warm_start=warm_start)
+        assert len(serial_stepper._shards) == 1
+        monkeypatch.setattr(picard, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(picard, "batch_tile", lambda num_rows, itemsize: 1)
+        sharded_stepper, sharded = self.step(small_grid, small_stencil,
+                                             warm_start=warm_start)
+        assert [s[:2] for s in sharded_stepper._shards] == [(0, 3), (3, 6)]
+        # Iteration counts differ across systems, so the shards did real,
+        # uneven work.
+        assert len(np.unique(serial.linear_iterations[0])) > 1
+        self.assert_same(sharded, serial)
+
+    def test_many_shards_under_frequent_thread_switches(
+        self, small_grid, small_stencil, monkeypatch
+    ):
+        """Four shards on two cores, the interpreter switching threads every
+        10 us: a state shared between shards would show as changed bits."""
+        nb = 12
+        masses, f0 = mixed_masses(nb // 2), varied_batch(small_grid, nb)
+        serial = PicardStepper(small_grid, masses, stencil=small_stencil).step(f0, 0.05)
+        monkeypatch.setattr(picard, "_usable_cores", lambda: 4)
+        monkeypatch.setattr(picard, "batch_tile", lambda num_rows, itemsize: 1)
+        monkeypatch.setattr(picard, "_POOL", None)  # a fresh pool of three threads
+        stepper = PicardStepper(small_grid, masses, stencil=small_stencil)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with hang_guard():
+                sharded = stepper.step(f0, 0.05)
+        finally:
+            sys.setswitchinterval(interval)
+            if picard._POOL is not None:
+                picard._POOL.shutdown()
+        assert len(stepper._shards) == 4
+        self.assert_same(sharded, serial)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_fault_in_shard_one_is_isolated_and_rescued(
+        self, small_grid, small_stencil, two_shards
+    ):
+        inj = FaultInjector([FaultSpec("nan_guess", system=4, rows=(0, 1))])
+        _, clean = self.step(small_grid, small_stencil, escalation=True)
+        _, hurt = self.step(small_grid, small_stencil, escalation=True,
+                            fault_injector=inj)
+        # Shard 0 (systems 0-2) never sees the fault.
+        np.testing.assert_array_equal(hurt.f_new[:3], clean.f_new[:3])
+        np.testing.assert_array_equal(hurt.linear_iterations[:, :3],
+                                      clean.linear_iterations[:, :3])
+        # The poisoned warm start of system 4 is rescued by the ladder.
+        assert hurt.converged.all()
+        assert (hurt.health == SolverHealth.CONVERGED).all()
+        np.testing.assert_allclose(hurt.f_new[4], clean.f_new[4], rtol=1e-6, atol=1e-10)
+
+    @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
+    def test_forked_ranks_shard_and_match_sequential(self, small_grid, two_shards):
+        nb = 12  # two ranks of six systems: each rank's step runs two shards
+        masses = mixed_masses(nb // 2)
+        f0 = varied_batch(small_grid, nb)
+        factory = functools.partial(sharding_stepper, small_grid, masses)
+        # A sharded step here first, so the forked children inherit a live
+        # shard pool whose threads did not survive the fork.
+        stepper = factory(np.arange(nb))
+        stepper.step(f0, 0.05)
+        assert len(stepper._shards) == 2
+        sequential = run_distributed(factory, f0, 0.05, 2, parallel=False)
+        # Fork, as the runner's default pool does on Linux; a child stuck on
+        # the inherited pool would hang the run, so fail instead.
+        with hang_guard(), ProcessPoolExecutor(
+            2, mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            forked = run_distributed(factory, f0, 0.05, 2, parallel=True,
+                                     executor=pool)
+        np.testing.assert_array_equal(forked.gather_f(), sequential.gather_f())
+        for a, b in zip(forked.rank_results, sequential.rank_results):
+            np.testing.assert_array_equal(a.linear_iterations, b.linear_iterations)
+            np.testing.assert_array_equal(a.health, b.health)

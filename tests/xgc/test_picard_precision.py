@@ -65,11 +65,21 @@ class TestAssemblyStructureCaching:
         np.testing.assert_array_equal(reused.values, fresh.values)
 
     def test_stepper_reuses_assembly_buffer(self, small_grid, small_stencil):
+        """Every Picard iteration of every step assembles into one buffer."""
         stepper = PicardStepper(small_grid, _masses(1), stencil=small_stencil)
+        assemble, values = stepper._assemble, []
+
+        def spy(*args):
+            matrix = assemble(*args)
+            values.append(matrix.values)
+            return matrix
+
+        stepper._assemble = spy
         f = _f0(small_grid, nodes=1)
-        m1 = stepper.assemble(f, dt=0.05)
-        m2 = stepper.assemble(1.05 * f, dt=0.05)
-        assert m2.values is m1.values  # second assembly landed in the buffer
+        stepper.step(f, dt=0.05)
+        stepper.step(f, dt=0.05)
+        assert len(values) == 10
+        assert all(v is values[0] for v in values)
 
 
 class TestPicardPrecision:

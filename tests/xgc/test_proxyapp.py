@@ -79,8 +79,18 @@ class TestRun:
         m, f = small_app.build_matrices()
         assert m.num_batch == small_app.config.num_batch
         assert m.num_rows == small_app.config.grid.num_cells
-        assert m.format_name == "ell"
+        assert m.format_name == "dia"  # the default: DIA, as the tuner picks
         assert f.shape == (m.num_batch, m.num_rows)
+
+    def test_build_matrices_owns_its_values(self, small_app):
+        """Running the app never overwrites a matrix handed out earlier,
+        and two calls share no memory."""
+        m, _ = small_app.build_matrices()
+        kept = m.values.copy()
+        small_app.run(1)
+        np.testing.assert_array_equal(m.values, kept)
+        m2, _ = small_app.build_matrices()
+        assert not np.shares_memory(m.values, m2.values)
 
     def test_build_matrices_csr_option(self):
         g = VelocityGrid(nv_par=8, nv_perp=7)

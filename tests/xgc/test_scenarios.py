@@ -1,5 +1,7 @@
 """Tests for the predefined proxy-app scenarios (incl. multi-ion)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.xgc import (
     ELECTRON,
     TRITON,
     CollisionProxyApp,
+    PicardOptions,
     VelocityGrid,
     electron_only,
     multi_ion,
@@ -85,7 +88,8 @@ class TestMultiIonPhysics:
         """All four species' systems live in one batch with one shared
         index array — the storage-sharing point of the batched formats."""
         app, _ = run
-        matrix, _ = app.build_matrices()
+        ell = replace(app.config, picard=PicardOptions(matrix_format="ell"))
+        matrix, _ = CollisionProxyApp(ell).build_matrices()
         assert matrix.num_batch == 8
         assert matrix.col_idxs.ndim == 2  # one ELL pattern, not per-system
         assert matrix.values.shape[0] == 8  # values per system

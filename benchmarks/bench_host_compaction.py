@@ -30,7 +30,7 @@ import time
 
 import numpy as np
 
-from timing import best_of, percentiles
+from timing import best_of
 
 from repro.core import (
     AbsoluteResidual,
@@ -39,7 +39,6 @@ from repro.core import (
     to_format,
 )
 from repro.core.blas import fused_update, masked_axpy
-from repro.dist.runner import shared_executor, shutdown_executor
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -129,50 +128,6 @@ def bench_blas_micro(num_batch: int, num_rows: int, reps: int = 100):
     }
 
 
-def bench_executor_reuse(workers: int = 2, rounds: int = 5):
-    """Cost of the per-call process pool ``dist.runner`` used to pay.
-
-    ``run_distributed`` historically created (and tore down) a
-    ``ProcessPoolExecutor`` on *every* parallel call; it now reuses the
-    module's shared pool.  This measures exactly that difference: each
-    "cold" round shuts the shared pool down first — paying worker spawn on
-    the round's first use, as every call used to — while "warm" rounds
-    reuse the live pool.
-    """
-    def round_trip(pool):
-        futures = [pool.submit(min, 1, 2) for _ in range(workers)]
-        for fut in futures:
-            fut.result()
-
-    cold, warm = [], []
-    for _ in range(rounds):
-        shutdown_executor()
-        t0 = time.perf_counter()
-        round_trip(shared_executor(workers))
-        cold.append(time.perf_counter() - t0)
-
-    pool = shared_executor(workers)
-    round_trip(pool)  # ensure workers are fully started before timing
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        round_trip(pool)
-        warm.append(time.perf_counter() - t0)
-    shutdown_executor()
-
-    cold_stats = percentiles(cold)
-    warm_stats = percentiles(warm)
-    return {
-        "workers": workers,
-        "rounds": rounds,
-        "cold_stats": cold_stats,
-        "warm_stats": warm_stats,
-        "reuse_speedup": cold_stats["p50"] / max(warm_stats["p50"], 1e-12),
-        "notes": "cold = fresh ProcessPoolExecutor per round (the old "
-                 "run_distributed behaviour); warm = the shared pool "
-                 "run_distributed now reuses across calls",
-    }
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--num-batch", type=int, default=240)
@@ -234,7 +189,6 @@ def main(argv=None) -> int:
             "all_converged": bool(res_plain.all_converged),
         },
         "blas": bench_blas_micro(args.num_batch, args.num_rows),
-        "executor_reuse": bench_executor_reuse(),
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n")
 
@@ -248,10 +202,6 @@ def main(argv=None) -> int:
     print(f"  blas micro:  masked_axpy "
           f"{report['blas']['masked_axpy_speedup']:.2f}x, fused_update "
           f"{report['blas']['fused_update_speedup']:.2f}x vs np.where")
-    reuse = report["executor_reuse"]
-    print(f"  executor:    cold {reuse['cold_stats']['p50'] * 1e3:.1f} ms vs "
-          f"warm {reuse['warm_stats']['p50'] * 1e3:.1f} ms per round "
-          f"({reuse['reuse_speedup']:.0f}x from pool reuse)")
     print(f"  report: {args.output}")
 
     if not (iters_identical and norms_identical):

@@ -34,7 +34,7 @@ import numpy as np
 from ...utils.validation import check_positive
 from ..batch_dense import batch_norm2
 from ..convert import to_format
-from ..faults import HEALTH_DTYPE, SolverHealth, derive_health, health_counts
+from ..faults import HEALTH_DTYPE, SolverHealth, health_counts
 from ..stop import AbsoluteResidual, StoppingCriterion
 from ..types import SolveResult
 from .base import BatchedIterativeSolver
@@ -213,11 +213,7 @@ class EscalationSolver:
         else:
             res = primary.solve(matrix, b, x0)
 
-        health_before = (
-            res.health.copy()
-            if res.health is not None
-            else derive_health(res.converged, res.residual_norms)
-        )
+        health_before = res.health.copy()
         health = health_before.copy()
         x = res.x.copy()
         iterations = res.iterations.copy()

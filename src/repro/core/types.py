@@ -21,6 +21,8 @@ from typing import Optional
 
 import numpy as np
 
+from .faults import derive_health
+
 __all__ = [
     "DTYPE",
     "INDEX_DTYPE",
@@ -137,10 +139,12 @@ class SolveResult:
         (each ``(num_batch,)``), populated when a convergence logger with
         history recording is attached.
     health:
-        Optional per-system :class:`~repro.core.faults.SolverHealth` codes,
-        shape ``(num_batch,)`` int8 — the breakdown taxonomy filled in by
-        the iteration driver's health guards.  ``None`` for solvers without
-        driver-level monitoring.
+        Per-system :class:`~repro.core.faults.SolverHealth` codes, shape
+        ``(num_batch,)`` int8 — the breakdown taxonomy filled in by the
+        iteration driver's health guards.  Solvers without driver-level
+        monitoring (the direct solvers) pass none and get
+        :func:`~repro.core.faults.derive_health` of ``converged`` and
+        ``residual_norms``.
     """
 
     x: np.ndarray
@@ -151,6 +155,10 @@ class SolveResult:
     format: str = ""
     residual_history: Optional[list] = field(default=None, repr=False)
     health: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        if self.health is None:
+            self.health = derive_health(self.converged, self.residual_norms)
 
     @property
     def num_batch(self) -> int:

@@ -4,8 +4,10 @@ The proxy app "utilizes MPI for multiple CPU nodes" and is embarrassingly
 parallel over mesh nodes: each rank owns a contiguous slice of the batch
 and runs its own Picard loop.  This module provides the decomposition
 helpers — block and cyclic partitions plus imbalance diagnostics — without
-requiring an MPI runtime (mpi4py is not a dependency); the simulated runner
-in :mod:`repro.dist.runner` executes the decomposed batches rank by rank.
+requiring an MPI runtime (mpi4py is not a dependency).  The simulated
+runner in :mod:`repro.dist.runner` executes the ranks one after another in
+the calling process, and the solver service's dispatcher bills its GPU
+shards on block partitions.
 """
 
 from __future__ import annotations

@@ -6,21 +6,14 @@ synchronisation point at the end of the collision step, and the resulting
 parallel efficiency.
 
 Ranks own independent problems, so their *numerics* never depend on how
-they are executed.  By default small runs execute sequentially in-process;
-large runs (``num_batch >= parallel_threshold``) are fanned out over a
-process pool — the host-side analogue of one MPI rank per GPU — which
-shortens real wall-clock for benchmark sweeps without touching the
-modelled timing (still computed in the parent from each rank's iteration
-counts).  Factories that cannot cross a process boundary (e.g. closures)
-fall back to the sequential path automatically.
+they are executed.  Ranks run one after another in the calling process;
+a large rank's :class:`~repro.xgc.picard.PicardStepper` splits its own
+linear solves across the usable cores.  Each rank is priced from the
+stepper that solved it: its stencil, matrix format and solver.
 """
 
 from __future__ import annotations
 
-import atexit
-import concurrent.futures
-import os
-import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,45 +24,7 @@ from ..gpu.timing import estimate_iterative_solve
 from ..xgc.picard import PicardStepper
 from .partition import Partition, partition_batch
 
-__all__ = ["RankResult", "DistributedRun", "run_distributed",
-           "shared_executor", "shutdown_executor"]
-
-
-#: Lazily-created process pool shared across :func:`run_distributed` calls.
-#: Spawning a pool costs tens of milliseconds of fork/spawn overhead *per
-#: call* — a benchmark sweep of hundreds of distributed steps used to pay
-#: it every time.  The pool is keyed by its worker count: asking for a
-#: different size replaces it.
-_POOL: concurrent.futures.ProcessPoolExecutor | None = None
-_POOL_WORKERS: int = 0
-
-
-def shared_executor(max_workers: int) -> concurrent.futures.ProcessPoolExecutor:
-    """The shared process pool, (re)created on first use or size change.
-
-    The pool persists across calls and is torn down at interpreter exit
-    (or explicitly via :func:`shutdown_executor`).  A pool that broke —
-    e.g. a worker died — is replaced on the next request.
-    """
-    global _POOL, _POOL_WORKERS
-    if _POOL is not None and _POOL_WORKERS != max_workers:
-        shutdown_executor()
-    if _POOL is None:
-        _POOL = concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
-        _POOL_WORKERS = max_workers
-    return _POOL
-
-
-def shutdown_executor() -> None:
-    """Tear down the shared pool (idempotent; safe without one)."""
-    global _POOL, _POOL_WORKERS
-    if _POOL is not None:
-        _POOL.shutdown(wait=True, cancel_futures=True)
-        _POOL = None
-        _POOL_WORKERS = 0
-
-
-atexit.register(shutdown_executor)
+__all__ = ["RankResult", "DistributedRun", "run_distributed"]
 
 
 @dataclass
@@ -88,15 +43,14 @@ class RankResult:
         Modelled wall-clock of the rank's solves on the target GPU.
     health:
         Per-system worst :class:`~repro.core.faults.SolverHealth` the
-        rank's Picard loop observed (``np.int8`` codes), or ``None`` for
-        steppers that do not report health.
+        rank's Picard loop observed (``np.int8`` codes).
     """
 
     rank: int
     f_new: np.ndarray
     linear_iterations: np.ndarray
     modelled_time_s: float
-    health: np.ndarray | None = None
+    health: np.ndarray
 
 
 @dataclass
@@ -127,55 +81,13 @@ class DistributedRun:
         return self.partition.gather([r.f_new for r in self.rank_results])
 
     def gather_health(self) -> np.ndarray:
-        """Per-system health reassembled into batch order (CONVERGED for
-        ranks that reported none)."""
-        slices = []
-        for r in self.rank_results:
-            if r.health is not None:
-                slices.append(np.asarray(r.health, dtype=HEALTH_DTYPE))
-            else:
-                slices.append(
-                    np.full(r.f_new.shape[0], SolverHealth.CONVERGED, HEALTH_DTYPE)
-                )
-        return self.partition.gather(slices)
+        """Per-system health reassembled into batch order."""
+        return self.partition.gather([r.health for r in self.rank_results])
 
-    def health_counts(self, *, unreported: str = "converged") -> dict:
+    def health_counts(self) -> dict:
         """Worst-health histogram across all ranks (the MPI-reduce analogue:
-        each rank reduces locally, the counts merge here).
-
-        Runs routinely mix ranks whose stepper tracks health with ranks
-        whose stepper does not (``health=None``); ``unreported`` says how
-        the silent ranks' systems enter the histogram:
-
-        * ``"converged"`` (default) — counted as CONVERGED, the historical
-          behaviour (a non-reporting stepper raises on failure, so its
-          surviving systems did converge);
-        * ``"skip"`` — left out of the histogram entirely;
-        * ``"count"`` — tallied under an explicit ``"unreported"`` key.
-        """
-        if unreported == "converged":
-            return health_counts(self.gather_health())
-        if unreported not in ("skip", "count"):
-            raise ValueError(
-                f"unreported must be 'converged', 'skip' or 'count', "
-                f"got {unreported!r}"
-            )
-        reported = [
-            np.asarray(r.health, dtype=HEALTH_DTYPE)
-            for r in self.rank_results
-            if r.health is not None
-        ]
-        counts = (
-            health_counts(np.concatenate(reported)) if reported else {}
-        )
-        missing = sum(
-            r.f_new.shape[0]
-            for r in self.rank_results
-            if r.health is None
-        )
-        if unreported == "count" and missing:
-            counts["unreported"] = missing
-        return counts
+        each rank reduces locally, the counts merge here)."""
+        return health_counts(self.gather_health())
 
     @property
     def worst_health(self) -> int:
@@ -186,44 +98,19 @@ class DistributedRun:
         return int(gathered.max())
 
 
-def _rank_task(stepper_factory, idx, f_slice, dt):
-    """One rank's work, shippable to a worker process.
-
-    Returns the raw arrays (plus the matrix format for the timing model)
-    rather than the full :class:`~repro.xgc.picard.PicardStepResult` so the
-    payload crossing the process boundary stays small.
-    """
-    stepper: PicardStepper = stepper_factory(idx)
-    result = stepper.step(f_slice, dt)
-    return (
-        result.f_new,
-        result.linear_iterations,
-        stepper.options.matrix_format,
-        result.health,
+def _modelled_time(stepper: PicardStepper, linear_iterations, gpu: GpuSpec) -> float:
+    """GPU-model time of a rank's solves, priced from the stepper that ran them."""
+    stencil = stepper.stencil
+    n = stencil.num_rows
+    stored = int(stencil.nnz_per_row().max()) * n
+    opts = stepper.options
+    return sum(
+        estimate_iterative_solve(
+            gpu, opts.matrix_format, n, stencil.nnz, its,
+            stored_nnz=stored, solver=opts.solver,
+        ).total_time_s
+        for its in linear_iterations
     )
-
-
-def _run_ranks_parallel(stepper_factory, jobs, f0, dt, max_workers,
-                        executor=None):
-    """Execute ``(rank, idx)`` jobs on a process pool; returns {rank: output}.
-
-    Uses ``executor`` when given, else the module's shared pool (created
-    once, reused across calls).  Raises whatever pickling/pool error the
-    executor produced so the caller can fall back to sequential execution;
-    a broken shared pool is discarded so the next call gets a fresh one.
-    """
-    workers = max_workers or min(len(jobs), os.cpu_count() or 1)
-    pool = executor if executor is not None else shared_executor(workers)
-    try:
-        futures = {
-            rank: pool.submit(_rank_task, stepper_factory, idx, f0[idx], dt)
-            for rank, idx in jobs
-        }
-        return {rank: fut.result() for rank, fut in futures.items()}
-    except concurrent.futures.BrokenExecutor:
-        if executor is None:
-            shutdown_executor()
-        raise
 
 
 def run_distributed(
@@ -234,23 +121,15 @@ def run_distributed(
     *,
     scheme: str = "block",
     gpu: GpuSpec = V100,
-    num_rows: int | None = None,
-    nnz: int = 8554,
-    stored_nnz: int | None = None,
-    parallel: bool | None = None,
-    parallel_threshold: int = 64,
-    max_workers: int | None = None,
-    executor: concurrent.futures.Executor | None = None,
 ) -> DistributedRun:
     """Run one collision step decomposed over simulated ranks.
 
     Parameters
     ----------
     stepper_factory:
-        Callable ``(rank_masses) -> PicardStepper`` building the per-rank
-        stepper (each rank owns a slice of the species-mass array).  Must be
-        picklable (a module-level function or functools.partial of one) for
-        the parallel path; unpicklable factories silently run sequentially.
+        Callable ``(rank_indices) -> PicardStepper`` building a rank's
+        stepper from the batch indices the rank owns (e.g. to slice the
+        species-mass array).
     f0:
         Full batch of initial distributions, shape ``(num_batch, n)``.
     dt:
@@ -261,64 +140,22 @@ def run_distributed(
         Partitioning scheme (see :func:`repro.dist.partition.partition_batch`).
     gpu:
         GPU model used for the per-rank timing estimate.
-    parallel:
-        ``True`` forces the process-pool path, ``False`` forces sequential,
-        ``None`` (default) picks the pool only when ``num_ranks > 1`` and
-        the batch reaches ``parallel_threshold`` (process start-up costs
-        more than a small batch's solve).
-    parallel_threshold:
-        Minimum ``num_batch`` for the automatic parallel path.
-    max_workers:
-        Process-pool size cap (default: one worker per non-empty rank, up
-        to the CPU count).
-    executor:
-        Externally-owned executor to run rank tasks on (its lifecycle is
-        the caller's).  Default ``None`` uses the module's shared pool —
-        created once and reused across calls, since pool start-up costs
-        more than a small batch's entire solve.
     """
-    num_batch = f0.shape[0]
-    n = f0.shape[1] if num_rows is None else num_rows
-    part = partition_batch(num_batch, num_ranks, scheme=scheme)
+    part = partition_batch(f0.shape[0], num_ranks, scheme=scheme)
     run = DistributedRun(partition=part)
-
-    tasks = [(rank, part.indices_of(rank)) for rank in range(num_ranks)]
-    jobs = [(rank, idx) for rank, idx in tasks if idx.size > 0]
-
-    if parallel is None:
-        use_parallel = len(jobs) > 1 and num_batch >= parallel_threshold
-    else:
-        use_parallel = bool(parallel) and len(jobs) > 1
-
-    outputs: dict[int, tuple] = {}
-    if use_parallel:
-        try:
-            outputs = _run_ranks_parallel(
-                stepper_factory, jobs, f0, dt, max_workers, executor
-            )
-        except (pickle.PicklingError, AttributeError, TypeError,
-                concurrent.futures.BrokenExecutor):
-            outputs = {}  # unpicklable factory or broken pool: run in-process
-
-    for rank, idx in tasks:
+    for rank in range(num_ranks):
+        idx = part.indices_of(rank)
         if idx.size == 0:
             run.rank_results.append(
                 RankResult(rank, f0[:0], np.zeros((0, 0)), 0.0,
                            np.zeros(0, dtype=HEALTH_DTYPE))
             )
             continue
-        if rank in outputs:
-            f_new, iters_arr, matrix_format, health = outputs[rank]
-        else:
-            f_new, iters_arr, matrix_format, health = _rank_task(
-                stepper_factory, idx, f0[idx], dt
-            )
-        t = 0.0
-        for iters in iters_arr:
-            est = estimate_iterative_solve(
-                gpu, matrix_format, n, nnz, iters,
-                stored_nnz=stored_nnz,
-            )
-            t += est.total_time_s
-        run.rank_results.append(RankResult(rank, f_new, iters_arr, t, health))
+        stepper = stepper_factory(idx)
+        result = stepper.step(f0[idx], dt)
+        run.rank_results.append(RankResult(
+            rank, result.f_new, result.linear_iterations,
+            _modelled_time(stepper, result.linear_iterations, gpu),
+            result.health,
+        ))
     return run

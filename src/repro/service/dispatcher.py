@@ -107,14 +107,13 @@ class Dispatcher:
     node:
         Simulated multi-GPU node (default: a Summit node, 6x V100).
     num_ranks:
-        GPUs the dispatcher shards across (capped at the node's count).
+        GPUs the dispatcher shards across, in contiguous blocks (capped
+        at the node's count).
     max_iter:
         Iteration cap handed to every solver the dispatcher builds.
     degraded_precision:
         Inner-solver precision of the refinement ladder that serves
         degraded requests.
-    partition_scheme:
-        ``"block"`` (default) or ``"cyclic"`` sharding.
     """
 
     def __init__(
@@ -125,7 +124,6 @@ class Dispatcher:
         num_ranks: int = 1,
         max_iter: int = 500,
         degraded_precision: str = "mixed",
-        partition_scheme: str = "block",
     ) -> None:
         if num_ranks < 1:
             raise ValueError("num_ranks must be at least 1")
@@ -134,7 +132,6 @@ class Dispatcher:
         self.num_ranks = min(int(num_ranks), int(node.gpus_per_node))
         self.max_iter = int(max_iter)
         self.degraded_precision = degraded_precision
-        self.partition_scheme = partition_scheme
         self._solvers: dict[tuple, object] = {}
         #: Running totals for the service report.
         self.batches_run = 0
@@ -184,10 +181,7 @@ class Dispatcher:
         # Degraded batches run the refinement ladder; the kernel being
         # billed is its fp32/mixed inner solver.
         billed_solver = "bicgstab" if key.degraded else variant
-        part = partition_batch(
-            num_batch, min(self.num_ranks, num_batch),
-            scheme=self.partition_scheme,
-        )
+        part = partition_batch(num_batch, min(self.num_ranks, num_batch))
         per_system_values = matrix.values.nbytes / num_batch
         per_system_vec = n * 8  # rhs in, solution out: always fp64 host data
         worst = 0.0

@@ -103,7 +103,7 @@ class TicketResult:
     iterations: np.ndarray
     residual_norms: np.ndarray
     converged: np.ndarray
-    health: np.ndarray | None
+    health: np.ndarray
     health_counts: dict
     #: Aggregated health histogram of *all* systems this request's tenant
     #: has completed so far (this request included) — the service-level

@@ -45,24 +45,6 @@ from .queue import AdmissionQueue, SolveRequest, SolveTicket, TicketResult
 __all__ = ["ServiceReport", "SolverService"]
 
 
-def _health_histogram(converged: np.ndarray, health) -> dict[str, int]:
-    """Health histogram of a request's systems.
-
-    Solvers without fault tracking report ``health=None``; those systems
-    map onto converged/iterating, mirroring how
-    :func:`repro.core.faults.classify_health` grounds the taxonomy.
-    """
-    if health is not None:
-        return health_counts(health)
-    n_conv = int(np.count_nonzero(converged))
-    out = {}
-    if n_conv:
-        out["converged"] = n_conv
-    if len(converged) - n_conv:
-        out["iterating"] = len(converged) - n_conv
-    return out
-
-
 @dataclass
 class ServiceReport:
     """Aggregate metrics of one service run (all times virtual seconds)."""
@@ -345,9 +327,8 @@ class SolverService:
         for request, ticket, sl in zip(
             batch.requests, batch.tickets, report.slices
         ):
-            converged = result.converged[sl]
-            health = result.health[sl] if result.health is not None else None
-            counts = _health_histogram(converged, health)
+            health = result.health[sl]
+            counts = health_counts(health)
             tenant_tally = self.report.tenant_health.setdefault(
                 request.tenant, Counter()
             )
@@ -365,7 +346,7 @@ class SolverService:
                 x=result.x[sl],
                 iterations=result.iterations[sl],
                 residual_norms=result.residual_norms[sl],
-                converged=converged,
+                converged=result.converged[sl],
                 health=health,
                 health_counts=counts,
                 tenant_health_counts=dict(tenant_tally),

@@ -109,8 +109,8 @@ class FaultSpec:
 class FaultInjector:
     """Applies a list of :class:`FaultSpec` to matrices, rhs, and guesses.
 
-    Deterministic and picklable (plain data only), so it crosses the
-    process boundary of the dist runner and can live inside a frozen
+    Deterministic and picklable (plain data only), so it can cross a
+    process boundary and live inside a frozen
     :class:`~repro.xgc.picard.PicardOptions`.
     """
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.faults import derive_health, worst_health
+from ..core.faults import worst_health
 from ..core.logging_ import BatchLogger
 from ..core.solvers import EscalationSolver, RefinementSolver, make_solver
 from ..core.solvers.schedule import iterative_solver_names
@@ -101,12 +101,7 @@ def _shard_pool():
 def _solve_shard(solver, matrix, b, x0, workspace):
     """One shard's solve: ``(x, iterations, converged, health)``."""
     res = solver.solve(matrix, b, x0=x0, workspace=workspace)
-    health = (
-        res.health
-        if res.health is not None
-        else derive_health(res.converged, res.residual_norms)
-    )
-    return res.x, res.iterations, res.converged, health
+    return res.x, res.iterations, res.converged, res.health
 
 
 @dataclass(frozen=True)
@@ -125,6 +120,8 @@ class PicardOptions:
         ``"richardson"``; the SPD-only ``"cg"`` / ``"pipelined_cg"`` are
         accepted but the collision matrices are nonsymmetric — caveat
         emptor).  The default is bit-identical to earlier releases.
+        The inner solver keeps its own iteration cap (500) and
+        active-batch compaction threshold (0.5).
     warm_start:
         Use the previous Picard iterate as initial guess of each linear
         solve (paper default; switch off to reproduce the zero-guess
@@ -132,8 +129,6 @@ class PicardOptions:
     linear_tol:
         Absolute residual tolerance of the inner batched solver
         (paper: 1e-10).
-    max_linear_iter:
-        Inner-solver iteration cap.
     matrix_format:
         ``"dia"`` (the default: the gather-free stencil format the tuner
         picks for the collision stencil on every GPU, with the lowest host
@@ -149,12 +144,6 @@ class PicardOptions:
         Apply XGC's post-step conservation correction (restore density,
         parallel momentum and energy exactly by a low-order polynomial
         multiplier).  On by default, as in the production code.
-    compact_threshold:
-        Active-batch compaction trigger of the inner solver: when the
-        active fraction of the batch drops to this value or below, the
-        solver gathers the still-active systems into a compact sub-batch.
-        Especially effective with warm starts, where late Picard solves
-        start mostly converged.  ``None`` disables compaction.
     precision:
         Precision of the inner linear solves: ``"fp64"`` (paper default,
         bit-identical to earlier releases), or ``"fp32"`` / ``"mixed"``,
@@ -183,12 +172,10 @@ class PicardOptions:
     solver: str = "bicgstab"
     warm_start: bool = True
     linear_tol: float = 1e-10
-    max_linear_iter: int = 500
     matrix_format: str = "dia"
     preconditioner: str = "jacobi"
     picard_tol: float = 0.0
     conservation_fix: bool = True
-    compact_threshold: float | None = 0.5
     precision: str = "fp64"
     escalation: bool = False
     fault_injector: object | None = None
@@ -197,14 +184,8 @@ class PicardOptions:
         check_positive(self.num_iterations, "num_iterations")
         check_in(self.solver, iterative_solver_names(), "solver")
         check_positive(self.linear_tol, "linear_tol")
-        check_positive(self.max_linear_iter, "max_linear_iter")
         check_in(self.matrix_format, ("ell", "csr", "dia"), "matrix_format")
         check_in(self.precision, ("fp64", "fp32", "mixed"), "precision")
-        if self.compact_threshold is not None and not 0.0 < self.compact_threshold <= 1.0:
-            raise ValueError(
-                f"compact_threshold must lie in (0, 1] or be None, "
-                f"got {self.compact_threshold}"
-            )
 
 
 @dataclass
@@ -306,9 +287,7 @@ class PicardStepper:
                 self.options.solver,
                 preconditioner=self.options.preconditioner,
                 criterion=AbsoluteResidual(self.options.linear_tol),
-                max_iter=self.options.max_linear_iter,
                 logger=BatchLogger(),
-                compact_threshold=self.options.compact_threshold,
             )
         else:
             # Low-precision inner sweeps + fp64 outer correction: the
@@ -318,9 +297,7 @@ class PicardStepper:
                 self.options.solver,
                 preconditioner=self.options.preconditioner,
                 criterion=RelativeResidual(1e-4),
-                max_iter=self.options.max_linear_iter,
                 logger=BatchLogger(),
-                compact_threshold=self.options.compact_threshold,
                 precision=self.options.precision,
             )
             solver = RefinementSolver(
@@ -335,8 +312,6 @@ class PicardStepper:
                 ladder=(solver, "gmres", "refinement", "direct"),
                 preconditioner=self.options.preconditioner,
                 criterion=AbsoluteResidual(self.options.linear_tol),
-                max_iter=self.options.max_linear_iter,
-                compact_threshold=self.options.compact_threshold,
             )
         return solver
 

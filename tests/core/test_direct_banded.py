@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from repro.core import BatchBandedLu, BatchCsr, banded_lu_solve
+from repro.core.faults import HEALTH_DTYPE, SolverHealth
 from repro.core.solvers.direct_banded import SingularBatchError
 from repro.utils import csr_to_banded, detect_bandwidths
 
@@ -147,6 +148,13 @@ class TestBatchBandedLuSolver:
         assert np.all(res.iterations == 1)
         np.testing.assert_allclose(res.x, x_true, rtol=1e-8, atol=1e-10)
         assert np.all(res.residual_norms < 1e-8)
+
+    def test_reports_per_system_health(self, rng):
+        """A direct solve carries health codes like an iterative one."""
+        csr = BatchCsr.from_dense(random_banded_dense(rng, 3, 15, 2, 2))
+        res = BatchBandedLu().solve(csr, rng.standard_normal((3, 15)))
+        assert res.health.dtype == HEALTH_DTYPE
+        np.testing.assert_array_equal(res.health, [SolverHealth.CONVERGED] * 3)
 
     def test_accepts_banded_input(self, rng):
         dense = random_banded_dense(rng, 2, 10, 1, 2)

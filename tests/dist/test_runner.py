@@ -1,27 +1,21 @@
 """Tests for the simulated multi-rank proxy-app execution."""
 
-import functools
-
 import numpy as np
 import pytest
 
 from repro.core.faults import HEALTH_DTYPE, SolverHealth
 from repro.dist import run_distributed
 from repro.dist.partition import partition_batch
-from repro.dist.runner import (
-    DistributedRun,
-    RankResult,
-    shared_executor,
-    shutdown_executor,
+from repro.dist.runner import DistributedRun, RankResult
+from repro.gpu import V100, estimate_iterative_solve
+from repro.xgc import (
+    CollisionStencil,
+    PicardOptions,
+    PicardStepper,
+    VelocityGrid,
+    maxwellian,
 )
-from repro.xgc import PicardStepper, VelocityGrid, CollisionStencil, maxwellian
 from repro.xgc.species import DEUTERON, ELECTRON
-
-
-def _spawnable_factory(masses, idx):
-    """Module-level factory: picklable, so it can cross a process boundary."""
-    grid = VelocityGrid(nv_par=10, nv_perp=9)
-    return PicardStepper(grid, masses[idx])
 
 
 @pytest.fixture(scope="module")
@@ -44,17 +38,14 @@ def setup():
 class TestRunDistributed:
     def test_matches_single_rank_numerics(self, setup):
         """Decomposition must not change the physics: the gathered result
-        equals the single-rank result bit-for-bit (independent systems)."""
+        equals the single-rank result (independent systems)."""
         grid, masses, f0, factory = setup
-        single = run_distributed(
-            factory, f0, 0.05, 1, nnz=grid.num_cells * 9
-        )
-        multi = run_distributed(
-            factory, f0, 0.05, 4, nnz=grid.num_cells * 9
-        )
+        single = run_distributed(factory, f0, 0.05, 1)
+        multi = run_distributed(factory, f0, 0.05, 4)
         np.testing.assert_allclose(
             multi.gather_f(), single.gather_f(), rtol=1e-12, atol=1e-14
         )
+        np.testing.assert_array_equal(multi.gather_health(), single.gather_health())
 
     def test_cyclic_scheme_same_result(self, setup):
         grid, masses, f0, factory = setup
@@ -85,133 +76,50 @@ class TestRunDistributed:
 
     def test_empty_ranks_tolerated(self, setup):
         grid, masses, f0, factory = setup
-        run = run_distributed(factory, f0, 0.05, 16)  # > batch size? 8 < 16
+        run = run_distributed(factory, f0, 0.05, 16)  # 8 systems, 16 ranks
         assert run.makespan_s > 0
         assert run.gather_f().shape == f0.shape
+        # Empty ranks report no health codes, and every system one.
+        assert [r.health.size for r in run.rank_results] == [1] * 8 + [0] * 8
+        assert run.health_counts() == {"converged": 8}
 
 
-class TestParallelExecution:
-    def test_process_pool_matches_sequential(self, setup):
-        """Rank problems are independent: the process-pool path returns the
-        same distributions and modelled times as the sequential path."""
+class TestPricing:
+    @pytest.mark.parametrize("solver", ["bicgstab", "gmres"])
+    def test_rank_priced_from_its_stepper(self, setup, solver):
+        """A rank's solves are priced with its stepper's stencil (90 rows,
+        700 non-zeros, at most 9 per row), matrix format and solver."""
         grid, masses, f0, _ = setup
-        factory = functools.partial(_spawnable_factory, masses)
-        seq = run_distributed(factory, f0, 0.05, 2, parallel=False)
-        par = run_distributed(factory, f0, 0.05, 2, parallel=True, max_workers=2)
-        np.testing.assert_allclose(
-            par.gather_f(), seq.gather_f(), rtol=1e-12, atol=1e-14
-        )
-        for rs, rp in zip(seq.rank_results, par.rank_results):
-            np.testing.assert_array_equal(rs.linear_iterations, rp.linear_iterations)
-            assert rs.modelled_time_s == pytest.approx(rp.modelled_time_s)
-
-    def test_unpicklable_factory_falls_back(self, setup):
-        """Closure factories cannot cross process boundaries; the runner
-        must quietly run them in-process even when parallel is forced."""
-        grid, masses, f0, factory = setup  # `factory` is a closure
-        seq = run_distributed(factory, f0, 0.05, 2, parallel=False)
-        par = run_distributed(factory, f0, 0.05, 2, parallel=True)
-        np.testing.assert_allclose(
-            par.gather_f(), seq.gather_f(), rtol=1e-12, atol=1e-14
-        )
-
-    def test_auto_mode_stays_sequential_below_threshold(self, setup):
-        """Small batches never pay process start-up (the default path the
-        rest of this suite exercises)."""
-        grid, masses, f0, factory = setup
+        options = PicardOptions(solver=solver)
         run = run_distributed(
-            factory, f0, 0.05, 2, parallel=None, parallel_threshold=64
+            lambda idx: PicardStepper(grid, masses[idx], options=options),
+            f0, 0.05, 1,
         )
-        assert run.gather_f().shape == f0.shape
+        (rank,) = run.rank_results
+        expected = sum(
+            estimate_iterative_solve(
+                V100, options.matrix_format, 90, 700, its,
+                stored_nnz=810, solver=solver,
+            ).total_time_s
+            for its in rank.linear_iterations
+        )
+        assert rank.modelled_time_s == pytest.approx(expected, rel=1e-12)
 
 
-class TestSharedExecutor:
-    def test_pool_is_reused_across_calls(self):
-        """The whole point of the cache: same worker count, same object."""
-        shutdown_executor()
-        a = shared_executor(2)
-        b = shared_executor(2)
-        assert a is b
-        assert a.submit(min, 1, 2).result() == 1
-        shutdown_executor()
-
-    def test_size_change_replaces_pool(self):
-        shutdown_executor()
-        a = shared_executor(1)
-        b = shared_executor(2)
-        assert a is not b
-        assert b.submit(max, 1, 2).result() == 2
-        shutdown_executor()
-
-    def test_shutdown_idempotent(self):
-        shutdown_executor()
-        shutdown_executor()
-        assert shared_executor(1).submit(min, 3, 4).result() == 3
-        shutdown_executor()
-
-    def test_external_executor_honoured(self, setup):
-        """A caller-owned executor is used and left running."""
-        import concurrent.futures
-
-        grid, masses, f0, _ = setup
-        factory = functools.partial(_spawnable_factory, masses)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
-            seq = run_distributed(f0=f0, dt=0.05, num_ranks=2,
-                                  stepper_factory=factory, parallel=False)
-            par = run_distributed(f0=f0, dt=0.05, num_ranks=2,
-                                  stepper_factory=factory, parallel=True,
-                                  executor=pool)
-            np.testing.assert_allclose(
-                par.gather_f(), seq.gather_f(), rtol=1e-12, atol=1e-14
-            )
-            # The caller's pool must survive the call.
-            assert pool.submit(min, 1, 2).result() == 1
-
-
-def _mixed_health_run():
-    """Two reporting ranks + one silent rank (health=None)."""
-    part = partition_batch(6, 3, scheme="block")
-    h0 = np.array([SolverHealth.CONVERGED, SolverHealth.DIVERGED],
-                  dtype=HEALTH_DTYPE)
-    h2 = np.array([SolverHealth.STAGNATED, SolverHealth.CONVERGED],
-                  dtype=HEALTH_DTYPE)
-    ranks = [
-        RankResult(0, np.zeros((2, 4)), np.zeros((1, 2)), 1.0, h0),
-        RankResult(1, np.zeros((2, 4)), np.zeros((1, 2)), 1.0, None),
-        RankResult(2, np.zeros((2, 4)), np.zeros((1, 2)), 1.0, h2),
-    ]
-    return DistributedRun(partition=part, rank_results=ranks)
-
-
-class TestHealthCountsUnreported:
-    def test_default_counts_silent_ranks_as_converged(self):
-        run = _mixed_health_run()
-        counts = run.health_counts()
-        assert counts == {"converged": 4, "stagnated": 1, "diverged": 1}
-
-    def test_skip_drops_silent_ranks(self):
-        run = _mixed_health_run()
-        counts = run.health_counts(unreported="skip")
-        assert counts == {"converged": 2, "stagnated": 1, "diverged": 1}
-
-    def test_count_surfaces_silent_ranks_explicitly(self):
-        run = _mixed_health_run()
-        counts = run.health_counts(unreported="count")
-        assert counts == {
-            "converged": 2, "stagnated": 1, "diverged": 1, "unreported": 2,
+class TestHealthCounts:
+    def test_merges_every_ranks_codes(self):
+        part = partition_batch(6, 3, scheme="block")
+        codes = [
+            [SolverHealth.CONVERGED, SolverHealth.DIVERGED],
+            [SolverHealth.CONVERGED, SolverHealth.NON_FINITE],
+            [SolverHealth.STAGNATED, SolverHealth.CONVERGED],
+        ]
+        run = DistributedRun(partition=part, rank_results=[
+            RankResult(rank, np.zeros((2, 4)), np.zeros((1, 2)), 1.0,
+                       np.array(health, dtype=HEALTH_DTYPE))
+            for rank, health in enumerate(codes)
+        ])
+        assert run.health_counts() == {
+            "converged": 3, "stagnated": 1, "diverged": 1, "non_finite": 1,
         }
-
-    def test_all_silent(self):
-        part = partition_batch(2, 1)
-        run = DistributedRun(
-            partition=part,
-            rank_results=[RankResult(0, np.zeros((2, 4)),
-                                     np.zeros((1, 2)), 1.0, None)],
-        )
-        assert run.health_counts(unreported="skip") == {}
-        assert run.health_counts(unreported="count") == {"unreported": 2}
-        assert run.health_counts() == {"converged": 2}
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            _mixed_health_run().health_counts(unreported="ignore")
+        assert run.worst_health == SolverHealth.NON_FINITE

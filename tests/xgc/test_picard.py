@@ -2,7 +2,6 @@
 
 import contextlib
 import faulthandler
-import functools
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -11,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.core.faults import SolverHealth
-from repro.dist import run_distributed
 from repro.utils import FaultInjector, FaultSpec
 from repro.xgc import (
     DEUTERON,
@@ -187,9 +185,12 @@ def varied_batch(grid, num_batch):
     ])
 
 
-def sharding_stepper(grid, masses, idx):
-    """Module-level stepper factory, so dist ranks can build it in a fork."""
-    return PicardStepper(grid, masses[idx])
+def step_in_child(grid, masses, f0):
+    """One Picard step of a fresh stepper: module-level, so a process pool
+    can run it.  Returns the step's results and the stepper's shard count."""
+    stepper = PicardStepper(grid, masses)
+    result = stepper.step(f0, 0.05)
+    return result.f_new, result.linear_iterations, result.health, len(stepper._shards)
 
 
 @contextlib.contextmanager
@@ -300,25 +301,23 @@ class TestShardedStep:
         np.testing.assert_allclose(hurt.f_new[4], clean.f_new[4], rtol=1e-6, atol=1e-10)
 
     @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
-    def test_forked_ranks_shard_and_match_sequential(self, small_grid, two_shards):
-        nb = 12  # two ranks of six systems: each rank's step runs two shards
-        masses = mixed_masses(nb // 2)
-        f0 = varied_batch(small_grid, nb)
-        factory = functools.partial(sharding_stepper, small_grid, masses)
-        # A sharded step here first, so the forked children inherit a live
+    def test_forked_child_shards_and_matches_parent(self, small_grid, two_shards):
+        masses, f0 = mixed_masses(self.NB // 2), varied_batch(small_grid, self.NB)
+        # A sharded step here first, so the forked child inherits a live
         # shard pool whose threads did not survive the fork.
-        stepper = factory(np.arange(nb))
-        stepper.step(f0, 0.05)
+        stepper = PicardStepper(small_grid, masses)
+        parent = stepper.step(f0, 0.05)
         assert len(stepper._shards) == 2
-        sequential = run_distributed(factory, f0, 0.05, 2, parallel=False)
-        # Fork, as the runner's default pool does on Linux; a child stuck on
-        # the inherited pool would hang the run, so fail instead.
+        # Fork, multiprocessing's default start method on Linux before
+        # Python 3.14; a child stuck on the inherited pool would hang the
+        # run, so fail instead.
         with hang_guard(), ProcessPoolExecutor(
-            2, mp_context=multiprocessing.get_context("fork")
+            1, mp_context=multiprocessing.get_context("fork")
         ) as pool:
-            forked = run_distributed(factory, f0, 0.05, 2, parallel=True,
-                                     executor=pool)
-        np.testing.assert_array_equal(forked.gather_f(), sequential.gather_f())
-        for a, b in zip(forked.rank_results, sequential.rank_results):
-            np.testing.assert_array_equal(a.linear_iterations, b.linear_iterations)
-            np.testing.assert_array_equal(a.health, b.health)
+            f_new, iterations, health, shards = pool.submit(
+                step_in_child, small_grid, masses, f0
+            ).result()
+        assert shards == 2
+        np.testing.assert_array_equal(f_new, parent.f_new)
+        np.testing.assert_array_equal(iterations, parent.linear_iterations)
+        np.testing.assert_array_equal(health, parent.health)

@@ -210,7 +210,7 @@ def _cmd_serve(args) -> int:
           f"{args.duration * 1e3:g} ms (seed {args.seed}), {mode}:")
     print(f"  submitted {r.submitted}, completed {r.completed} "
           f"({r.completed_systems} systems), degraded {r.degraded}, "
-          f"shed {r.shed}")
+          f"shed {r.shed}, failed {r.failed}")
     print(f"  batches {r.batches} (mean size {r.mean_batch_size:.1f}), "
           f"compactions {r.compaction_events}, flushes {dict(r.flush_reasons)}")
     print(f"  throughput {r.throughput:,.0f} systems/s over "

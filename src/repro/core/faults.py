@@ -108,14 +108,16 @@ class HealthOptions:
 
 
 def health_counts(health: np.ndarray) -> dict[str, int]:
-    """Histogram of a health array keyed by state name (zero counts omitted)."""
-    health = np.asarray(health)
-    out: dict[str, int] = {}
-    for state in SolverHealth:
-        n = int(np.count_nonzero(health == state))
-        if n:
-            out[state.name.lower()] = n
-    return out
+    """Histogram of a health array keyed by state name (zero counts omitted).
+
+    ``health`` holds :class:`SolverHealth` codes, in any shape.
+    """
+    counts = np.bincount(
+        np.asarray(health, dtype=np.intp).ravel(), minlength=len(SolverHealth)
+    )
+    return {
+        state.name.lower(): int(n) for state, n in zip(SolverHealth, counts) if n
+    }
 
 
 def worst_health(*arrays: np.ndarray) -> np.ndarray:

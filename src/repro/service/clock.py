@@ -59,8 +59,10 @@ class VirtualClock:
         """A future that resolves when virtual time reaches ``when``.
 
         Times in the past resolve at the *current* time on the next drive
-        step (the clock never runs backwards).  The future can be
-        cancelled; cancelled timers are skipped when popped.
+        step (the clock never runs backwards).  The owner may cancel the
+        future or resolve it early (a waiter woken by other work); a timer
+        that is already done when popped is skipped without advancing
+        ``now``.
         """
         fut = asyncio.get_running_loop().create_future()
         heapq.heappush(
@@ -100,7 +102,8 @@ class VirtualClock:
         The driver alternates two phases: drain (every runnable coroutine
         runs until blocked) and fire (the earliest pending timer resolves
         and ``now`` jumps to it).  Firing one timer at a time keeps
-        simultaneous timers ordered by creation sequence.
+        simultaneous timers ordered by creation sequence; timers already
+        done (cancelled or resolved early) are dropped unfired.
 
         Raises ``RuntimeError`` when the simulation deadlocks: ``stop`` is
         still pending but no timer remains to wake anything up.
@@ -110,7 +113,7 @@ class VirtualClock:
             await self._drain()
             if stop.done():
                 return stop.result()
-            while self._timers and self._timers[0][2].cancelled():
+            while self._timers and self._timers[0][2].done():
                 heapq.heappop(self._timers)
             if not self._timers:
                 stop.cancel()
@@ -123,27 +126,3 @@ class VirtualClock:
             when, _, fut = heapq.heappop(self._timers)
             self._now = max(self._now, when)
             fut.set_result(None)
-
-    async def wait_event_or_until(
-        self, event: asyncio.Event, when: float | None
-    ) -> None:
-        """Block until ``event`` is set or virtual time reaches ``when``.
-
-        ``when=None`` waits on the event alone.  Either wake-up leaves the
-        event's state untouched — callers clear it themselves once they
-        have consumed the work that set it.
-        """
-        if when is None:
-            await event.wait()
-            return
-        if event.is_set():
-            return
-        timer = self.sleep_until(when)
-        waiter = asyncio.ensure_future(event.wait())
-        try:
-            await asyncio.wait(
-                (waiter, timer), return_when=asyncio.FIRST_COMPLETED
-            )
-        finally:
-            timer.cancel()
-            waiter.cancel()

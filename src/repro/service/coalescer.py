@@ -168,17 +168,21 @@ class CoalescedBatch:
 
 @dataclass
 class _Group:
+    """One compatibility group's pending requests and their running state.
+
+    ``num_systems``, ``deadline`` (the tightest member deadline, ``None``
+    when no member has one) and ``trigger`` (the deadline-pressure flush
+    time) are kept up to date by :meth:`Coalescer.add` and
+    :meth:`Coalescer._flush`, so the scheduler reads them instead of
+    re-scanning the entries on every wake.
+    """
+
     key: CompatKey
     entries: list[tuple[SolveRequest, SolveTicket]] = field(default_factory=list)
     oldest_arrival: float = 0.0
-
-    @property
-    def num_systems(self) -> int:
-        return sum(r.num_systems for r, _ in self.entries)
-
-    def min_deadline(self) -> float | None:
-        deadlines = [r.deadline for r, _ in self.entries if r.deadline is not None]
-        return min(deadlines) if deadlines else None
+    num_systems: int = 0
+    deadline: float | None = None
+    trigger: float | None = None
 
 
 class Coalescer:
@@ -258,73 +262,77 @@ class Coalescer:
         group = self._groups.get(key)
         if group is None:
             group = self._groups[key] = _Group(key=key, oldest_arrival=now)
-        elif not group.entries:
-            group.oldest_arrival = now
         group.entries.append((request, ticket))
+        group.num_systems += request.num_systems
+        deadline = request.deadline
+        if deadline is not None and (
+            group.deadline is None or deadline < group.deadline
+        ):
+            group.deadline = deadline
 
         if self.policy.naive:
             return [self._flush(group, now, "naive")]
         if group.num_systems >= self.policy.max_batch:
             return [self._flush(group, now, "batch-full")]
+        self._retrigger(group)
         return []
 
     def due(self, now: float) -> list[CoalescedBatch]:
         """Flush every group whose wait or deadline trigger has fired."""
         out = []
         for group in list(self._groups.values()):
-            if not group.entries:
-                continue
-            reason = self._due_reason(group, now)
-            if reason is not None:
-                out.append(self._flush(group, now, reason))
+            if now >= group.oldest_arrival + self.policy.max_wait_s:
+                out.append(self._flush(group, now, "max-wait"))
+            elif group.trigger is not None and now >= group.trigger:
+                out.append(self._flush(group, now, "deadline-pressure"))
         return out
 
     def next_flush_time(self) -> float | None:
         """Earliest virtual time at which some group becomes due."""
         times = []
         for group in self._groups.values():
-            if not group.entries:
-                continue
             times.append(group.oldest_arrival + self.policy.max_wait_s)
-            deadline = group.min_deadline()
-            if deadline is not None:
-                times.append(self._deadline_trigger(group, deadline))
+            if group.trigger is not None:
+                times.append(group.trigger)
         return min(times) if times else None
 
-    def _service_estimate(self, group: _Group) -> float:
-        if self._estimate is None:
-            return 0.0
-        variant = self.solver_variant(group.key, group.entries[0][0].matrix)
-        return float(self._estimate(group.key, variant, group.num_systems))
+    def _retrigger(self, group: _Group) -> None:
+        """Recompute the group's deadline-pressure flush time.
 
-    def _deadline_trigger(self, group: _Group, deadline: float) -> float:
-        return deadline - self.deadline_headroom_s - self._service_estimate(group)
-
-    def _due_reason(self, group: _Group, now: float) -> str | None:
-        if now >= group.oldest_arrival + self.policy.max_wait_s:
-            return "max-wait"
-        deadline = group.min_deadline()
-        if deadline is not None and now >= self._deadline_trigger(group, deadline):
-            return "deadline-pressure"
-        return None
+        The trigger is the tightest deadline minus the headroom minus the
+        estimated service time of the group's current size.
+        """
+        if group.deadline is None:
+            group.trigger = None
+            return
+        estimate = 0.0
+        if self._estimate is not None:
+            variant = self.solver_variant(group.key, group.entries[0][0].matrix)
+            estimate = float(self._estimate(group.key, variant, group.num_systems))
+        group.trigger = group.deadline - self.deadline_headroom_s - estimate
 
     def _flush(self, group: _Group, now: float, reason: str) -> CoalescedBatch:
         """Cut up to ``max_batch`` systems from a group into one batch.
 
         Requests leave in arrival order (the admission queue already
         applied weighted fair ordering across tenants); a remainder stays
-        behind with its wait clock reset to the remainder's oldest entry.
+        behind with its wait clock reset to now and its running state
+        recomputed from its entries.
         """
-        take: list[tuple[SolveRequest, SolveTicket]] = []
-        systems = 0
-        while group.entries:
-            req, _ = group.entries[0]
-            if take and systems + req.num_systems > self.policy.max_batch:
+        cut = systems = 0
+        for req, _ in group.entries:
+            if cut and systems + req.num_systems > self.policy.max_batch:
                 break
-            take.append(group.entries.pop(0))
+            cut += 1
             systems += req.num_systems
-        if group.entries:
+        take, rest = group.entries[:cut], group.entries[cut:]
+        if rest:
+            group.entries = rest
             group.oldest_arrival = now
+            group.num_systems -= systems
+            deadlines = [r.deadline for r, _ in rest if r.deadline is not None]
+            group.deadline = min(deadlines) if deadlines else None
+            self._retrigger(group)
         else:
             del self._groups[group.key]
 

@@ -133,6 +133,7 @@ class Dispatcher:
         self.max_iter = int(max_iter)
         self.degraded_precision = degraded_precision
         self._solvers: dict[tuple, object] = {}
+        self._estimates: dict[tuple, float] = {}
         #: Running totals for the service report.
         self.batches_run = 0
         self.systems_run = 0
@@ -249,15 +250,23 @@ class Dispatcher:
         self, key: CompatKey, variant: str, num_systems: int,
         iterations: int = 32,
     ) -> float:
-        """Cheap a-priori makespan estimate for deadline-pressure flushes."""
-        fmt = "ell" if key.fmt == "dense" else key.fmt
-        n = key.num_rows
-        billed = "bicgstab" if key.degraded else variant
-        ranks = max(1, min(self.num_ranks, num_systems))
-        shard = -(-num_systems // ranks)
-        est = estimate_iterative_solve(
-            self.node.gpu, fmt, n, max(1, n), np.full(shard, iterations),
-            solver=billed,
-            value_bytes=4 if key.degraded else int(np.dtype(key.dtype).itemsize),
-        )
-        return est.total_time_s
+        """Cheap a-priori makespan estimate for deadline-pressure flushes.
+
+        On a fixed node the estimate is a pure function of its arguments,
+        so each distinct ``(key, variant, num_systems, iterations)`` is
+        priced once per dispatcher.
+        """
+        memo = (key, variant, num_systems, iterations)
+        hit = self._estimates.get(memo)
+        if hit is None:
+            fmt = "ell" if key.fmt == "dense" else key.fmt
+            n = key.num_rows
+            billed = "bicgstab" if key.degraded else variant
+            ranks = max(1, min(self.num_ranks, num_systems))
+            shard = -(-num_systems // ranks)
+            hit = self._estimates[memo] = estimate_iterative_solve(
+                self.node.gpu, fmt, n, max(1, n), np.full(shard, iterations),
+                solver=billed,
+                value_bytes=4 if key.degraded else int(np.dtype(key.dtype).itemsize),
+            ).total_time_s
+        return hit

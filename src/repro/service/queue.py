@@ -190,9 +190,8 @@ class AdmissionQueue:
     capacity: int = 256
     _lanes: dict[str, deque] = field(default_factory=dict)
     _size: int = 0
-    #: Set whenever a request arrives; the scheduler clears it after
-    #: draining the queue.
-    wake: asyncio.Event = field(default_factory=asyncio.Event)
+    #: The future the scheduler is parked on (see :meth:`park`).
+    _waiter: asyncio.Future | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return self._size
@@ -211,7 +210,20 @@ class AdmissionQueue:
             )
         self._lanes.setdefault(request.tenant, deque()).append((request, ticket))
         self._size += 1
-        self.wake.set()
+        waiter, self._waiter = self._waiter, None
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    def park(self, waiter: asyncio.Future) -> asyncio.Future:
+        """Park the scheduler on ``waiter``; the next :meth:`put` resolves it.
+
+        ``waiter`` is the scheduler's flush timer (a
+        :meth:`~repro.service.clock.VirtualClock.sleep_until` future) or a
+        bare future when no flush is pending, so one future wakes the
+        scheduler on whichever comes first.  Returns ``waiter``.
+        """
+        self._waiter = waiter
+        return waiter
 
     def pop_tenant(self, tenant: str) -> tuple[SolveRequest, SolveTicket]:
         """Dequeue the oldest request of one tenant's lane."""

@@ -4,9 +4,11 @@
 coroutines on one asyncio loop, all timed by the shared
 :class:`~repro.service.clock.VirtualClock`:
 
-* the **scheduler loop** wakes on new admissions or the coalescer's next
-  flush deadline, drains the admission queue in weighted-fair order into
-  the coalescer, and forwards due batches to the dispatch backlog;
+* the **scheduler loop** parks on one future -- the virtual-clock timer of
+  the coalescer's next flush, or a bare future when nothing is pending --
+  which the admission queue resolves early on a new admission; awake, it
+  drains the queue in weighted-fair order into the coalescer and forwards
+  due batches to the dispatch backlog;
 * the **dispatch loop** executes backlogged batches one at a time through
   the :class:`~repro.service.dispatcher.Dispatcher` — the virtual node is
   a serial resource, exactly like a busy GPU stream.  A batch whose solve
@@ -68,6 +70,11 @@ class ServiceReport:
     tenant_completed: Counter = field(default_factory=Counter)
     tenant_shed: Counter = field(default_factory=Counter)
     tenant_health: dict = field(default_factory=dict)
+    #: Tickets failed with the error their own solve raised, in total, per
+    #: tenant and per exception class name.
+    failed: int = 0
+    tenant_failed: Counter = field(default_factory=Counter)
+    failure_types: Counter = field(default_factory=Counter)
 
     @property
     def makespan_s(self) -> float:
@@ -113,6 +120,9 @@ class ServiceReport:
             "tenant_completed": dict(self.tenant_completed),
             "tenant_shed": dict(self.tenant_shed),
             "tenant_health": {t: dict(c) for t, c in self.tenant_health.items()},
+            "failed": self.failed,
+            "tenant_failed": dict(self.tenant_failed),
+            "failure_types": dict(self.failure_types),
         }
 
 
@@ -263,11 +273,16 @@ class SolverService:
     # -- service loops -------------------------------------------------------
 
     async def _scheduler_loop(self) -> None:
+        loop = asyncio.get_running_loop()
         while True:
-            await self.clock.wait_event_or_until(
-                self.queue.wake, self.coalescer.next_flush_time()
-            )
-            self.queue.wake.clear()
+            if not len(self.queue):
+                # Park on one future: the next flush's timer, or a bare
+                # future when nothing is pending; a put resolves it early.
+                when = self.coalescer.next_flush_time()
+                await self.queue.park(
+                    loop.create_future() if when is None
+                    else self.clock.sleep_until(when)
+                )
             now = self.clock.now
             batches = []
             for request, ticket in self.queue.drain(self.scheduler):
@@ -301,6 +316,9 @@ class SolverService:
         """
         if len(batch.requests) == 1:
             self._inflight -= 1
+            self.report.failed += 1
+            self.report.tenant_failed[batch.requests[0].tenant] += 1
+            self.report.failure_types[type(exc).__name__] += 1
             batch.tickets[0].fail(exc)
             return
         self._backlog.extendleft(

@@ -161,7 +161,10 @@ def make_request(
     col_idxs = _TEMPLATES.get(n)
     if col_idxs is None:
         col_idxs = _TEMPLATES[n] = tridiag_template(n)
-    num_systems = int(rng.choice(spec.systems_choices))
+    # The same draw as ``rng.choice(spec.systems_choices)``, without its
+    # per-call array conversion.
+    choices = spec.systems_choices
+    num_systems = int(choices[rng.integers(0, len(choices))])
     values = np.zeros((num_systems, 3, n))
     off = rng.uniform(-1.0, 1.0, size=(num_systems, 2, n))
     values[:, 0, 1:] = off[:, 0, 1:]
@@ -191,11 +194,15 @@ async def run_traffic(
     rng = np.random.default_rng(pattern.seed + 1)
     names = [name for name, _ in spec.tenants]
     shares = np.asarray([share for _, share in spec.tenants], dtype=np.float64)
-    shares = shares / shares.sum()
+    # ``rng.choice(len(names), p=shares / shares.sum())`` draws one uniform
+    # and bisects this normalised CDF; doing it here skips its per-call
+    # checks of ``p``.
+    cdf = (shares / shares.sum()).cumsum()
+    cdf /= cdf[-1]
     tickets = []
     for t in arrival_times(pattern):
         await service.clock.sleep_until(t)
-        tenant = names[int(rng.choice(len(names), p=shares))]
+        tenant = names[int(cdf.searchsorted(rng.random(), side="right"))]
         tickets.append(service.submit(make_request(rng, spec, tenant)))
     return [await ticket.result_or_none() for ticket in tickets]
 

@@ -94,6 +94,20 @@ class TestTaxonomy:
                                     "non_finite": 1}
         assert "breakdown_rho" in summarize_health(h)
 
+    @pytest.mark.parametrize("shape", [(0,), (257,), (6, 40), (0, 3)])
+    def test_health_counts_equal_per_state_count(self, shape):
+        """The one-pass histogram equals a per-state count_nonzero tally."""
+        h = np.random.default_rng(7).integers(
+            0, len(SolverHealth), size=shape
+        ).astype(np.int8)
+        want = {}
+        for state in SolverHealth:
+            n = int(np.count_nonzero(h == state))
+            if n:
+                want[state.name.lower()] = n
+        assert health_counts(h) == want
+        assert list(health_counts(h)) == list(want)  # best-to-worst order
+
     def test_derive_health(self):
         conv = np.array([True, False, False])
         norms = np.array([1e-12, 1.0, np.nan])

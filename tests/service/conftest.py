@@ -12,7 +12,17 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.service import SolveRequest, VirtualClock, tridiag_template
+from repro.service import (
+    CoalescePolicy,
+    QosPolicy,
+    SolveRequest,
+    TenantSpec,
+    TrafficPattern,
+    VirtualClock,
+    WorkloadSpec,
+    serve_traffic,
+    tridiag_template,
+)
 from repro.core.batch_ell import BatchEll
 
 
@@ -52,6 +62,23 @@ def tridiag_request(
     b = rng.standard_normal((num_systems, n))
     return SolveRequest(matrix=matrix, b=b, tenant=tenant,
                         tolerance=tolerance, **kwargs)
+
+
+def serve_e2e_mix(seed: int, duration_s: float = 0.005):
+    """``serve_traffic`` on the end-to-end benchmark's service mix: Poisson
+    at 20 kHz, n = 128, one or two systems per request, tenants weighted
+    3:1 with 10 ms / 50 ms deadlines, batches of up to 64 systems."""
+    return serve_traffic(
+        TrafficPattern("poisson", rate_hz=20_000, duration_s=duration_s,
+                       seed=seed),
+        WorkloadSpec(num_rows=128, systems_choices=(1, 2),
+                     tenants=(("interactive", 3.0), ("batch", 1.0))),
+        qos=QosPolicy(capacity=4096, tenants=(
+            TenantSpec("interactive", weight=3.0, deadline_s=10e-3),
+            TenantSpec("batch", weight=1.0, deadline_s=50e-3),
+        )),
+        coalesce=CoalescePolicy(max_batch=64, max_wait_s=2e-3),
+    )
 
 
 @pytest.fixture

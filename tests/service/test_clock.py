@@ -60,27 +60,56 @@ class TestVirtualClock:
             drive(main)
 
     def test_event_wakes_before_timeout(self):
+        """A parked timer resolved early by other work (the event) wakes
+        its waiter at the current time; the stale heap entry is skipped
+        when popped."""
         async def main(clock):
-            event = asyncio.Event()
+            timer = clock.sleep_until(10.0)
 
-            async def setter():
+            async def resolver():
                 await clock.sleep(1.0)
-                event.set()
+                timer.set_result(None)
 
-            task = asyncio.ensure_future(setter())
-            await clock.wait_event_or_until(event, 10.0)
+            task = asyncio.ensure_future(resolver())
+            await timer
+            woke = clock.now
             await task
-            return clock.now
+            await clock.sleep_until(20.0)  # pops past the stale 10.0 entry
+            return woke, clock.now
 
-        assert drive(main) == 1.0
+        assert drive(main) == (1.0, 20.0)
 
     def test_timeout_wakes_without_event(self):
+        """A parked timer nothing resolves early fires at its own time; a
+        waker arriving later finds it done and leaves it alone."""
         async def main(clock):
-            event = asyncio.Event()
-            await clock.wait_event_or_until(event, 2.5)
-            return clock.now, event.is_set()
+            timer = clock.sleep_until(2.5)
 
-        assert drive(main) == (2.5, False)
+            async def late_waker():
+                await clock.sleep(5.0)
+                return timer.done()
+
+            task = asyncio.ensure_future(late_waker())
+            await timer
+            woke = clock.now
+            return woke, await task, clock.now
+
+        assert drive(main) == (2.5, True, 5.0)
+
+    def test_done_timer_is_skipped_without_advancing_time(self):
+        """A timer resolved early is dropped unfired: with only such
+        timers left the clock reports a deadlock and ``now`` stays put."""
+        clock = VirtualClock()
+
+        async def main():
+            timer = clock.sleep_until(2.5)
+            timer.set_result(None)
+            await timer
+            await asyncio.get_running_loop().create_future()  # never set
+
+        with pytest.raises(RuntimeError, match="deadlock"):
+            asyncio.run(clock.drive(main()))
+        assert clock.now == 0.0
 
     def test_cancelled_timers_are_skipped(self):
         async def main(clock):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import to_format
 from repro.gpu.hardware import V100
@@ -229,3 +231,79 @@ class TestSolverVariant:
             return drive(main)
 
         assert scenario() == "refinement"
+
+
+#: One coalescer step: ``("add", key, systems, relative deadline, dt)`` files
+#: a request ``dt`` after the previous step; ``("due", dt)`` flushes.
+_STEP = st.one_of(
+    st.tuples(
+        st.just("add"),
+        st.integers(0, 2),
+        st.integers(1, 3),
+        st.one_of(st.none(), st.floats(0.0, 4e-3)),
+        st.floats(0.0, 5e-4),
+    ),
+    st.tuples(st.just("due"), st.floats(0.0, 2e-3)),
+)
+
+
+class TestRunningGroupState:
+    """Each group's running ``num_systems``, tightest deadline and deadline
+    trigger always equal the values recounted from its entries."""
+
+    @staticmethod
+    def estimate(key, variant, num_systems):
+        return 1e-4 * num_systems + (5e-5 if key.degraded else 0.0)
+
+    @staticmethod
+    def recount(co, group):
+        systems = sum(r.num_systems for r, _ in group.entries)
+        deadlines = [r.deadline for r, _ in group.entries
+                     if r.deadline is not None]
+        deadline = min(deadlines) if deadlines else None
+        trigger = None
+        if deadline is not None:
+            variant = co.solver_variant(group.key, group.entries[0][0].matrix)
+            trigger = (deadline - co.deadline_headroom_s
+                       - TestRunningGroupState.estimate(group.key, variant,
+                                                        systems))
+        return systems, deadline, trigger
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.lists(_STEP, max_size=40))
+    def test_running_state_matches_recount(self, steps):
+        rng = np.random.default_rng(0)
+
+        async def main(clock):
+            co = make_coalescer(
+                max_batch=6, max_wait_s=1e-3, deadline_headroom_s=2e-4,
+                service_estimate=self.estimate,
+            )
+            now = 0.0
+            for step in steps:
+                now += step[-1]
+                if step[0] == "add":
+                    _, key, systems, rel_deadline, _ = step
+                    req = tridiag_request(
+                        rng, num_rows=8, num_systems=systems,
+                        tolerance=(1e-8, 1e-6, 1e-8)[key],
+                        degraded=key == 2,
+                        deadline=(None if rel_deadline is None
+                                  else now + rel_deadline),
+                    )
+                    co.add(req, SolveTicket(req), now)
+                else:
+                    co.due(now)
+                times = []
+                for group in co._groups.values():
+                    assert group.entries
+                    systems, deadline, trigger = self.recount(co, group)
+                    assert group.num_systems == systems
+                    assert group.deadline == deadline
+                    assert group.trigger == trigger
+                    times.append(group.oldest_arrival + co.policy.max_wait_s)
+                    if trigger is not None:
+                        times.append(trigger)
+                assert co.next_flush_time() == (min(times) if times else None)
+
+        drive(main)

@@ -135,11 +135,20 @@ class TestAdmissionQueue:
         assert drive(main)
 
     def test_wake_event_set_on_put(self, srng):
+        """The scheduler parks on its flush timer; a put wakes it early,
+        at the current virtual time."""
         async def main(clock):
             q = AdmissionQueue()
-            assert not q.wake.is_set()
+            timer = q.park(clock.sleep_until(5.0))
+            await clock.sleep(1.0)
+            assert not timer.done()
             req = tridiag_request(srng)
             q.put(req, SolveTicket(req))
-            return q.wake.is_set()
+            assert timer.done()
+            await timer
+            woke = clock.now
+            req2 = tridiag_request(srng)
+            q.put(req2, SolveTicket(req2))  # nothing parked: no-op wake
+            return woke, len(q)
 
-        assert drive(main)
+        assert drive(main) == (1.0, 2)

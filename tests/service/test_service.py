@@ -301,6 +301,12 @@ class TestFailureIsolation:
             client, coalesce=CoalescePolicy(max_batch=16, max_wait_s=1e-3)
         )
         assert service.pending == 0
+        report = service.report
+        assert report.failed == 1
+        assert report.failure_types == {"InvalidFormatError": 1}
+        assert report.tenant_failed == {"default": 1}
+        assert report.to_dict()["failure_types"] == {"InvalidFormatError": 1}
+        assert report.completed == 2 and report.submitted == 3
         for request, result in zip(healthy, results):
             direct = service.direct_solve(request)
             np.testing.assert_array_equal(result.x, direct.x)

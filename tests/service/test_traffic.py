@@ -9,11 +9,14 @@ from repro.service import (
     TrafficPattern,
     WorkloadSpec,
     arrival_times,
+    dispatcher,
     make_request,
     serve_traffic,
     tridiag_template,
     traffic,
 )
+
+from .conftest import serve_e2e_mix
 
 
 class TestArrivalTimes:
@@ -77,7 +80,60 @@ class TestWorkload:
         assert a.matrix.col_idxs is b.matrix.col_idxs
 
 
+class TestRandomDraws:
+    """``run_traffic`` and ``make_request`` draw tenants and sizes without
+    ``rng.choice``; the draws must stay the values ``rng.choice`` gives,
+    because replays of the traffic (the end-to-end benchmark's checks)
+    still regenerate the requests with ``rng.choice``."""
+
+    def test_tenant_draw_equals_choice_with_p(self):
+        shares = np.asarray([3.0, 1.0, 0.5])
+        shares = shares / shares.sum()
+        cdf = shares.cumsum()
+        cdf /= cdf[-1]
+        ref, new = np.random.default_rng(2023), np.random.default_rng(2023)
+        want = [int(ref.choice(len(shares), p=shares)) for _ in range(10_000)]
+        got = [int(cdf.searchsorted(new.random(), side="right"))
+               for _ in range(10_000)]
+        assert got == want
+        assert ref.random() == new.random()  # streams still in step
+
+    def test_size_draw_equals_choice(self):
+        choices = (1, 2, 3, 5)
+        ref, new = np.random.default_rng(2023), np.random.default_rng(2023)
+        want = [int(ref.choice(choices)) for _ in range(10_000)]
+        got = [int(choices[new.integers(0, len(choices))])
+               for _ in range(10_000)]
+        assert got == want
+        assert ref.random() == new.random()
+
+
 class TestServeTraffic:
+    def test_each_deadline_estimate_priced_once(self, monkeypatch):
+        """Deadline pressure prices each (key, variant, num_systems) once
+        per dispatcher; the only other GPU-model calls bill the batches
+        (one rank: one call per batch)."""
+        calls = []
+        triples = set()
+        real_solve = dispatcher.estimate_iterative_solve
+        real_estimate = dispatcher.Dispatcher.estimate_service_time
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return real_solve(*args, **kwargs)
+
+        def recording_estimate(self, key, variant, num_systems, *args):
+            triples.add((key, variant, num_systems))
+            return real_estimate(self, key, variant, num_systems, *args)
+
+        monkeypatch.setattr(dispatcher, "estimate_iterative_solve",
+                            counting_solve)
+        monkeypatch.setattr(dispatcher.Dispatcher, "estimate_service_time",
+                            recording_estimate)
+        run = serve_e2e_mix(2022)
+        assert run.report.batches > 0 and triples
+        assert len(calls) <= run.report.batches + len(triples)
+
     def test_all_requests_served_under_light_load(self):
         run = serve_traffic(
             TrafficPattern(rate_hz=5_000.0, duration_s=4e-3, seed=9),

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import re
+
 import pytest
 
 from repro.__main__ import main
@@ -31,6 +33,19 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["picard", "--help"])
         assert f"(default: {PicardOptions.matrix_format})" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["--naive"], ["--ranks", "6"], ["--traffic", "bursty"]]
+    )
+    def test_serve(self, capsys, flags):
+        """Every request is accounted for: completed or shed."""
+        assert main(["serve", "--duration", "2e-3", *flags]) == 0
+        out = capsys.readouterr().out
+        match = re.search(r"submitted (\d+), completed (\d+) .* shed (\d+)",
+                          out)
+        submitted, completed, shed = map(int, match.groups())
+        assert submitted > 0
+        assert submitted == completed + shed
 
     def test_demo_dia_format(self, capsys):
         assert main(["demo", "--nodes", "1", "--batch", "240",

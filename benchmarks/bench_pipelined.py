@@ -16,8 +16,8 @@ collision stencil and gates the three claims of the pipelined layer:
   counts must match the declared schedules (CG 3 -> 1, BiCGSTAB 5 -> 2);
 * **modeled small-batch win** — with the sync-aware cost model charging
   ``sync_latency_us`` per reduction round per kernel trip, the pipelined
-  variant must beat the classic one on EVERY Table-I GPU at batch sizes
-  up to 256 (each variant charged its own measured iteration counts).
+  variant must beat the classic one on EVERY GPU in the catalog at batch
+  sizes up to 256 (each variant charged its own measured iteration counts).
 
 Writes ``BENCH_pipelined.json`` at the repo root.  Run standalone
 (CI parity + perf gate)::

@@ -31,7 +31,7 @@ def main():
     print(f"{'solver':>10} {'preconditioner':>15} {'max iters':>10} "
           f"{'total iters':>12} {'converged':>10}")
     for solver_name in ("bicgstab", "gmres", "richardson"):
-        for precond in ("identity", "jacobi", "ilu0"):
+        for precond in ("identity", "jacobi"):
             solver = make_solver(
                 solver_name,
                 preconditioner=make_preconditioner(precond),

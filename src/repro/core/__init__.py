@@ -47,9 +47,7 @@ from .precision import (
 )
 from .preconditioners import (
     BatchPreconditioner,
-    BlockJacobiPreconditioner,
     IdentityPreconditioner,
-    Ilu0Preconditioner,
     JacobiPreconditioner,
     make_preconditioner,
 )
@@ -157,8 +155,6 @@ __all__ = [
     "BatchPreconditioner",
     "IdentityPreconditioner",
     "JacobiPreconditioner",
-    "BlockJacobiPreconditioner",
-    "Ilu0Preconditioner",
     "make_preconditioner",
     "StoppingCriterion",
     "AbsoluteResidual",

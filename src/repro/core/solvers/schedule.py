@@ -560,10 +560,6 @@ class CountingPreconditioner:
         self._inner = inner
         self.counts = counts if counts is not None else OpCounts()
 
-    @property
-    def name(self):
-        return self._inner.name
-
     def generate(self, matrix):
         if isinstance(matrix, CountingMatrix):
             matrix = matrix._inner

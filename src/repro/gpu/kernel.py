@@ -243,13 +243,13 @@ def iteration_work(
     storage: StorageConfig,
     *,
     stored_nnz: int | None = None,
-    preconditioner: str = "jacobi",
     value_bytes: int = VALUE_BYTES,
 ) -> KernelWork:
     """One solver iteration, per system, derived from its declared schedule.
 
     Flops: each SpMV costs its format-specific count, dots and norms 2n,
-    axpy-like updates 2n, Jacobi applies n; cyclic extras (GMRES restart
+    axpy-like updates 2n, preconditioner applies n (Jacobi's diagonal
+    scaling, the one apply the model prices); cyclic extras (GMRES restart
     boundaries) are amortised over the cycle length.  Global-vector
     traffic is charged only for the vectors the §IV-D placement spilled —
     each pays its *declared* per-iteration touches in HBM passes, not a
@@ -270,11 +270,10 @@ def iteration_work(
     norms = schedule.amortized("norms")
     axpys = schedule.amortized("axpys")
 
-    precond_flops = 1.0 * n if preconditioner == "jacobi" else 0.0
     vec_flops = (
         (dots + norms) * 2.0 * n
         + axpys * 2.0 * n
-        + precond_applies * precond_flops
+        + precond_applies * n
     )
 
     vector_traffic = (
@@ -329,7 +328,6 @@ def escalation_work(
     *,
     stored_nnz: int | None = None,
     shared_budget_bytes: int = 0,
-    preconditioner: str = "jacobi",
     value_bytes: int = VALUE_BYTES,
     gmres_restart: int = 30,
     kl: int | None = None,
@@ -374,8 +372,7 @@ def escalation_work(
         )
         per_iter = iteration_work(
             schedule, num_rows, nnz, fmt, storage,
-            stored_nnz=stored_nnz, preconditioner=preconditioner,
-            value_bytes=value_bytes,
+            stored_nnz=stored_nnz, value_bytes=value_bytes,
         )
         setup = setup_work(
             schedule, num_rows, nnz, fmt,

@@ -138,7 +138,6 @@ def estimate_iterative_solve(
     *,
     stored_nnz: int | None = None,
     solver: str = "bicgstab",
-    preconditioner: str = "jacobi",
     gmres_restart: int = 30,
     value_bytes: int = 8,
     fused: bool = True,
@@ -200,8 +199,7 @@ def estimate_iterative_solve(
 
     iter_work = iteration_work(
         schedule, num_rows, nnz, fmt, storage,
-        stored_nnz=stored_nnz, preconditioner=preconditioner,
-        value_bytes=value_bytes,
+        stored_nnz=stored_nnz, value_bytes=value_bytes,
     )
     setup = setup_work(
         schedule, num_rows, nnz, fmt, stored_nnz=stored_nnz,

@@ -177,7 +177,6 @@ def variant_estimates(
     *,
     num_batch: int | None = None,
     stored_nnz: int | None = None,
-    preconditioner: str = "jacobi",
     gmres_restart: int = 30,
     value_bytes: int = 8,
     shared_budget_bytes: int | None = None,
@@ -207,8 +206,7 @@ def variant_estimates(
             arr = np.full(num_batch, float(arr))
         out[name] = estimate_iterative_solve(
             hw, fmt, num_rows, nnz, arr,
-            stored_nnz=stored_nnz, solver=name,
-            preconditioner=preconditioner, gmres_restart=gmres_restart,
+            stored_nnz=stored_nnz, solver=name, gmres_restart=gmres_restart,
             value_bytes=value_bytes, shared_budget_bytes=shared_budget_bytes,
         )
     return out
@@ -224,7 +222,6 @@ def choose_solver_variant(
     solver: str = "bicgstab",
     iterations: int = VARIANT_MODEL_ITERATIONS,
     stored_nnz: int | None = None,
-    preconditioner: str = "jacobi",
     value_bytes: int = 8,
 ) -> tuple[str, str]:
     """Classic or pipelined: price both through the sync-aware cost model.
@@ -248,8 +245,7 @@ def choose_solver_variant(
     est = variant_estimates(
         hw, fmt, num_rows, nnz,
         {name: float(iterations) for name in (solver, pipelined)},
-        num_batch=num_batch, stored_nnz=stored_nnz,
-        preconditioner=preconditioner, value_bytes=value_bytes,
+        num_batch=num_batch, stored_nnz=stored_nnz, value_bytes=value_bytes,
     )
     t_classic = est[solver].total_time_s
     t_pipe = est[pipelined].total_time_s

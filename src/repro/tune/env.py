@@ -82,8 +82,6 @@ class TuneScenario:
     mixed_iteration_overhead:
         Multiplier on iteration counts under the mixed policy — the
         fp64 residual-correction sweeps the refinement wrapper adds.
-    preconditioner:
-        Preconditioner charged per iteration.
     nnz_row_min, nnz_row_max:
         Row-population extremes (the hand rules' inputs).
     padding_fraction, num_diags, dia_padding_fraction:
@@ -100,7 +98,6 @@ class TuneScenario:
     allow_fp32: bool = False
     allow_mixed: bool = True
     mixed_iteration_overhead: float = 1.1
-    preconditioner: str = "jacobi"
     nnz_row_min: int = 1
     nnz_row_max: int = 1
     padding_fraction: float = 0.0
@@ -254,7 +251,6 @@ class CostModelEnv:
             self.hw, config.fmt, sc.num_rows, sc.nnz, iterations,
             stored_nnz=sc.stored_entries(config.fmt),
             solver=config.solver,
-            preconditioner=sc.preconditioner,
             gmres_restart=config.gmres_restart,
             value_bytes=config.value_bytes,
             fused=self.fused,

@@ -135,8 +135,6 @@ class PicardOptions:
         SpMV cost), ``"ell"`` (the paper's best, used by its experiments)
         or ``"csr"``.  ELL and DIA steps are bit-identical: each row sums
         its products in the same order.
-    preconditioner:
-        Preconditioner name for the inner solver (paper: ``"jacobi"``).
     picard_tol:
         Optional relative-update early exit for the Picard loop;
         0 disables it (fixed iteration count, like the proxy app).
@@ -173,7 +171,6 @@ class PicardOptions:
     warm_start: bool = True
     linear_tol: float = 1e-10
     matrix_format: str = "dia"
-    preconditioner: str = "jacobi"
     picard_tol: float = 0.0
     conservation_fix: bool = True
     precision: str = "fp64"
@@ -285,7 +282,7 @@ class PicardStepper:
         if self.options.precision == "fp64":
             solver = make_solver(
                 self.options.solver,
-                preconditioner=self.options.preconditioner,
+                preconditioner="jacobi",
                 criterion=AbsoluteResidual(self.options.linear_tol),
                 logger=BatchLogger(),
             )
@@ -295,7 +292,7 @@ class PicardStepper:
             # residual, so conservation behaves as in the fp64 run.
             inner = make_solver(
                 self.options.solver,
-                preconditioner=self.options.preconditioner,
+                preconditioner="jacobi",
                 criterion=RelativeResidual(1e-4),
                 logger=BatchLogger(),
                 precision=self.options.precision,
@@ -310,7 +307,7 @@ class PicardStepper:
             # the ladder.
             solver = EscalationSolver(
                 ladder=(solver, "gmres", "refinement", "direct"),
-                preconditioner=self.options.preconditioner,
+                preconditioner="jacobi",
                 criterion=AbsoluteResidual(self.options.linear_tol),
             )
         return solver

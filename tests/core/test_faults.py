@@ -358,8 +358,7 @@ class TestPaperStencilAcceptance:
         nb = 4
         stepper = PicardStepper(
             paper_grid, np.ones(nb),
-            options=PicardOptions(matrix_format="ell",
-                                  preconditioner="identity"),
+            options=PicardOptions(matrix_format="ell"),
         )
         f = np.stack([
             maxwellian(paper_grid, temperature=1.0 + 0.1 * k) for k in range(nb)
@@ -405,7 +404,7 @@ class TestPicardIntegration:
         ])
         inj = FaultInjector([FaultSpec("nan_guess", system=1, rows=(0, 1))])
 
-        base = dict(num_iterations=2, preconditioner="jacobi")
+        base = dict(num_iterations=2)
         plain = PicardStepper(small_grid, np.ones(nb),
                               options=PicardOptions(**base))
         res_plain = plain.step(f0, 1e-3)

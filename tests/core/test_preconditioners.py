@@ -5,9 +5,7 @@ import pytest
 
 from repro.core import (
     BatchCsr,
-    BlockJacobiPreconditioner,
     IdentityPreconditioner,
-    Ilu0Preconditioner,
     InvalidFormatError,
     JacobiPreconditioner,
     make_preconditioner,
@@ -61,93 +59,6 @@ class TestJacobi:
         np.testing.assert_allclose(p.apply(r), r / ell_batch.diagonal())
 
 
-class TestBlockJacobi:
-    def test_reduces_to_jacobi_for_block_size_1(self, csr_batch, rng):
-        bj = BlockJacobiPreconditioner(block_size=1).generate(csr_batch)
-        j = JacobiPreconditioner().generate(csr_batch)
-        r = rng.standard_normal((csr_batch.num_batch, csr_batch.num_rows))
-        np.testing.assert_allclose(bj.apply(r), j.apply(r), rtol=1e-12)
-
-    def test_exact_for_block_diagonal_matrix(self, rng):
-        nb, blocks, bs = 2, 3, 4
-        n = blocks * bs
-        dense = np.zeros((nb, n, n))
-        for b in range(blocks):
-            s = b * bs
-            blk = rng.standard_normal((nb, bs, bs))
-            blk += np.eye(bs) * (np.abs(blk).sum(axis=2, keepdims=True) + 1)
-            dense[:, s: s + bs, s: s + bs] = blk
-        m = BatchCsr.from_dense(dense)
-        p = BlockJacobiPreconditioner(block_size=bs).generate(m)
-        rhs = rng.standard_normal((nb, n))
-        np.testing.assert_allclose(m.apply(p.apply(rhs)), rhs, rtol=1e-10)
-
-    def test_tail_rows_fall_back_to_jacobi(self, rng):
-        # n = 7 with block size 3 leaves one tail row.
-        n = 7
-        d = rng.random((2, n)) + 1.0
-        dense = np.einsum("bi,ij->bij", d, np.eye(n))
-        m = BatchCsr.from_dense(dense)
-        p = BlockJacobiPreconditioner(block_size=3).generate(m)
-        r = rng.standard_normal((2, n))
-        np.testing.assert_allclose(p.apply(r), r / d, rtol=1e-12)
-
-    def test_invalid_block_size(self):
-        with pytest.raises(ValueError):
-            BlockJacobiPreconditioner(block_size=0)
-
-
-class TestIlu0:
-    def test_exact_on_triangular_pattern(self, rng):
-        """ILU(0) is the exact LU when the matrix's own L/U fill the
-        pattern, i.e. for a lower-triangular-plus-diagonal matrix."""
-        n = 8
-        dense = np.tril(rng.standard_normal((2, n, n)))
-        dense += np.eye(n) * (np.abs(dense).sum(axis=2, keepdims=True) + 1)
-        m = BatchCsr.from_dense(dense)
-        p = Ilu0Preconditioner().generate(m)
-        b = rng.standard_normal((2, n))
-        np.testing.assert_allclose(m.apply(p.apply(b)), b, rtol=1e-10)
-
-    def test_exact_on_tridiagonal(self, rng):
-        """Tridiagonal LU has no fill, so ILU(0) must solve exactly."""
-        n = 10
-        dense = np.zeros((3, n, n))
-        i = np.arange(n)
-        dense[:, i, i] = 4.0 + rng.random((3, n))
-        dense[:, i[1:], i[:-1]] = -1.0 + 0.1 * rng.random((3, n - 1))
-        dense[:, i[:-1], i[1:]] = -1.0 + 0.1 * rng.random((3, n - 1))
-        m = BatchCsr.from_dense(dense)
-        p = Ilu0Preconditioner().generate(m)
-        b = rng.standard_normal((3, n))
-        np.testing.assert_allclose(m.apply(p.apply(b)), b, rtol=1e-9)
-
-    def test_improves_on_jacobi(self, csr_batch, rng):
-        """As a solver-quality proxy: one ILU(0) sweep shrinks the residual
-        more than one Jacobi sweep on the same diagonally-dominant batch."""
-        b = rng.standard_normal((csr_batch.num_batch, csr_batch.num_rows))
-        for name, p in [
-            ("jacobi", JacobiPreconditioner()),
-            ("ilu0", Ilu0Preconditioner()),
-        ]:
-            p.generate(csr_batch)
-            x = p.apply(b)
-            res = np.linalg.norm(b - csr_batch.apply(x), axis=1)
-            if name == "jacobi":
-                jac_res = res
-            else:
-                assert np.all(res <= jac_res + 1e-12)
-
-    def test_missing_diagonal_rejected(self):
-        dense = np.array([[[0.0, 1.0], [1.0, 0.0]]])
-        with pytest.raises(InvalidFormatError, match="diagonal"):
-            Ilu0Preconditioner().generate(BatchCsr.from_dense(dense))
-
-    def test_apply_before_generate_raises(self):
-        with pytest.raises(RuntimeError):
-            Ilu0Preconditioner().apply(np.zeros((1, 2)))
-
-
 class TestFactory:
     @pytest.mark.parametrize(
         "name,cls",
@@ -155,16 +66,10 @@ class TestFactory:
             ("identity", IdentityPreconditioner),
             ("none", IdentityPreconditioner),
             ("jacobi", JacobiPreconditioner),
-            ("block-jacobi", BlockJacobiPreconditioner),
-            ("ilu0", Ilu0Preconditioner),
         ],
     )
     def test_known_names(self, name, cls):
         assert isinstance(make_preconditioner(name), cls)
-
-    def test_kwargs_forwarded(self):
-        p = make_preconditioner("block-jacobi", block_size=8)
-        assert p.block_size == 8
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown preconditioner"):

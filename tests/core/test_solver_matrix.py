@@ -17,7 +17,7 @@ from repro.core import (
 )
 
 SOLVERS = ["bicgstab", "cgs", "gmres", "richardson"]
-PRECONDITIONERS = ["identity", "jacobi", "block-jacobi", "ilu0"]
+PRECONDITIONERS = ["identity", "jacobi"]
 FORMATS = ["csr", "ell", "dense"]
 
 

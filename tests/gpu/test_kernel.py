@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.solvers.schedule import solver_schedule
+from repro.core.solvers.schedule import iterative_solver_names, solver_schedule
 from repro.gpu import (
     banded_lu_work,
     banded_qr_work,
@@ -124,6 +124,36 @@ class TestIterationWork:
         bi = setup_work(solver_schedule("bicgstab"), 992, 8928, "ell")
         cg = setup_work(solver_schedule("cg"), 992, 8928, "ell")
         assert cg.flops > bi.flops  # CG primes z = M^-1 r and rz = r.z
+
+    @pytest.mark.parametrize("name", iterative_solver_names())
+    def test_every_apply_billed_as_jacobi(self, name):
+        """Each preconditioner apply costs Jacobi's n flops, per iteration
+        and in the priming phase."""
+        n, nnz = 992, 8928
+        sched = solver_schedule(name)
+        spmv = spmv_work(n, nnz, "ell")
+        w = iteration_work(
+            sched, n, nnz, "ell", storage_for_solver(name, n, 10**9)
+        )
+        vector_ops = (
+            sched.amortized("dots") + sched.amortized("norms")
+            + sched.amortized("axpys")
+        )
+        expected = (
+            sched.amortized("spmvs") * spmv.flops
+            + vector_ops * 2 * n
+            + sched.amortized("precond_applies") * n
+        )
+        assert w.flops == pytest.approx(expected, rel=1e-12)
+
+        setup = setup_work(sched, n, nnz, "ell")
+        setup_vector_ops = sched.setup_dots + sched.setup_norms + sched.setup_axpys
+        assert setup.flops == pytest.approx(
+            sched.setup_spmvs * spmv.flops
+            + setup_vector_ops * 2 * n
+            + sched.setup_precond_applies * n,
+            rel=1e-12,
+        )
 
 
 class TestDirectWork:

@@ -8,7 +8,9 @@ Two questions, one gate each:
   never climbed, and the results are bit-identical.  The two solvers are
   timed in interleaved pairs, alternating which runs first, and the
   overhead is the median per-pair time ratio minus one; the gate fails
-  the run when it exceeds ``--max-overhead`` (CI: 5%%).
+  the run when it exceeds ``--max-overhead`` (CI: 5%%).  The report also
+  records the per-pair ratio's min/p25/p75/max, so a failing run shows
+  whether its median sits inside its own spread.
 * **Recovery cost** — with a handful of deterministically injected faults
   (BiCG breakdown, underflow-to-omega-breakdown, NaN warm starts) the
   ladder must recover every recoverable system to the 1e-10 tolerance;
@@ -111,12 +113,15 @@ def bench_healthy_overhead(matrix, b, repeats):
     res_plain, res_esc = results
     samples_plain, samples_esc = samples
     ratios = np.divide(samples_esc, samples_plain)
+    lo, p25, p75, hi = np.percentile(ratios, [0.0, 25.0, 75.0, 100.0])
     return {
         "time_plain_s": float(np.median(samples_plain)),
         "time_escalation_s": float(np.median(samples_esc)),
         "plain_stats": percentiles(samples_plain),
         "escalation_stats": percentiles(samples_esc),
         "overhead": float(np.median(ratios)) - 1.0,
+        "pair_ratio": {"min": float(lo), "p25": float(p25),
+                       "p75": float(p75), "max": float(hi)},
         "solutions_identical": bool(np.array_equal(res_plain.x, res_esc.x)),
         "iterations_identical": bool(
             np.array_equal(res_plain.iterations, res_esc.iterations)
@@ -209,6 +214,9 @@ def main(argv=None) -> int:
     print(f"  escalation: {healthy['time_escalation_s'] * 1e3:8.2f} ms   "
           f"(overhead {healthy['overhead']:+.2%}, "
           f"bit-identical: {healthy['solutions_identical']})")
+    spread = healthy["pair_ratio"]
+    print("  per-pair overhead min/p25/p75/max: " + " / ".join(
+        f"{spread[q] - 1.0:+.2%}" for q in ("min", "p25", "p75", "max")))
     print(f"fault recovery: {recovery['health_before']} -> "
           f"{recovery['health_after']}")
     print(f"  rescued {recovery['num_rescued']}, unrecovered "

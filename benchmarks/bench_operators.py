@@ -1,7 +1,7 @@
-"""Operator-zoo gate: conservation, direct-vs-iterative, expanded tuning.
+"""Operator-zoo gate: conservation, direct-vs-iterative, fig6 on every GPU.
 
 Exercises the tridiagonal model operators (Lenard-Bernstein, Dougherty,
-multi-species Landau coupling) end to end and gates four claims:
+multi-species Landau coupling) end to end and gates three claims:
 
 * **conservation** — every predefined scenario passes its conservation
   envelope through both the direct (Thomas) and the iterative (BiCGSTAB
@@ -13,10 +13,7 @@ multi-species Landau coupling) end to end and gates four claims:
   specialised direct kernels were built for);
 * **fig6 regenerates on every target** — the crossover study runs
   cleanly over the full hardware zoo (Table I + H100/MI250X/PVC) and
-  produces a complete series per GPU;
-* **never worse on the expanded grid** — the autotuning gym's policy,
-  enumerated per operator scenario over all six GPUs, never loses to the
-  hand-rule baseline on any (GPU, scenario, batch) cell.
+  produces a complete series per GPU.
 
 Writes ``BENCH_operators.json`` at the repo root.  Run standalone (CI
 gate)::
@@ -39,18 +36,13 @@ from timing import best_of
 
 from repro.core import AbsoluteResidual, make_solver
 from repro.experiments.figures import fig6
-from repro.gpu import GPUS, estimate_iterative_solve
-from repro.tune import distill_policy, tridiag_operator_scenario
+from repro.gpu import GPUS
 from repro.xgc import OPERATOR_SCENARIOS, run_operator_scenario
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 #: Batch sizes for the measured direct-vs-iterative comparison.
 CROSSOVER_BATCHES = (8, 64, 256)
-
-#: Batch sizes of the expanded tuning grid (kept small: the gate prices
-#: the whole space on every cell of every scenario in CI).
-GRID_BATCHES = (16, 256, 4096)
 
 
 def conservation_gate() -> tuple[list[dict], bool]:
@@ -113,49 +105,6 @@ def fig6_zoo_gate() -> tuple[dict, bool]:
     return summary, complete
 
 
-def modelled_operator_table() -> list[dict]:
-    """Informational: modelled per-GPU solve time of one operator batch."""
-    rows = []
-    for name in sorted(OPERATOR_SCENARIOS):
-        scenario = tridiag_operator_scenario(name)
-        its = np.full(
-            960, int(round(max(v for _, v in scenario.iterations)))
-        )
-        for hw in GPUS:
-            est = estimate_iterative_solve(
-                hw, "dia", scenario.num_rows, scenario.nnz, its,
-                stored_nnz=scenario.stored_entries("dia"),
-            )
-            rows.append({
-                "scenario": name,
-                "hardware": hw.name,
-                "total_time_s": est.total_time_s,
-                "per_entry_time_s": est.per_entry_time_s,
-            })
-    return rows
-
-
-def autotune_gate() -> tuple[list[dict], bool]:
-    cells, ok = [], True
-    for name in sorted(OPERATOR_SCENARIOS):
-        scenario = tridiag_operator_scenario(name)
-        policy = distill_policy(GPUS, scenario, GRID_BATCHES)
-        for key in sorted(policy.entries):
-            e = policy.entries[key]
-            gain = (e.baseline_cost - e.cost) / e.baseline_cost
-            cells.append({
-                "scenario": name,
-                "hardware": e.hardware,
-                "num_batch": e.num_batch,
-                "searched_s": e.cost,
-                "baseline_s": e.baseline_cost,
-                "relative_gain": gain,
-                "config": e.config.to_dict(),
-            })
-            ok = ok and e.cost <= e.baseline_cost * (1 + 1e-12)
-    return cells, ok
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", type=pathlib.Path,
@@ -165,13 +114,11 @@ def main(argv=None) -> int:
     conservation, conservation_ok = conservation_gate()
     crossover, crossover_ok = crossover_gate()
     fig6_summary, fig6_ok = fig6_zoo_gate()
-    tuning_cells, tuning_ok = autotune_gate()
 
     report = {
         "bench": "operators",
         "config": {
             "crossover_batches": list(CROSSOVER_BATCHES),
-            "grid_batches": list(GRID_BATCHES),
             "gpus": [hw.name for hw in GPUS],
         },
         "conservation": conservation,
@@ -180,15 +127,11 @@ def main(argv=None) -> int:
         "crossover_ok": crossover_ok,
         "fig6_zoo": fig6_summary,
         "fig6_zoo_ok": fig6_ok,
-        "modelled_operator_solves": modelled_operator_table(),
-        "tuning_cells": tuning_cells,
-        "tuning_never_worse_ok": tuning_ok,
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n")
 
     print(f"Operator gate: {len(conservation)} conservation cells, "
-          f"{len(crossover)} crossover batches, "
-          f"{len(tuning_cells)} tuning cells over {len(GPUS)} GPUs:")
+          f"{len(crossover)} crossover batches, fig6 on {len(GPUS)} GPUs:")
     worst_cons = max(conservation, key=lambda r: r["density_drift"])
     print(f"  conservation: {'PASS' if conservation_ok else 'FAIL'} "
           f"(worst density drift {worst_cons['density_drift']:.2e} "
@@ -200,14 +143,9 @@ def main(argv=None) -> int:
     print(f"  fig6 hardware zoo: {'PASS' if fig6_ok else 'FAIL'} "
           f"(fastest series at largest batch: "
           f"{fig6_summary['fastest_at_largest_batch']})")
-    worst_cell = min(tuning_cells, key=lambda c: c["relative_gain"])
-    print(f"  expanded-grid tuning: {'PASS' if tuning_ok else 'FAIL'} "
-          f"(worst cell gain {worst_cell['relative_gain']:+.3f} at "
-          f"{worst_cell['scenario']}/{worst_cell['hardware']}"
-          f"/b{worst_cell['num_batch']})")
     print(f"  report: {args.output}")
 
-    ok = conservation_ok and crossover_ok and fig6_ok and tuning_ok
+    ok = conservation_ok and crossover_ok and fig6_ok
     return 0 if ok else 1
 
 

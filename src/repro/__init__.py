@@ -42,9 +42,9 @@ Quickstart
 True
 """
 
-from . import core, dist, experiments, gpu, tune, utils, xgc
+from . import core, dist, experiments, gpu, utils, xgc
 
 __version__ = "1.0.0"
 
-__all__ = ["core", "xgc", "gpu", "dist", "utils", "experiments", "tune",
+__all__ = ["core", "xgc", "gpu", "dist", "utils", "experiments",
            "__version__"]

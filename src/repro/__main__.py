@@ -11,9 +11,7 @@ Commands
     Run the proxy app's Picard loop and print the Table-III style report.
 ``tune``
     Show the automatic solver configuration for the XGC matrices on every
-    modelled GPU.  ``--search`` enumerates the configuration space first
-    and applies the distilled policy (``--policy`` applies a saved one);
-    ``--out`` writes the ``best_configs.json`` artifact.
+    modelled GPU.
 ``reproduce``
     Regenerate every paper artefact (figures and tables) and write them
     to a directory (default ``./results``).
@@ -113,7 +111,7 @@ def _cmd_picard(args) -> int:
     return 0
 
 
-def _cmd_tune(args) -> int:
+def _cmd_tune(_args) -> int:
     from repro.gpu import GPUS, tune_for_matrix
 
     from repro.xgc import CollisionProxyApp, ProxyAppConfig
@@ -121,49 +119,14 @@ def _cmd_tune(args) -> int:
     app = CollisionProxyApp(ProxyAppConfig(num_mesh_nodes=1))
     matrix, _ = app.build_matrices()
 
-    policy = None
-    if getattr(args, "search", False):
-        # Always distill the report matrix's own cell so the searched
-        # decisions below actually come from the policy.
-        policy = _run_search(args, extra_batches=(matrix.num_batch,))
-    elif getattr(args, "policy", None):
-        from repro.tune import TuningPolicy
-
-        policy = TuningPolicy.load(args.policy)
-        print(f"loaded policy with {len(policy)} cell(s) from {args.policy}\n")
     for hw in GPUS:
-        d = tune_for_matrix(hw, matrix, policy=policy)
+        d = tune_for_matrix(hw, matrix)
         print(f"{hw.name}: format={d.fmt}, threads={d.threads_per_block}, "
               f"shared {d.storage.num_shared}/{d.storage.num_vectors} "
               f"vectors, {'fused' if d.fused_kernel else 'component'} kernel")
         for key, why in d.rationale.items():
             print(f"    {key}: {why}")
     return 0
-
-
-def _run_search(args, extra_batches=()):
-    """``tune --search``: distill a policy over the hardware grid."""
-    from repro.gpu import GPUS
-    from repro.tune import distill_policy, space_for_scenario, xgc_scenario
-
-    scenario = xgc_scenario()
-    batches = tuple(int(b) for b in args.batches.split(","))
-    batches += tuple(b for b in extra_batches if b not in batches)
-    policy = distill_policy(GPUS, scenario, batches)
-    print(f"enumerated {len(policy)} cell(s) "
-          f"({space_for_scenario(scenario).size()} configs/cell):")
-    for key in sorted(policy.entries):
-        e = policy.entries[key]
-        gain = e.baseline_cost / e.cost if e.cost > 0 else float("inf")
-        c = e.config
-        print(f"  {key:<24} {c.solver}/{c.fmt}/{c.precision}"
-              f"@{c.target_blocks_per_cu}bpc  "
-              f"{e.cost * 1e3:8.3f} ms  ({gain:5.2f}x vs hand rules)")
-    if args.out:
-        policy.save(args.out)
-        print(f"wrote policy to {args.out}")
-    print()
-    return policy
 
 
 def _cmd_serve(args) -> int:
@@ -267,17 +230,7 @@ def main(argv=None) -> int:
         help="inner batched solver (pipelined_bicgstab trades the "
              "||s|| early exit for 2 reduction rounds/iteration)",
     )
-    tune = sub.add_parser("tune", help="automatic solver configuration report")
-    tune.add_argument("--search", action="store_true",
-                      help="enumerate the configuration space and apply "
-                           "the distilled policy instead of the hand "
-                           "rules alone")
-    tune.add_argument("--policy", default=None, metavar="JSON",
-                      help="apply a previously distilled best_configs.json")
-    tune.add_argument("--batches", default="16,960,16384",
-                      help="comma-separated batch sizes to distill")
-    tune.add_argument("--out", default=None, metavar="JSON",
-                      help="write the distilled policy (best_configs.json)")
+    sub.add_parser("tune", help="automatic solver configuration report")
     rep = sub.add_parser("reproduce", help="regenerate all paper artefacts")
     rep.add_argument("--out", default="results", help="output directory")
     rep.add_argument("--quiet", action="store_true",

@@ -467,9 +467,9 @@ def solver_schedule(solver: str, *, gmres_restart: int = 30) -> OpSchedule:
     never silently fall back to BiCGSTAB's numbers.
 
     Schedules are frozen value objects, so the registry is memoized:
-    repeated lookups (the autotuning gym prices thousands of configs, each
-    needing a schedule) return the same shared instance instead of
-    rebuilding the dataclass every call.
+    repeated lookups (the GPU model needs one per estimate, and the
+    service bills every dispatched batch through it) return the same
+    shared instance instead of rebuilding the dataclass every call.
     """
     if solver == "gmres":
         return _gmres_schedule(gmres_restart)

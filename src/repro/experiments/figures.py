@@ -171,8 +171,8 @@ def fig6(gpus: tuple = TABLE1_GPUS) -> ExperimentResult:
     for family, (classic, pipe) in families.items():
         for hw in gpus:
             # variant_estimates is the single pricing path shared with
-            # choose_solver_variant and the autotuning gym, so this inset
-            # plots exactly the numbers the tuner acts on.
+            # choose_solver_variant, so this inset plots exactly the
+            # numbers the tuner acts on.
             series = {classic: [], pipe: []}
             for nb in BATCH_SIZES:
                 ests = variant_estimates(

@@ -58,7 +58,6 @@ from .timing import (
 from .tuning import (
     TuningDecision,
     choose_solver_variant,
-    decision_for_config,
     tune_batched_solver,
     tune_for_matrix,
     variant_estimates,
@@ -109,7 +108,6 @@ __all__ = [
     "estimate_dense_lu",
     "TuningDecision",
     "choose_solver_variant",
-    "decision_for_config",
     "tune_batched_solver",
     "tune_for_matrix",
     "variant_estimates",

@@ -256,10 +256,11 @@ def iteration_work(
     flat per-solver constant.
 
     Memoized: schedules, placements and :class:`KernelWork` are all frozen
-    value objects, and the autotuning gym re-prices the same
-    (solver, format, precision) spec thousands of times — rebuilding the
-    work record on every :func:`~repro.gpu.timing.estimate_iterative_solve`
-    call was a measured hot path.
+    value objects, and the service's dispatcher re-prices the same
+    (solver, format, precision) spec for every batch it bills — rebuilding
+    the work record on every
+    :func:`~repro.gpu.timing.estimate_iterative_solve` call was a measured
+    hot path.
     """
     n = num_rows
     spmv = spmv_work(n, nnz, fmt, stored_nnz=stored_nnz, value_bytes=value_bytes)

@@ -41,7 +41,7 @@ def wave_makespan(block_times: np.ndarray, slots: int) -> float:
         # Uniform blocks: every wave's slowest block is the common time, so
         # the staircase is exactly one block time per (possibly partial)
         # wave.  Same value as the loop below, O(n) instead of per-wave
-        # slicing — the autotuning gym prices 16k-system batches this way.
+        # slicing — fixed-iteration pricing of large batches lands here.
         return float(t[0]) * -(-t.size // slots)
     total = 0.0
     for start in range(0, t.size, slots):
@@ -67,8 +67,8 @@ def flexible_makespan(block_times: np.ndarray, slots: int) -> float:
         # Uniform blocks: greedy assignment deals the jobs out evenly (the
         # earliest-finishing slot is always one with the fewest blocks), so
         # the makespan is exactly ceil(n / slots) block times.  Identical
-        # to the simulation below but O(n) — this is the case the
-        # autotuning gym's fixed-iteration evaluations hit at every batch.
+        # to the simulation below but O(n) — this is the case every
+        # fixed-iteration estimate (tuner, fig6 sweeps) hits at every batch.
         return float(t[0]) * -(-t.size // slots)
     finish = np.zeros(slots)
     # Seed the slots with the first `slots` blocks, then greedily assign

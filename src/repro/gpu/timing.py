@@ -182,8 +182,9 @@ def estimate_iterative_solve(
     shared_budget_bytes:
         Per-block dynamic shared-memory budget for the §IV-D placement.
         Defaults to ``hw.shared_budget_per_block()`` (the hardware's
-        default residency target); the autotuning gym passes the budgets
-        of other residency targets to price the occupancy-vs-spill trade.
+        default residency target); pass
+        ``hw.shared_budget_per_block(target)`` to price another residency
+        target's occupancy-vs-spill trade.
     """
     iterations = np.asarray(iterations, dtype=np.float64)
     num_batch = iterations.shape[0]

@@ -41,7 +41,6 @@ from .occupancy import Occupancy, compute_occupancy
 __all__ = [
     "TuningDecision",
     "choose_solver_variant",
-    "decision_for_config",
     "tune_batched_solver",
     "tune_for_matrix",
     "variant_estimates",
@@ -80,8 +79,7 @@ class TuningDecision:
     """Outcome of the automatic configuration.
 
     Hashable value object: ``rationale`` (free-form provenance text) is
-    excluded from equality and hashing, so two decisions reached by
-    different routes — hand rules vs a distilled policy — compare equal
+    excluded from equality and hashing, so two decisions compare equal
     exactly when they configure the same kernel.
 
     Attributes
@@ -177,18 +175,16 @@ def variant_estimates(
     *,
     num_batch: int | None = None,
     stored_nnz: int | None = None,
-    gmres_restart: int = 30,
     value_bytes: int = 8,
-    shared_budget_bytes: int | None = None,
 ):
     """Modeled cost of *each* candidate solver, not just the winner.
 
     ``iterations_by_solver`` maps solver names to their per-system
     iteration counts — an array, or a scalar expanded to ``num_batch``
     systems.  Returns ``{solver: GpuSolveEstimate}`` so every consumer of
-    the classic-vs-pipelined trade (:func:`choose_solver_variant`, the
-    fig6 crossover inset, the autotuning gym's evaluation harness) reads
-    the *same* modeled numbers instead of re-deriving them.
+    the classic-vs-pipelined trade (:func:`choose_solver_variant` and the
+    fig6 crossover inset) reads the *same* modeled numbers instead of
+    re-deriving them.
     """
     import numpy as np
 
@@ -206,8 +202,7 @@ def variant_estimates(
             arr = np.full(num_batch, float(arr))
         out[name] = estimate_iterative_solve(
             hw, fmt, num_rows, nnz, arr,
-            stored_nnz=stored_nnz, solver=name, gmres_restart=gmres_restart,
-            value_bytes=value_bytes, shared_budget_bytes=shared_budget_bytes,
+            stored_nnz=stored_nnz, solver=name, value_bytes=value_bytes,
         )
     return out
 
@@ -416,69 +411,6 @@ def tune_batched_solver(
     )
 
 
-def decision_for_config(
-    hw: GpuSpec,
-    config,
-    num_rows: int,
-    *,
-    provenance: str = "policy",
-) -> TuningDecision:
-    """Materialise a searched configuration into a :class:`TuningDecision`.
-
-    ``config`` is any object with the autotuning gym's configuration
-    attributes (:class:`repro.tune.TuneConfig`, duck-typed so this layer
-    stays independent of :mod:`repro.tune`): ``solver``, ``fmt``,
-    ``value_bytes``, ``gmres_restart``, ``target_blocks_per_cu`` and
-    ``compaction_threshold``.  The kernel geometry that is *not* searched
-    (thread sizing, fused-vs-component path) follows the same rules as
-    :func:`tune_batched_solver`; the searched knobs — format, solver
-    variant, precision, shared-memory residency — come from the config.
-    """
-    check_positive(num_rows, "num_rows")
-    threads, rows_per_thread, thread_why = _thread_plan(hw, num_rows)
-    budget = hw.shared_budget_per_block(config.target_blocks_per_cu)
-    storage = plan_storage(
-        solver_vector_specs(config.solver, gmres_restart=config.gmres_restart),
-        num_rows, budget, value_bytes=config.value_bytes,
-    )
-    occ = compute_occupancy(hw, storage.shared_bytes_used, threads)
-    fused = num_rows <= FUSED_ROW_LIMIT
-    rationale = {
-        "policy": (
-            f"searched configuration ({provenance}): solver="
-            f"{config.solver}, format={config.fmt}, precision="
-            f"{config.precision}, {config.target_blocks_per_cu} target "
-            "block(s)/CU — selected by the autotuning gym over the GPU "
-            "cost model, not by the hand rules"
-        ),
-        "threads": thread_why,
-        "shared": (
-            f"{storage.num_shared}/{storage.num_vectors} vectors in "
-            f"{storage.shared_bytes_used} B of shared memory (searched "
-            f"residency target {config.target_blocks_per_cu} block(s)/CU, "
-            f"budget {budget} B)"
-        ),
-        "kernel": (
-            "fused single-kernel solve" if fused else "component kernels"
-        ),
-    }
-    if config.compaction_threshold:
-        rationale["compaction"] = (
-            f"re-compact the active batch below {config.compaction_threshold:.0%} "
-            "active systems"
-        )
-    return TuningDecision(
-        fmt=config.fmt,
-        threads_per_block=threads,
-        rows_per_thread=rows_per_thread,
-        storage=storage,
-        occupancy=occ,
-        fused_kernel=fused,
-        rationale=rationale,
-        solver_variant=config.solver,
-    )
-
-
 def tune_for_matrix(
     hw: GpuSpec,
     matrix,
@@ -487,8 +419,6 @@ def tune_for_matrix(
     gmres_restart: int = 30,
     value_bytes: int | None = None,
     num_batch: int | None = None,
-    policy=None,
-    scenario: str = "xgc",
 ) -> TuningDecision:
     """Tune directly from a batch matrix (inspects its pattern).
 
@@ -501,15 +431,6 @@ def tune_for_matrix(
     without any extra argument.  ``num_batch`` defaults to the matrix's
     own batch size, enabling the classic-vs-pipelined variant choice;
     pass ``0`` to suppress it.
-
-    ``policy`` is an optional searched-policy lookup (a
-    :class:`repro.tune.TuningPolicy`, anything with its ``lookup``
-    signature, or a path to a ``best_configs.json``): when it holds an
-    entry for ``(hw.name, num_rows, num_batch, scenario)``, that searched
-    configuration is materialised via :func:`decision_for_config` and the
-    hand rules below are bypassed.  With no policy (the default) or on a
-    lookup miss, the decision is **bit-identical** to the policy-free
-    path.
     """
     import numpy as np
 
@@ -523,19 +444,6 @@ def tune_for_matrix(
         raise ValueError("cannot tune for an empty sparsity pattern")
     if num_batch is None:
         num_batch = matrix.num_batch
-
-    if policy is not None:
-        if isinstance(policy, (str, bytes)) or hasattr(policy, "read_text"):
-            from ..tune.policy import TuningPolicy
-
-            policy = TuningPolicy.load(policy)
-        hit = policy.lookup(hw.name, num_rows, num_batch, scenario)
-        if hit is not None:
-            return decision_for_config(
-                hw, hit, num_rows,
-                provenance=f"policy entry for {hw.name}, n={num_rows}, "
-                           f"batch={num_batch}, scenario={scenario!r}",
-            )
 
     lo = max(int(nnz_row.min()), 1)
     hi = int(nnz_row.max())

@@ -19,8 +19,7 @@ axis — the invariant active-batch compaction already pins).
 The solver *variant* of a group is chosen once per key through
 :func:`repro.gpu.tuning.tune_for_matrix` at the coalescing target batch
 size: small-batch groups keep the sync-avoiding pipelined variants, large
-ones the classic solvers — the same sync-aware trade the autotuning layer
-prices.
+ones the classic solvers — the sync-aware trade the tuner prices.
 """
 
 from __future__ import annotations
@@ -40,13 +39,7 @@ __all__ = ["CoalescePolicy", "Coalescer", "CoalescedBatch", "CompatKey",
 
 @dataclass(frozen=True)
 class CompatKey:
-    """What must match for two requests to share one hardware batch.
-
-    ``scenario`` is the workload identity (``"xgc"``, ``"dougherty"``,
-    ``"lenard_bernstein"``, ``"landau"``): requests from different
-    operators never coalesce even when their patterns coincide, because
-    the scenario drives the tuner's validity masks and distilled-policy
-    lookup — one batch must mean one tuning decision."""
+    """What must match for two requests to share one hardware batch."""
 
     num_rows: int
     fmt: str
@@ -55,7 +48,6 @@ class CompatKey:
     tolerance: float
     pattern_fp: str
     degraded: bool
-    scenario: str = "xgc"
 
 
 #: Pattern-fingerprint cache: ``id(pattern array) -> (array ref, digest)``.
@@ -97,7 +89,6 @@ def compat_key(request: SolveRequest) -> CompatKey:
         tolerance=float(request.tolerance),
         pattern_fp=pattern_fingerprint(matrix),
         degraded=bool(request.degraded),
-        scenario=request.scenario,
     )
 
 
@@ -241,7 +232,6 @@ class Coalescer:
             decision = tune_for_matrix(
                 self.gpu, matrix, solver=key.solver,
                 num_batch=self.policy.max_batch,
-                scenario=key.scenario,
             )
             hit = decision.solver_variant or key.solver
             self._variants[key] = hit

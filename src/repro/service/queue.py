@@ -59,10 +59,6 @@ class SolveRequest:
     allow_degrade:
         Whether the QoS layer may serve this request on the degraded
         fp32/refinement precision ladder under overload.
-    scenario:
-        Workload identity (``"xgc"`` or an operator-zoo scenario name);
-        part of the coalescing key and forwarded to the tuner so batches
-        from different operators keep their own tuning decisions.
     request_id, submit_time, degraded:
         Filled in by the service at admission.
     """
@@ -74,7 +70,6 @@ class SolveRequest:
     solver: str = "bicgstab"
     deadline: float | None = None
     allow_degrade: bool = True
-    scenario: str = "xgc"
     request_id: int = -1
     submit_time: float = math.nan
     degraded: bool = False

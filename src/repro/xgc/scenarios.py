@@ -206,9 +206,7 @@ class OperatorScenario:
         )
 
 
-#: The predefined operator-zoo scenarios, keyed by name.  These names are
-#: also valid ``scenario`` identities for the autotuning gym
-#: (:func:`repro.tune.space_for_scenario`) and the service coalescer.
+#: The predefined operator-zoo scenarios, keyed by name.
 OPERATOR_SCENARIOS: dict[str, OperatorScenario] = {
     s.name: s
     for s in (

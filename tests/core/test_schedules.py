@@ -114,6 +114,14 @@ class TestRegistry:
             for spec in solver_schedule(name).vectors:
                 assert spec.touches > 0.0
 
+    def test_registry_is_memoized(self):
+        """Every GPU-model estimate (and so every batch the service bills)
+        looks its schedule up; repeated lookups share one instance."""
+        for name in iterative_solver_names():
+            assert solver_schedule(name) is solver_schedule(name)
+        assert (solver_schedule("gmres", gmres_restart=10)
+                is solver_schedule("gmres", gmres_restart=10))
+
 
 class TestSyncAccounting:
     """The pipelined reorganisation's whole point, pinned exactly: per

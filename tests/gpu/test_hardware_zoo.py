@@ -13,7 +13,8 @@ Four families:
   the warp-width phase count (scale exactly 1.0, preserving the Table I
   timings bit for bit);
 * **tuner coverage** — ``tune_for_matrix`` returns a valid decision on
-  every GPU x scenario cell of the expanded grid.
+  every GPU x scenario cell: each model collision operator's matrix and
+  the XGC proxy-app matrix, on every GPU of the catalog.
 """
 
 import dataclasses
@@ -36,14 +37,12 @@ from repro.gpu import (
     reduction_round_scale,
     tune_for_matrix,
 )
-from repro.tune import scenario_names
-from repro.xgc.operators import (
-    ParallelVelocityGrid,
-    dougherty_operator,
-    grid_maxwellian,
-)
+from repro.xgc import OPERATOR_SCENARIOS, CollisionProxyApp, ProxyAppConfig
 
 ZOO = (H100, MI250X, PVC)
+
+#: The operator-zoo scenarios plus the XGC proxy-app matrix.
+SCENARIOS = tuple(sorted((*OPERATOR_SCENARIOS, "xgc")))
 
 
 def spec_kwargs(**overrides):
@@ -191,18 +190,19 @@ class TestSubgroupBilling:
 
 class TestTunerCoverage:
     @pytest.fixture(scope="class")
-    def operator_matrix(self):
-        grid = ParallelVelocityGrid(nv=64, v_max=6.0)
-        rng = np.random.default_rng(20220157)
-        f0 = grid_maxwellian(
-            grid, 1.0 + 0.2 * rng.random(8), np.zeros(8), np.ones(8)
-        )
-        return dougherty_operator(grid, f0, nu=1.0, dt=0.1).matrix("dia")
+    def scenario_matrices(self):
+        matrices = {
+            name: scenario.build(num_nodes=2)[0].matrix("dia")
+            for name, scenario in OPERATOR_SCENARIOS.items()
+        }
+        app = CollisionProxyApp(ProxyAppConfig(num_mesh_nodes=2))
+        matrices["xgc"] = app.build_matrices()[0]
+        return matrices
 
     @pytest.mark.parametrize("hw", GPUS, ids=lambda h: h.name)
-    @pytest.mark.parametrize("scenario", sorted(scenario_names()))
-    def test_every_gpu_scenario_cell_tunes(self, hw, scenario, operator_matrix):
-        decision = tune_for_matrix(hw, operator_matrix, scenario=scenario)
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_every_gpu_scenario_cell_tunes(self, hw, scenario, scenario_matrices):
+        decision = tune_for_matrix(hw, scenario_matrices[scenario])
         assert decision.fmt in ("csr", "ell", "dia")
         assert decision.threads_per_block >= hw.warp_size
         assert decision.threads_per_block % hw.warp_size == 0

@@ -215,7 +215,7 @@ class TestTuneForMatrix:
 
 
 class TestVariantEstimates:
-    """The shared per-variant pricing surface (gym + fig6 + chooser)."""
+    """The shared per-variant pricing surface (fig6 + chooser)."""
 
     N, NNZ, STORED = 992, 8832, 8928
 

@@ -2,24 +2,27 @@
 
 Times the batched SpMV of every matrix format (CSR / ELL / DIA / dense) on
 the paper's n = 992 collision stencil over a range of batch sizes, checks
-that every format's products agree with CSR to tight tolerance, verifies
+that every format's products agree with CSR to tight tolerance, that the
+DIA product is bit-identical to summing its diagonals one at a time, verifies
 that a full Picard step with ``matrix_format="dia"`` reproduces the exact
 per-system linear iteration counts and the bit-exact final state of
 ``"ell"`` (the ground for stepping in DIA by default), and writes
 ``BENCH_spmv_formats.json`` at the repo root (next to
 ``BENCH_host_kernels.json``) so the perf trajectory is tracked.
 
-The gather-free DIA kernel is the point of the sweep: each of the
-stencil's 9 constant diagonals contributes one contiguous shifted-slice
-multiply-add — no column-index loads, no gathers — so it should be the
-fastest sparse format at every batch size.
+The gather-free DIA kernel is the point of the sweep: the stencil's 9
+constant diagonals are one strided view of the padded ``x``, so each batch
+tile costs one multiply and one reduction over the diagonal axis — no
+column-index loads, no gathers — and it should be the fastest sparse format
+at every batch size.
 
 Run standalone (CI parity + perf gate)::
 
     PYTHONPATH=src python benchmarks/bench_spmv_formats.py --min-dia-speedup 1.0
 
 Exit status is non-zero when any format diverges from CSR beyond
-``--parity-tol``, when DIA is not the fastest sparse format, when ELL is
+``--parity-tol``, when the DIA product differs from the per-diagonal sum in
+any bit, when DIA is not the fastest sparse format, when ELL is
 not faster than CSR (the host echo of the paper's Fig. 7), when the
 DIA-vs-ELL speedup at the largest batch falls below ``--min-dia-speedup``,
 or when the DIA Picard step's iteration counts or final state differ from
@@ -66,6 +69,16 @@ def parity_error(matrix, x, ref: np.ndarray) -> float:
     return float(np.abs(y - ref).max()) / scale
 
 
+def per_diagonal_product(dia, x: np.ndarray) -> np.ndarray:
+    """``((0.0 + p0) + p1) + ...``: the DIA product summed one diagonal at a
+    time, in ascending-offset order, over each diagonal's in-band rows."""
+    out = np.zeros((dia.num_batch, dia.num_rows))
+    for k, d in enumerate(dia.offsets.tolist()):
+        lo, hi = max(0, -d), min(dia.num_rows, dia.num_cols - d)
+        out[:, lo:hi] += dia.values[:, k, lo:hi] * x[:, lo + d : hi + d]
+    return out
+
+
 def sweep_batch(num_batch: int, repeats: int) -> dict:
     """Time every format at one batch size; returns the report entry."""
     csr, f = build_batch(num_batch)
@@ -89,6 +102,10 @@ def sweep_batch(num_batch: int, repeats: int) -> dict:
             "storage_bytes": m.storage_bytes(),
         }
     t = entry["formats"]
+    entry["dia_bit_identical"] = bool(np.array_equal(
+        mats["dia"].apply(f).view(np.uint64),
+        per_diagonal_product(mats["dia"], f).view(np.uint64),
+    ))
     entry["dia_speedup_vs_ell"] = t["ell"]["time_s"] / t["dia"]["time_s"]
     entry["dia_speedup_vs_csr"] = t["csr"]["time_s"] / t["dia"]["time_s"]
     return entry
@@ -164,6 +181,8 @@ def main(argv=None) -> int:
             row += f"{cell['time_s'] * 1e3:12.3f}" if cell else f"{'-':>12}"
         row += f"{s['dia_speedup_vs_ell']:9.2f}x"
         print(row)
+    print("  dia bit-identical to the per-diagonal sum: "
+          f"{all(s['dia_bit_identical'] for s in sweeps)}")
     print(f"  picard iterations dia==ell: {picard['iterations_identical']} "
           f"({picard['total_linear_iterations_ell']} total), "
           f"f_final bit-identical: {picard['f_final_identical']}")
@@ -177,6 +196,10 @@ def main(argv=None) -> int:
                     f"{fmt} diverges from csr at batch {s['num_batch']}: "
                     f"{cell['parity_vs_csr']:.2e} > {args.parity_tol:.0e}"
                 )
+        if not s["dia_bit_identical"]:
+            failures.append(
+                f"dia differs from the per-diagonal sum at batch {s['num_batch']}"
+            )
         t = s["formats"]
         if t["dia"]["time_s"] > min(t["csr"]["time_s"], t["ell"]["time_s"]):
             failures.append(

@@ -7,16 +7,19 @@ column-index arrays that, for such a matrix, encode nothing but those nine
 constants — and their SpMV kernels spend an indexed gather per stored entry
 to honour them.  DIA stores the shared sorted offset array ``(num_diags,)``
 once for the whole batch plus per-system diagonal value bands
-``(num_batch, num_diags, num_rows)``, and its SpMV is **gather-free**: each
-diagonal ``d`` contributes through a contiguous shifted slice ::
+``(num_batch, num_diags, num_rows)``, and its SpMV is **gather-free**:
+diagonal ``k`` (offset ``d``) contributes a shifted window of ``x`` ::
 
-    out[:, lo:hi] += values[:, k, lo:hi] * x[:, lo + d : hi + d]
+    out[:, r] = sum over k of values[:, k, r] * x[:, r + d]
 
-with ``lo = max(0, -d)`` and ``hi = min(num_rows, num_cols - d)`` — no
-``col_idxs`` load, no fancy indexing, pure strided AXPYs.  This extends the
-paper's CSR-vs-ELL format study (Section IV-A) one step further in the
-direction Ginkgo's format portfolio points: when the access pattern is a
-compile-time constant, stop reading it from memory.
+With ``x`` copied into zero-padded rows, every window is a slice of one
+row, and when the offsets form a grid (the XGC stencil's are
+``-33 + 32 g + r`` for ``g, r < 3``) all nine windows are one strided view:
+one multiply and one reduction over the diagonal axis per batch tile — no
+``col_idxs`` load, no fancy indexing.  This extends the paper's CSR-vs-ELL
+format study (Section IV-A) one step further in the direction Ginkgo's
+format portfolio points: when the access pattern is a compile-time
+constant, stop reading it from memory.
 
 Band positions outside the matrix (the *fringe* of an off-diagonal: rows
 ``< lo`` or ``>= hi``) are stored as exactly ``0.0`` so every diagonal has
@@ -37,12 +40,26 @@ formats (see ``docs/performance_model.md``).
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..utils.validation import as_index_array, as_value_array
 from .spmv import BatchMatrix
-from .types import BatchShape, DimensionMismatch, InvalidFormatError, batch_tile
+from .types import BatchShape, DimensionMismatch, InvalidFormatError, dia_tile
 
 __all__ = ["BatchDia"]
+
+
+def _offset_grid(offsets: list[int]) -> tuple[int, int, int] | None:
+    """``(G, R, step)`` when the sorted offsets are ``offsets[0] + step * g
+    + r`` for ``g < G``, ``r < R`` (runs of ``R`` consecutive offsets,
+    ``step`` apart), else None.  The XGC stencil is ``(3, 3, 32)``."""
+    run = 1
+    while run < len(offsets) and offsets[run] == offsets[0] + run:
+        run += 1
+    groups, rest = divmod(len(offsets), run)
+    step = offsets[run] - offsets[0] if groups > 1 else 0
+    grid = [offsets[0] + step * g + r for g in range(groups) for r in range(run)]
+    return (groups, run, step) if rest == 0 and grid == offsets else None
 
 
 class BatchDia(BatchMatrix):
@@ -100,8 +117,8 @@ class BatchDia(BatchMatrix):
         self._values = values
         self._shape = BatchShape(values.shape[0], num_rows, num_cols)
         # Per-diagonal valid band [lo, hi): rows whose entry (r, r + d)
-        # falls inside the matrix.  Computed once; every SpMV is then pure
-        # slicing.  Plain Python ints so the hot loop does no array math.
+        # falls inside the matrix.  Plain Python ints, so the per-diagonal
+        # SpMV of a non-grid offset set does no array math.
         self._spans = tuple(
             (k, int(d), max(0, -int(d)), min(num_rows, num_cols - int(d)))
             for k, d in enumerate(offsets)
@@ -115,9 +132,10 @@ class BatchDia(BatchMatrix):
         # land in the padding.
         self._pad_lo = max(0, -int(offsets.min()))
         self._pad_hi = max(0, int(offsets.max()) + num_rows - num_cols)
+        self._grid = _offset_grid(offsets.tolist())
         # Lazily-allocated per-tile scratch (see _scratch): no temporaries
         # per SpMV after the first (core/blas discipline).
-        self._work: tuple[np.ndarray, np.ndarray] | None = None
+        self._work: tuple | None = None
 
     # -- attributes ------------------------------------------------------
 
@@ -189,34 +207,53 @@ class BatchDia(BatchMatrix):
 
     # -- matrix-vector product ---------------------------------------------
 
-    def _scratch(self, tile: int, x_dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
-        """Reused ``(tile, ...)`` zero-padded ``x`` rows and product rows."""
+    def _scratch(self, tile: int, x_dtype: np.dtype):
+        """Reused per-tile scratch: zero-padded ``x`` rows, the
+        ``(tile, num_diags, num_rows)`` products, and (for a grid offset
+        set) the strided view of the padded rows that lines ``x`` up with
+        every diagonal at once."""
         work = self._work
         if work is None or work[0].shape[0] < tile or work[0].dtype != x_dtype:
             width = self._pad_lo + self.num_cols + self._pad_hi
-            work = self._work = (
-                np.zeros((tile, width), dtype=x_dtype),
-                np.empty((tile, self.num_rows), dtype=self._values.dtype),
+            xpad = np.zeros((tile, width), dtype=x_dtype)
+            prod = np.empty(
+                (tile, self.num_diags, self.num_rows), dtype=self._values.dtype
             )
+            xgrid = None
+            if self._grid is not None:
+                groups, run, step = self._grid
+                item = xpad.itemsize
+                xgrid = as_strided(
+                    xpad[:, self._pad_lo + int(self._offsets[0]):],
+                    shape=(tile, groups, run, self.num_rows),
+                    strides=(xpad.strides[0], step * item, item, item),
+                    writeable=False,
+                )
+            work = self._work = (xpad, prod, xgrid)
         return work
 
     def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Batched gather-free SpMV ``out[k] = A[k] @ x[k]``.
 
-        One shifted-slice multiply-add per stored diagonal (9 for the XGC
-        stencil), vectorised over a tile of systems x rows.  No index array
-        is read and no gather is issued: the diagonal structure *is* the
+        The batch is walked in tiles of :func:`~repro.core.types.dia_tile`
+        systems, three NumPy calls each.  A tile's ``x`` is copied into
+        zero-padded rows, so diagonal ``d`` reads the full-width window
+        starting at ``pad + d``.  One multiply writes every diagonal's
+        products into a ``(tile, num_diags, num_rows)`` scratch: when the
+        offsets form a grid ``offsets[0] + step * g + r`` (the XGC stencil:
+        ``-33 + 32 g + r``, ``g, r < 3``) the values, viewed as ``(tile, G,
+        R, num_rows)``, meet one strided view of the padded rows; any other
+        offset set runs one multiply per diagonal into the same scratch.
+        Then ``np.add.reduce(..., initial=0.0)`` sums the diagonal axis
+        into ``out`` in ascending-offset order from ``+0.0``, so a leading
+        ``-0.0`` product still sums to ``+0.0``.  No index array is read
+        and no gather is issued: the diagonal structure *is* the
         addressing.
 
-        The batch is walked in tiles of :func:`~repro.core.types.batch_tile`
-        systems so a tile's ``x``, ``out`` and scratch stay cache-resident
-        across all diagonal passes.  Each tile's ``x`` is copied into
-        zero-padded rows, so every diagonal multiplies full rows and adds
-        into contiguous ``out`` rows (NumPy runs in-place adds on partial
-        rows several times slower).  Fringe rows then add ``0.0 * 0.0``,
-        which leaves an accumulator that starts at ``+0.0`` unchanged, so
-        results are bit-identical to skipping the fringe; each row is still
-        computed independently.
+        Fringe positions multiply ``0.0`` by padding ``0.0``; adding that
+        ``+0.0`` to an accumulator that starts at ``+0.0`` cannot change
+        it, so results are bit-identical to skipping the fringe, and each
+        row is computed independently of the tiling.
         """
         self._shape.compatible_vector(x, "x")
         num_batch, num_rows, num_cols = self.num_batch, self.num_rows, self.num_cols
@@ -224,16 +261,23 @@ class BatchDia(BatchMatrix):
             out = np.empty((num_batch, num_rows), dtype=self._values.dtype)
         values = self._values
         pad = self._pad_lo
-        tile = min(num_batch, batch_tile(num_rows, out.itemsize))
-        xpad, prod = self._scratch(tile, x.dtype)
+        tile = min(num_batch, dia_tile(self.num_diags, num_rows, out.itemsize))
+        xpad, prod, xgrid = self._scratch(tile, x.dtype)
+        if xgrid is not None:
+            # Splitting the diagonal axis in two is always a view.
+            grid_shape = self._grid[:2] + (num_rows,)
+            values_g = values.reshape((num_batch,) + grid_shape)
+            prod_g = prod.reshape((prod.shape[0],) + grid_shape)
         for t0 in range(0, num_batch, tile):
             t1 = min(t0 + tile, num_batch)
-            xp, p, vt, ot = xpad[: t1 - t0], prod[: t1 - t0], values[t0:t1], out[t0:t1]
+            nt = t1 - t0
+            xp, p = xpad[:nt], prod[:nt]
             xp[:, pad : pad + num_cols] = x[t0:t1]
-            ot[...] = 0.0
-            for k, d, lo, hi in self._spans:
-                if lo >= hi:
-                    continue
-                np.multiply(vt[:, k, :], xp[:, pad + d : pad + d + num_rows], out=p)
-                ot += p
+            if xgrid is not None:
+                np.multiply(values_g[t0:t1], xgrid[:nt], out=prod_g[:nt])
+            else:
+                for k, d, _, _ in self._spans:
+                    window = xp[:, pad + d : pad + d + num_rows]
+                    np.multiply(values[t0:t1, k], window, out=p[:, k])
+            np.add.reduce(p, axis=1, out=out[t0:t1], initial=0.0)
         return out

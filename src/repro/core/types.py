@@ -28,6 +28,7 @@ __all__ = [
     "INDEX_DTYPE",
     "L2_TILE_BYTES",
     "batch_tile",
+    "dia_tile",
     "BatchShape",
     "SolveResult",
     "DimensionMismatch",
@@ -41,17 +42,30 @@ DTYPE = np.float64
 #: Index dtype used for sparsity metadata (matches GPU int32 indices).
 INDEX_DTYPE = np.int32
 
-#: Cache budget of one batch tile of the host SpMV kernels: the ELL and DIA
-#: ``apply`` loops walk the batch in tiles whose four row vectors (``x``,
-#: ``out`` and two scratch rows) fit in this many bytes, so every stored
-#: slot/diagonal pass re-reads them from L2 instead of memory — the host
+#: Cache budget of one batch tile of the host SpMV kernels, so every pass
+#: of a tile re-reads its rows from L2 instead of memory — the host
 #: counterpart of the paper's shared-memory residency (Section IV-D).
+#: ELL tiles by :func:`batch_tile`, DIA by :func:`dia_tile`.
 L2_TILE_BYTES = 1 << 20
 
 
 def batch_tile(num_rows: int, itemsize: int) -> int:
-    """Systems per SpMV batch tile for rows of ``num_rows`` x ``itemsize`` bytes."""
+    """Systems per ELL SpMV tile: four rows of ``num_rows`` x ``itemsize``
+    bytes per system (``x``, ``out``, the gather and the product scratch)
+    fit in :data:`L2_TILE_BYTES` (33 systems at n = 992 in fp64).
+
+    It is also the unit of the Picard shard plan
+    (:data:`repro.xgc.picard.MIN_SHARD_TILES`).
+    """
     return max(1, L2_TILE_BYTES // (4 * num_rows * itemsize))
+
+
+def dia_tile(num_diags: int, num_rows: int, itemsize: int) -> int:
+    """Systems per DIA SpMV tile: a system's ``num_diags + 2`` rows of
+    products, padded ``x`` and ``out``, plus the ``num_diags`` rows of
+    values its multiply streams past them, fit in :data:`L2_TILE_BYTES`
+    (6 systems of 9 diagonals at n = 992 in fp64)."""
+    return max(1, L2_TILE_BYTES // ((2 * num_diags + 2) * num_rows * itemsize))
 
 
 class DimensionMismatch(ValueError):

@@ -25,9 +25,10 @@ Picard-frozen coefficient combinations::
 
 so :class:`CollisionStencil` precomputes the four geometric templates
 ``T_*`` (plus identity) *once per grid* as dense vectors over the shared
-union sparsity pattern, and each assembly reduces to a single
+union sparsity pattern, and each assembly reduces to one
 ``(num_batch, 5) @ (5, nnz)`` matrix product.  Re-assembling inside every
-Picard iteration costs one small GEMM and zero index manipulation.
+Picard iteration costs one small GEMM (run in row blocks small enough for
+OpenBLAS to keep each on one thread) and zero index manipulation.
 """
 
 from __future__ import annotations
@@ -47,6 +48,28 @@ __all__ = ["CollisionStencil"]
 
 #: Template order used in the coefficient-combination GEMM.
 _TEMPLATES = ("identity", "diff", "pitch", "drift_v", "drift_1")
+
+#: Largest ``m * n * k`` that OpenBLAS runs on the calling thread alone
+#: (``SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD`` = 65536 * 4).  A
+#: larger GEMM wakes its worker threads, which then spin-wait for work on
+#: cores the Picard shard threads need.
+GEMM_SERIAL_MNK = 65536 * 4
+
+
+def _gemm_row_blocks(num_batch: int, row_mnk: int) -> list[tuple[int, int]]:
+    """Balanced ``[lo, hi)`` row blocks of an assembly GEMM.
+
+    Each block holds at least two rows, because NumPy sends a one-row
+    product to GEMV, whose sums may round differently; a single system is
+    one block.  Where three rows fit under :data:`GEMM_SERIAL_MNK`
+    (``row_mnk`` per row; five at n = 992), every block does, so OpenBLAS
+    keeps it on the calling thread.
+    """
+    per_block = max(2, GEMM_SERIAL_MNK // row_mnk)
+    count = max(1, min(-(-num_batch // per_block), num_batch // 2))
+    return [
+        (k * num_batch // count, (k + 1) * num_batch // count) for k in range(count)
+    ]
 
 
 class CollisionStencil:
@@ -119,17 +142,30 @@ class CollisionStencil:
         return batch
 
     def _assemble(self, fmt: str, coeffs: CollisionCoefficients, out):
-        """One GEMM of the coefficient matrix against the ``fmt`` templates."""
+        """The coefficient matrix times the ``fmt`` templates.
+
+        ELL and DIA run one GEMM per block of :func:`_gemm_row_blocks`,
+        and every block equals the same rows of one GEMM bit for bit.  CSR
+        keeps one GEMM.  OpenBLAS rounds the template columns past the last
+        multiple of its kernel's column unroll (8 columns) differently in a
+        small GEMM than in a large one.  In CSR they hold the last row's
+        entries (the last 2 of 8554 at n = 992), and blocks moved 153
+        values of a 240-system batch by one ulp.  In ELL and DIA there are
+        none at n = 992 (8928 columns), and on other grids they hold the
+        last rows' padding or fringe, which is zero in every template.
+        """
         templates = self._template_batch(fmt)
+        num_batch = coeffs.num_batch
         if out is None:
-            out = np.empty(
-                (coeffs.num_batch,) + templates.values.shape[1:], dtype=DTYPE
-            )
-        np.matmul(
-            self._coefficient_matrix(coeffs),
-            templates.values.reshape(len(_TEMPLATES), -1),
-            out=out.reshape(coeffs.num_batch, -1),
+            out = np.empty((num_batch,) + templates.values.shape[1:], dtype=DTYPE)
+        coeff = self._coefficient_matrix(coeffs)
+        tmpl = templates.values.reshape(len(_TEMPLATES), -1)
+        flat = out.reshape(num_batch, -1)
+        blocks = (
+            [(0, num_batch)] if fmt == "csr" else _gemm_row_blocks(num_batch, tmpl.size)
         )
+        for lo, hi in blocks:
+            np.matmul(coeff[lo:hi], tmpl, out=flat[lo:hi])
         return templates.with_values(out)
 
     def assemble(
@@ -138,7 +174,8 @@ class CollisionStencil:
         """Assemble the batched backward-Euler matrix ``M = I - dt*C_lin``.
 
         One GEMM: the per-batch coefficient matrix against the geometric
-        template matrix.  ``out`` is an optional preallocated
+        template matrix, in one call (the band layouts use row blocks; see
+        :meth:`_assemble`).  ``out`` is an optional preallocated
         ``(num_batch, nnz)`` values buffer (a Picard driver reuses one
         across all its assemblies).
         """
@@ -149,10 +186,10 @@ class CollisionStencil:
     ) -> BatchEll:
         """Assemble directly into the ELL format (same values, ELL layout).
 
-        The same single GEMM as :meth:`assemble`, landing straight in the
-        padded slot layout — no CSR intermediate, no per-iteration index
-        manipulation.  ``out`` is an optional ``(num_batch, max_nnz_row,
-        num_rows)`` values buffer.
+        The same GEMM as :meth:`assemble`, in row blocks, landing straight
+        in the padded slot layout — no CSR intermediate, no per-iteration
+        index manipulation.  ``out`` is an optional ``(num_batch,
+        max_nnz_row, num_rows)`` values buffer.
         """
         return self._assemble("ell", coeffs, out)
 
@@ -161,9 +198,9 @@ class CollisionStencil:
     ) -> BatchDia:
         """Assemble directly into the gather-free DIA format.
 
-        The same single GEMM as :meth:`assemble`, with the values landing
-        in band layout.  ``out`` is an optional ``(num_batch, num_diags,
-        num_rows)`` values buffer.
+        The same GEMM as :meth:`assemble`, in row blocks, with the values
+        landing in band layout.  ``out`` is an optional ``(num_batch,
+        num_diags, num_rows)`` values buffer.
         """
         return self._assemble("dia", coeffs, out)
 

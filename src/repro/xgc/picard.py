@@ -50,9 +50,11 @@ from .grid import VelocityGrid
 
 __all__ = ["PicardOptions", "PicardStepResult", "PicardStepper"]
 
-#: Smallest shard of a sharded linear solve, in SpMV batch tiles
-#: (:func:`~repro.core.types.batch_tile`; 33 systems at n = 992).  On two
-#: cores, one warm DIA step at n = 992 was slower with two shards than
+#: Smallest shard of a sharded linear solve, in ELL SpMV batch tiles
+#: (:func:`~repro.core.types.batch_tile`; 33 systems at n = 992) whatever
+#: the format: the plan must stay 99 systems at n = 992, so it does not
+#: follow the smaller DIA tile (:func:`~repro.core.types.dia_tile`).  On
+#: two cores, one warm DIA step at n = 992 was slower with two shards than
 #: with one at 34 and 66 systems, even at 128 and faster at 240 (1.55 s
 #: against 1.71 s).  Three tiles (99 systems) keep batches of 128 and
 #: fewer on the serial path.
@@ -77,8 +79,8 @@ def _usable_cores() -> int:
 def _shard_bounds(num_batch: int, num_rows: int) -> list[tuple[int, int]]:
     """Contiguous ``[lo, hi)`` shards of a linear solve, at most one per core.
 
-    Each shard holds at least :data:`MIN_SHARD_TILES` SpMV batch tiles, so
-    a small batch is a single shard: the serial path.
+    Each shard holds at least :data:`MIN_SHARD_TILES` ELL SpMV batch
+    tiles, so a small batch is a single shard: the serial path.
     """
     min_shard = MIN_SHARD_TILES * batch_tile(num_rows, np.dtype(DTYPE).itemsize)
     count = max(1, min(_usable_cores(), num_batch // min_shard))

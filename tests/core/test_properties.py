@@ -44,6 +44,19 @@ def l2_budget(nbytes: int):
         core_types.L2_TILE_BYTES = saved
 
 
+def tile_rows(m) -> int:
+    """Rows per system that ``m``'s SpMV tile budget counts."""
+    return 2 * m.num_diags + 2 if m.format_name == "dia" else 4
+
+
+def kernel_tile(m) -> int:
+    """Systems per tile of ``m``'s SpMV at the current budget."""
+    itemsize = m.dtype.itemsize
+    if m.format_name == "dia":
+        return core_types.dia_tile(m.num_diags, m.num_rows, itemsize)
+    return core_types.batch_tile(m.num_rows, itemsize)
+
+
 def per_system_reference(m, x) -> np.ndarray:
     """The untiled textbook ELL/DIA product, one system at a time.
 
@@ -243,21 +256,59 @@ class TestTiledSpmv:
         # Signed zeros in x make all-zero products whose sign a different
         # accumulation order would expose.
         x[rng.random(x.shape) < 0.3] = -0.0
-        with l2_budget(tile * 4 * n * np.dtype(dtype).itemsize):
-            assert core_types.batch_tile(n, np.dtype(dtype).itemsize) == tile
+        with l2_budget(tile * tile_rows(m) * n * np.dtype(dtype).itemsize):
+            assert kernel_tile(m) == tile
             assert_tiled_apply_matches_per_system(m, x, supplied_out)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "offsets, grid, sizes",
+        [
+            ([0], (1, 1, 0), (1, 2, 5)),
+            ([-1, 0, 1], (1, 3, 0), (2, 3, 5)),
+            ([-5, -4, -3, -1, 0, 1, 3, 4, 5], (3, 3, 4), (6, 7, 12)),
+        ],
+        ids=["one-diagonal", "tridiagonal", "3x3-stencil"],
+    )
+    def test_grid_offsets_bit_equal_per_system(self, offsets, grid, sizes, dtype):
+        """Offset sets ``offsets[0] + step * g + r`` take the one-multiply
+        path, at small n and at batch sizes straddling a 2-system tile.
+
+        System 0 reads ``x = -0.0`` through positive values, so every
+        in-band product is ``-0.0``, the first diagonal's included: the
+        sum must still start from ``+0.0`` like the per-system loop."""
+        rng = np.random.default_rng(len(offsets))
+        itemsize = np.dtype(dtype).itemsize
+        for n in sizes:
+            for nb in tile_batch_sizes(2):
+                bands = rng.standard_normal((nb, len(offsets), n)).astype(dtype)
+                bands[0] = np.abs(bands[0]) + 0.5
+                m = BatchDia(n, np.array(offsets), bands, check=False)
+                bands[:, m.fringe_mask()] = 0.0
+                assert m._grid == grid
+                x = rng.standard_normal((nb, n)).astype(dtype)
+                x[rng.random(x.shape) < 0.3] = -0.0
+                x[0] = -0.0
+                with l2_budget(2 * tile_rows(m) * n * itemsize):
+                    assert kernel_tile(m) == 2
+                    assert_tiled_apply_matches_per_system(m, x, supplied_out=False)
 
     @pytest.mark.parametrize("supplied_out", [False, True])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("fmt", TILED_FORMATS)
     def test_paper_size_tiles_at_the_real_budget(self, fmt, dtype, supplied_out):
-        """At n = 992 with the shipped budget (33 fp64 / 66 fp32 systems per
-        tile), on a 9-diagonal stencil whose boundary rows are padded."""
+        """At n = 992 with the shipped budget (ELL: 33 fp64 / 66 fp32
+        systems per tile; DIA: 6 / 13), on a 9-diagonal stencil whose
+        boundary rows are padded."""
         n = 992
-        tile = core_types.batch_tile(n, np.dtype(dtype).itemsize)
-        assert tile == {np.float64: 33, np.float32: 66}[dtype]
         rng = np.random.default_rng(2022)
         offsets = np.array([-33, -32, -31, -1, 0, 1, 31, 32, 33])
+        probe = BatchDia(n, offsets, np.zeros((1, offsets.size, n), dtype=dtype))
+        tile = kernel_tile(probe if fmt == "dia" else to_format(probe, fmt))
+        assert tile == {
+            ("ell", np.float64): 33, ("ell", np.float32): 66,
+            ("dia", np.float64): 6, ("dia", np.float32): 13,
+        }[fmt, dtype]
         for nb in tile_batch_sizes(tile):
             bands = rng.standard_normal((nb, offsets.size, n)).astype(dtype)
             dia = BatchDia(n, offsets, bands, check=False)
@@ -265,3 +316,7 @@ class TestTiledSpmv:
             m = dia if fmt == "dia" else to_format(dia, fmt)
             x = rng.standard_normal((nb, n)).astype(dtype)
             assert_tiled_apply_matches_per_system(m, x, supplied_out)
+            if fmt == "dia":
+                # The kernel sized its scratch, and so its tiles, to this.
+                assert m._grid == (3, 3, 32)
+                assert m._work[0].shape[0] == min(nb, tile)

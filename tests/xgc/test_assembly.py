@@ -13,6 +13,7 @@ from repro.xgc import (
     VelocityGrid,
     maxwellian,
 )
+from repro.xgc.assembly import GEMM_SERIAL_MNK, _gemm_row_blocks
 
 
 def uniform_coeffs(nb=1, **kw):
@@ -201,3 +202,72 @@ class TestAssemblyMechanics:
         vol = g.cell_volumes()
         resid = vol @ (m.entry_dense(0) - np.eye(4))
         assert np.abs(resid).max() < 1e-13
+
+
+class TestAssemblyBlocks:
+    """ELL and DIA assemble in row blocks that OpenBLAS runs on the calling
+    thread; the values must not change by a bit."""
+
+    @staticmethod
+    def varied_coeffs(num_batch):
+        rng = np.random.default_rng(num_batch)
+        return CollisionCoefficients(
+            nu=rng.uniform(0.5, 2.0, num_batch),
+            vt2=rng.uniform(0.5, 2.0, num_batch),
+            u_par=rng.normal(0.0, 0.3, num_batch),
+            eta=rng.uniform(0.1, 0.5, num_batch),
+            dt=np.full(num_batch, 0.1),
+        )
+
+    @pytest.mark.parametrize("num_batch", [1, 2, 5, 6, 7, 16, 240])
+    @pytest.mark.parametrize("fmt", ["csr", "ell", "dia"])
+    def test_blocks_equal_one_matmul(self, paper_stencil, fmt, num_batch, monkeypatch):
+        """Bit-equal to one ``np.matmul`` of the whole batch; every ELL/DIA
+        block is under the single-thread cut-off and, from two systems
+        on, has at least two rows (a one-row product runs as GEMV).  CSR
+        runs one GEMM (see ``CollisionStencil._assemble``)."""
+        co = self.varied_coeffs(num_batch)
+        templates = paper_stencil._template_batch(fmt).values.reshape(5, -1)
+        ref = np.matmul(paper_stencil._coefficient_matrix(co), templates)
+        blocks = []
+        real = np.matmul
+
+        def spy(a, b, out=None):
+            blocks.append((a.shape[0], a.shape[0] * a.shape[1] * b.shape[1]))
+            return real(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        assemble = {
+            "csr": paper_stencil.assemble,
+            "ell": paper_stencil.assemble_ell,
+            "dia": paper_stencil.assemble_dia,
+        }[fmt]
+        got = assemble(co).values.reshape(num_batch, -1)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+        rows = [r for r, _ in blocks]
+        assert sum(rows) == num_batch
+        if fmt == "csr":
+            assert rows == [num_batch]
+            return
+        assert all(mnk <= GEMM_SERIAL_MNK for _, mnk in blocks)
+        if num_batch >= 2:
+            assert min(rows) >= 2
+        if num_batch == 240:
+            assert rows == [5] * 48
+
+    @pytest.mark.parametrize("row_mnk", [1, 44640, 87381, 100_000, 200_000, 10**6])
+    def test_row_blocks_cover_the_batch(self, row_mnk):
+        """Contiguous, balanced (sizes differ by at most one), at least two
+        rows from two systems on, and under the cut-off whenever three
+        rows fit under it."""
+        for num_batch in range(1, 60):
+            blocks = _gemm_row_blocks(num_batch, row_mnk)
+            assert blocks[0][0] == 0 and blocks[-1][1] == num_batch
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            sizes = [hi - lo for lo, hi in blocks]
+            assert max(sizes) - min(sizes) <= 1
+            if num_batch >= 2:
+                assert min(sizes) >= 2
+            if 3 * row_mnk <= GEMM_SERIAL_MNK:
+                assert max(sizes) * row_mnk <= GEMM_SERIAL_MNK

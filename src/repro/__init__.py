@@ -11,7 +11,8 @@ Subpackages
     a shared sparsity pattern), batched SpMV kernels, batched Krylov
     solvers with per-system convergence monitoring, preconditioners,
     stopping criteria, the shared-memory placement planner, and the direct
-    baselines (banded LU = ``dgbsv``, banded QR = cuSolver batched QR).
+    baselines (banded LU = ``dgbsv``, batched Thomas for tridiagonal
+    systems).
 :mod:`repro.xgc`
     The application substrate: a nonlinear Fokker-Planck collision
     operator on a 2D velocity grid, 9-point finite-volume assembly,

@@ -199,7 +199,7 @@ def _cmd_reproduce(args) -> int:
 
 def main(argv=None) -> int:
     """Parse arguments and dispatch to a command."""
-    from repro.xgc import PicardOptions
+    from repro.xgc import PICARD_SOLVERS, PicardOptions
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -224,9 +224,8 @@ def main(argv=None) -> int:
                         help="batch matrix format (default: %(default)s)")
     picard.add_argument(
         "--solver",
-        choices=("bicgstab", "pipelined_bicgstab", "cgs", "gmres",
-                 "richardson"),
-        default="bicgstab",
+        choices=PICARD_SOLVERS,
+        default=PicardOptions.solver,
         help="inner batched solver (pipelined_bicgstab trades the "
              "||s|| early exit for 2 reduction rounds/iteration)",
     )

@@ -7,7 +7,7 @@ Public surface:
 * The format contract :class:`BatchMatrix` (shared pattern + per-system
   values), :func:`to_format`, :func:`residual`, the batched BLAS-1 helpers.
 * Solvers: :func:`make_solver` / :class:`BatchBicgstab` et al., plus the
-  direct baselines (:class:`BatchBandedLu`, :class:`BatchBandedQr`).
+  direct baselines (:class:`BatchBandedLu`, :class:`BatchThomas`).
 * Components: preconditioners, stopping criteria, per-system loggers, and
   the §IV-D shared-memory placement planner.
 * Precision: :func:`precision_policy` (``fp64`` / ``fp32`` / ``mixed``)
@@ -53,7 +53,6 @@ from .preconditioners import (
 )
 from .solvers import (
     BatchBandedLu,
-    BatchBandedQr,
     BatchDenseLu,
     BatchBicgstab,
     BatchThomas,
@@ -70,20 +69,16 @@ from .solvers import (
     MonolithicBlockSolver,
     assemble_block_diagonal,
     banded_lu_solve,
-    banded_qr_solve,
     dense_lu_solve,
-    extract_tridiagonal,
     make_solver,
     thomas_solve,
 )
-from .scaling import ScaledSystem, row_scaling, symmetric_scaling
 from .spmv import BatchMatrix, residual
 from .stop import (
     AbsoluteResidual,
     CombinedCriterion,
     RelativeResidual,
     StoppingCriterion,
-    make_criterion,
 )
 from .types import (
     DTYPE,
@@ -136,21 +131,14 @@ __all__ = [
     "EscalationSolver",
     "EscalationReport",
     "BatchBandedLu",
-    "BatchBandedQr",
     "BatchDenseLu",
     "dense_lu_solve",
     "banded_lu_solve",
-    "banded_qr_solve",
     "BatchThomas",
     "BatchTridiag",
     "thomas_solve",
-    "extract_tridiagonal",
     "MonolithicBlockSolver",
     "assemble_block_diagonal",
-    # scaling
-    "ScaledSystem",
-    "row_scaling",
-    "symmetric_scaling",
     # components
     "BatchPreconditioner",
     "IdentityPreconditioner",
@@ -160,7 +148,6 @@ __all__ = [
     "AbsoluteResidual",
     "RelativeResidual",
     "CombinedCriterion",
-    "make_criterion",
     "BatchLogger",
     # health / robustness
     "SolverHealth",

@@ -17,8 +17,11 @@ Direct baselines:
 
 * :class:`~repro.core.solvers.direct_banded.BatchBandedLu` — the LAPACK
   ``dgbsv`` CPU baseline.
-* :class:`~repro.core.solvers.direct_qr.BatchBandedQr` — the cuSolver
-  batched sparse QR baseline.
+* :class:`~repro.core.solvers.tridiag.BatchThomas` — the related-work
+  batched tridiagonal solver.
+
+The cuSolver batched sparse QR baseline of Fig. 6 is an operation count
+only (:func:`repro.gpu.estimate_direct_qr`); no host QR runs.
 
 Ablation:
 
@@ -33,14 +36,13 @@ from .cg import BatchCg
 from .cgs import BatchCgs
 from .direct_banded import BatchBandedLu, banded_lu_solve
 from .direct_dense import BatchDenseLu, dense_lu_solve
-from .direct_qr import BatchBandedQr, banded_qr_solve
 from .escalation import EscalationReport, EscalationSolver
 from .gmres import BatchGmres
 from .pipelined_bicgstab import BatchPipelinedBicgstab
 from .pipelined_cg import BatchPipelinedCg
 from .refinement import RefinementSolver
 from .richardson import BatchRichardson
-from .tridiag import BatchThomas, BatchTridiag, extract_tridiagonal, thomas_solve
+from .tridiag import BatchThomas, BatchTridiag, thomas_solve
 
 __all__ = [
     "BatchedIterativeSolver",
@@ -59,14 +61,11 @@ __all__ = [
     "banded_lu_solve",
     "BatchDenseLu",
     "dense_lu_solve",
-    "BatchBandedQr",
-    "banded_qr_solve",
     "MonolithicBlockSolver",
     "assemble_block_diagonal",
     "BatchThomas",
     "BatchTridiag",
     "thomas_solve",
-    "extract_tridiagonal",
     "make_solver",
 ]
 

@@ -17,44 +17,17 @@ This module provides that baseline:
   value layout the papers use (``dl/d/du`` arrays of shape ``(n, nb)``
   so consecutive threads read consecutive addresses);
 * :class:`BatchThomas` — the solver with the common ``solve`` interface,
-  accepting any batch matrix whose pattern is tridiagonal.
+  for :class:`BatchTridiag` batches.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ...utils.banded import detect_bandwidths
 from ..batch_dense import batch_norm2
 from ..types import DTYPE, SolveResult
 
-__all__ = ["BatchTridiag", "BatchThomas", "thomas_solve", "extract_tridiagonal"]
-
-
-def extract_tridiagonal(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Extract ``(dl, d, du)`` bands from a batch matrix.
-
-    Raises if the shared pattern has entries outside the three central
-    diagonals.  Shapes: ``dl``/``du`` are ``(num_batch, n-1)``, ``d`` is
-    ``(num_batch, n)``.
-    """
-    bw = detect_bandwidths(matrix)
-    if bw.kl > 1 or bw.ku > 1:
-        raise ValueError(
-            f"matrix is not tridiagonal: bandwidths kl={bw.kl}, ku={bw.ku}"
-        )
-    n, nb = matrix.num_rows, matrix.num_batch
-    d = np.zeros((nb, n), dtype=DTYPE)
-    dl = np.zeros((nb, max(n - 1, 0)), dtype=DTYPE)
-    du = np.zeros((nb, max(n - 1, 0)), dtype=DTYPE)
-
-    rows, cols, index = matrix.entries()
-    values = matrix.values[(slice(None), *index)]
-    off = cols - rows
-    d[:, rows[off == 0]] = values[:, off == 0]
-    dl[:, rows[off == -1] - 1] = values[:, off == -1]
-    du[:, rows[off == 1]] = values[:, off == 1]
-    return dl, d, du
+__all__ = ["BatchTridiag", "BatchThomas", "thomas_solve"]
 
 
 def thomas_solve(
@@ -135,11 +108,6 @@ class BatchTridiag:
             raise ValueError("band shapes inconsistent with the diagonal")
         self._dl, self._d, self._du = dl, d, du
 
-    @classmethod
-    def from_matrix(cls, matrix) -> "BatchTridiag":
-        """Build from any batch matrix with a tridiagonal pattern."""
-        return cls(*extract_tridiagonal(matrix))
-
     @property
     def num_batch(self) -> int:
         return self._d.shape[1]
@@ -178,19 +146,18 @@ class BatchThomas:
 
     def solve(self, matrix, b: np.ndarray, x0: np.ndarray | None = None) -> SolveResult:
         """Solve exactly; ``x0`` is accepted and ignored (direct solver)."""
-        tri = (
-            matrix
-            if isinstance(matrix, BatchTridiag)
-            else BatchTridiag.from_matrix(matrix)
-        )
-        dl, d, du = tri.bands()
+        if not isinstance(matrix, BatchTridiag):
+            raise TypeError(
+                f"BatchThomas solves BatchTridiag batches, got {type(matrix).__name__}"
+            )
+        dl, d, du = matrix.bands()
         b = np.asarray(b, dtype=DTYPE)
         x = thomas_solve(dl, d, du, b)
         nb = x.shape[0]
         return SolveResult(
             x=x,
             iterations=np.ones(nb, dtype=np.int64),
-            residual_norms=batch_norm2(b - tri.apply(x)),
+            residual_norms=batch_norm2(b - matrix.apply(x)),
             converged=np.ones(nb, dtype=bool),
             solver=self.name,
             format="tridiag",

@@ -23,7 +23,6 @@ __all__ = [
     "AbsoluteResidual",
     "RelativeResidual",
     "CombinedCriterion",
-    "make_criterion",
 ]
 
 
@@ -156,12 +155,3 @@ class CombinedCriterion(StoppingCriterion):
         if any(p is None for p in parts):
             return None
         return CombinedCriterion(*parts)
-
-
-def make_criterion(kind: str, value: float) -> StoppingCriterion:
-    """Factory: ``"abs"``/``"absolute"`` or ``"rel"``/``"relative"``."""
-    if kind in ("abs", "absolute"):
-        return AbsoluteResidual(value)
-    if kind in ("rel", "relative"):
-        return RelativeResidual(value)
-    raise ValueError(f"unknown criterion kind {kind!r}; use 'abs' or 'rel'")

@@ -40,12 +40,6 @@ from .kernel import (
 from .memory import MemoryEstimate, estimate_memory
 from .occupancy import Occupancy, compute_occupancy
 from .profiler import KernelMetrics, collect_metrics, metrics_table
-from .roofline import (
-    RooflinePoint,
-    analyze_kernel,
-    format_roofline,
-    solver_roofline_report,
-)
 from .scheduler import flexible_makespan, schedule_blocks, wave_makespan
 from .trace import BlockTrace, ScheduleTrace, render_gantt, trace_schedule
 from .timing import (
@@ -120,10 +114,6 @@ __all__ = [
     "ScheduleTrace",
     "trace_schedule",
     "render_gantt",
-    "RooflinePoint",
-    "analyze_kernel",
-    "solver_roofline_report",
-    "format_roofline",
     "csr_spmv_utilization",
     "ell_spmv_utilization",
     "spmv_utilization",

@@ -17,12 +17,9 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_in",
-    "as_f64_array",
     "as_value_array",
     "as_index_array",
     "check_shape",
-    "check_same_shape",
-    "check_axis_length",
 ]
 
 
@@ -60,28 +57,16 @@ def check_in(value, options: Iterable, name: str):
     return value
 
 
-def as_f64_array(data, name: str, *, ndim: int | None = None) -> np.ndarray:
-    """Convert ``data`` to a C-contiguous float64 array.
-
-    A view is returned whenever the input already satisfies the dtype and
-    contiguity requirements, so passing well-formed arrays is free.
-    """
-    arr = np.ascontiguousarray(data, dtype=np.float64)
-    if ndim is not None and arr.ndim != ndim:
-        raise ValueError(f"{name} must have {ndim} dimensions, got {arr.ndim}")
-    return arr
-
-
 def as_value_array(
     data, name: str, *, ndim: int | None = None, dtype=None
 ) -> np.ndarray:
     """Convert ``data`` to a C-contiguous float32 or float64 value array.
 
-    The dtype-preserving sibling of :func:`as_f64_array`: float32 input
-    stays float32 and float64 stays float64, so the batch formats can
-    carry either working precision.  Any other input dtype (ints, python
-    lists, float16, ...) is normalised to float64, the library default.
-    Pass ``dtype`` to force a specific value dtype instead.
+    float32 input stays float32 and float64 stays float64, so the batch
+    formats can carry either working precision.  Any other input dtype
+    (ints, python lists, float16, ...) is normalised to float64, the
+    library default.  Pass ``dtype`` to force a specific value dtype
+    instead.
 
     A view is returned whenever the input already satisfies the dtype
     and contiguity requirements, so passing well-formed arrays is free.
@@ -122,23 +107,4 @@ def check_shape(arr: np.ndarray, shape: Sequence[int], name: str) -> np.ndarray:
     """Validate that ``arr.shape`` equals ``shape`` exactly."""
     if tuple(arr.shape) != tuple(shape):
         raise ValueError(f"{name} must have shape {tuple(shape)}, got {arr.shape}")
-    return arr
-
-
-def check_same_shape(a: np.ndarray, b: np.ndarray, name_a: str, name_b: str) -> None:
-    """Validate that two arrays have identical shapes."""
-    if a.shape != b.shape:
-        raise ValueError(
-            f"{name_a} and {name_b} must have the same shape, "
-            f"got {a.shape} vs {b.shape}"
-        )
-
-
-def check_axis_length(arr: np.ndarray, axis: int, length: int, name: str) -> np.ndarray:
-    """Validate that ``arr.shape[axis] == length``."""
-    if arr.shape[axis] != length:
-        raise ValueError(
-            f"{name} must have length {length} along axis {axis}, "
-            f"got {arr.shape[axis]}"
-        )
     return arr

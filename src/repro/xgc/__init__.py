@@ -10,7 +10,6 @@ mesh nodes.
 from .assembly import CollisionStencil
 from .collision import (
     CollisionCoefficients,
-    concat_coefficients,
     linearized_coefficients,
     linearized_coefficients_masses,
 )
@@ -20,7 +19,6 @@ from .conservation import (
     check_conservation,
     check_multispecies_conservation,
 )
-from .coupling import ExchangeResult, apply_interspecies_exchange
 from .grid import VelocityGrid
 from .maxwellian import Moments, maxwellian, moments, relative_entropy
 from .operators import (
@@ -32,7 +30,7 @@ from .operators import (
     landau_coupled_operator,
     lenard_bernstein_operator,
 )
-from .picard import PicardOptions, PicardStepper, PicardStepResult
+from .picard import PICARD_SOLVERS, PicardOptions, PicardStepper, PicardStepResult
 from .proxyapp import CollisionProxyApp, ProxyAppConfig, ProxyAppResult
 from .scenarios import (
     CARBON,
@@ -41,11 +39,8 @@ from .scenarios import (
     TRITON,
     OperatorScenario,
     OperatorStepOutcome,
-    electron_only,
     multi_ion,
-    operator_scenarios,
     run_operator_scenario,
-    single_ion,
 )
 from .species import DEUTERON, ELECTRON, SPECIES_BY_NAME, Species
 from .timeline import Segment, TimelineReport, simulate_picard_timeline
@@ -63,14 +58,12 @@ __all__ = [
     "CollisionCoefficients",
     "linearized_coefficients",
     "linearized_coefficients_masses",
-    "concat_coefficients",
     "CollisionStencil",
     "ConservationReport",
     "check_conservation",
     "check_multispecies_conservation",
     "apply_conservation_fix",
-    "ExchangeResult",
-    "apply_interspecies_exchange",
+    "PICARD_SOLVERS",
     "PicardOptions",
     "PicardStepper",
     "PicardStepResult",
@@ -79,9 +72,7 @@ __all__ = [
     "ProxyAppResult",
     "TRITON",
     "CARBON",
-    "single_ion",
     "multi_ion",
-    "electron_only",
     "ParallelVelocityGrid",
     "CollisionOperator1D",
     "grid_maxwellian",
@@ -93,7 +84,6 @@ __all__ = [
     "OPERATOR_SCENARIOS",
     "OperatorScenario",
     "OperatorStepOutcome",
-    "operator_scenarios",
     "run_operator_scenario",
     "Segment",
     "TimelineReport",

@@ -144,15 +144,17 @@ class CollisionStencil:
     def _assemble(self, fmt: str, coeffs: CollisionCoefficients, out):
         """The coefficient matrix times the ``fmt`` templates.
 
-        ELL and DIA run one GEMM per block of :func:`_gemm_row_blocks`,
-        and every block equals the same rows of one GEMM bit for bit.  CSR
-        keeps one GEMM.  OpenBLAS rounds the template columns past the last
-        multiple of its kernel's column unroll (8 columns) differently in a
-        small GEMM than in a large one.  In CSR they hold the last row's
-        entries (the last 2 of 8554 at n = 992), and blocks moved 153
-        values of a 240-system batch by one ulp.  In ELL and DIA there are
-        none at n = 992 (8928 columns), and on other grids they hold the
-        last rows' padding or fringe, which is zero in every template.
+        One GEMM per block of :func:`_gemm_row_blocks`, in every format.
+        OpenBLAS rounds the template columns past the last multiple of its
+        kernel's column unroll (8 columns) differently in a small GEMM than
+        in a large one.  Under the single-thread cut-off every block takes
+        the small kernel, so a system's values do not depend on its batch:
+        ELL and DIA blocks equal one GEMM of the whole batch bit for bit
+        (their trailing columns hold zero padding or fringe), and CSR
+        values equal the converted ELL assembly bit for bit.  One CSR GEMM
+        of a large batch has no such reference: its last two columns (of
+        8554 at n = 992) round with the batch size and the BLAS thread
+        count.
         """
         templates = self._template_batch(fmt)
         num_batch = coeffs.num_batch
@@ -161,10 +163,7 @@ class CollisionStencil:
         coeff = self._coefficient_matrix(coeffs)
         tmpl = templates.values.reshape(len(_TEMPLATES), -1)
         flat = out.reshape(num_batch, -1)
-        blocks = (
-            [(0, num_batch)] if fmt == "csr" else _gemm_row_blocks(num_batch, tmpl.size)
-        )
-        for lo, hi in blocks:
+        for lo, hi in _gemm_row_blocks(num_batch, tmpl.size):
             np.matmul(coeff[lo:hi], tmpl, out=flat[lo:hi])
         return templates.with_values(out)
 
@@ -174,10 +173,9 @@ class CollisionStencil:
         """Assemble the batched backward-Euler matrix ``M = I - dt*C_lin``.
 
         One GEMM: the per-batch coefficient matrix against the geometric
-        template matrix, in one call (the band layouts use row blocks; see
-        :meth:`_assemble`).  ``out`` is an optional preallocated
-        ``(num_batch, nnz)`` values buffer (a Picard driver reuses one
-        across all its assemblies).
+        template matrix, in row blocks (see :meth:`_assemble`).  ``out`` is
+        an optional preallocated ``(num_batch, nnz)`` values buffer (a
+        Picard driver reuses one across all its assemblies).
         """
         return self._assemble("csr", coeffs, out)
 

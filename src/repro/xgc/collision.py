@@ -45,7 +45,6 @@ __all__ = [
     "CollisionCoefficients",
     "linearized_coefficients",
     "linearized_coefficients_masses",
-    "concat_coefficients",
 ]
 
 
@@ -221,17 +220,4 @@ def linearized_coefficients_masses(
         u_par=np.asarray(mom.mean_v_par, dtype=np.float64).reshape(nb),
         eta=np.full(nb, float(eta)),
         dt=dt_arr,
-    )
-
-
-def concat_coefficients(*bundles: CollisionCoefficients) -> CollisionCoefficients:
-    """Concatenate coefficient bundles into one batch (e.g. ions + electrons)."""
-    if not bundles:
-        raise ValueError("need at least one coefficient bundle")
-    return CollisionCoefficients(
-        nu=np.concatenate([b.nu for b in bundles]),
-        vt2=np.concatenate([b.vt2 for b in bundles]),
-        u_par=np.concatenate([b.u_par for b in bundles]),
-        eta=np.concatenate([b.eta for b in bundles]),
-        dt=np.concatenate([b.dt for b in bundles]),
     )

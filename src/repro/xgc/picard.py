@@ -34,7 +34,6 @@ import numpy as np
 from ..core.faults import worst_health
 from ..core.logging_ import BatchLogger
 from ..core.solvers import EscalationSolver, RefinementSolver, make_solver
-from ..core.solvers.schedule import iterative_solver_names
 from ..core.stop import AbsoluteResidual, RelativeResidual
 from ..core.types import DTYPE, batch_tile
 from ..core.workspace import SolverWorkspace
@@ -48,7 +47,11 @@ from .conservation import (
 )
 from .grid import VelocityGrid
 
-__all__ = ["PicardOptions", "PicardStepResult", "PicardStepper"]
+__all__ = ["PICARD_SOLVERS", "PicardOptions", "PicardStepResult", "PicardStepper"]
+
+#: Inner solvers a Picard step accepts: the nonsymmetric-capable schedules
+#: (CG and pipelined CG need SPD matrices; the collision matrices are not).
+PICARD_SOLVERS = ("bicgstab", "pipelined_bicgstab", "cgs", "gmres", "richardson")
 
 #: Smallest shard of a sharded linear solve, in ELL SpMV batch tiles
 #: (:func:`~repro.core.types.batch_tile`; 33 systems at n = 992) whatever
@@ -115,15 +118,12 @@ class PicardOptions:
     num_iterations:
         Picard iterations per time step (paper: 5).
     solver:
-        Which batched iterative solver runs the inner linear solves:
-        any name with a declared operation schedule (``"bicgstab"``,
-        the paper's production choice and the default; its sync-avoiding
-        sibling ``"pipelined_bicgstab"``; ``"cgs"``, ``"gmres"``,
-        ``"richardson"``; the SPD-only ``"cg"`` / ``"pipelined_cg"`` are
-        accepted but the collision matrices are nonsymmetric — caveat
-        emptor).  The default is bit-identical to earlier releases.
-        The inner solver keeps its own iteration cap (500) and
-        active-batch compaction threshold (0.5).
+        Which batched iterative solver runs the inner linear solves, one
+        of :data:`PICARD_SOLVERS`: ``"bicgstab"`` (the paper's production
+        choice and the default), its sync-avoiding sibling
+        ``"pipelined_bicgstab"``, ``"cgs"``, ``"gmres"`` or
+        ``"richardson"``.  The inner solver keeps its own iteration cap
+        (500) and active-batch compaction threshold (0.5).
     warm_start:
         Use the previous Picard iterate as initial guess of each linear
         solve (paper default; switch off to reproduce the zero-guess
@@ -137,9 +137,6 @@ class PicardOptions:
         SpMV cost), ``"ell"`` (the paper's best, used by its experiments)
         or ``"csr"``.  ELL and DIA steps are bit-identical: each row sums
         its products in the same order.
-    picard_tol:
-        Optional relative-update early exit for the Picard loop;
-        0 disables it (fixed iteration count, like the proxy app).
     conservation_fix:
         Apply XGC's post-step conservation correction (restore density,
         parallel momentum and energy exactly by a low-order polynomial
@@ -173,7 +170,6 @@ class PicardOptions:
     warm_start: bool = True
     linear_tol: float = 1e-10
     matrix_format: str = "dia"
-    picard_tol: float = 0.0
     conservation_fix: bool = True
     precision: str = "fp64"
     escalation: bool = False
@@ -181,7 +177,7 @@ class PicardOptions:
 
     def __post_init__(self) -> None:
         check_positive(self.num_iterations, "num_iterations")
-        check_in(self.solver, iterative_solver_names(), "solver")
+        check_in(self.solver, PICARD_SOLVERS, "solver")
         check_positive(self.linear_tol, "linear_tol")
         check_in(self.matrix_format, ("ell", "csr", "dia"), "matrix_format")
         check_in(self.precision, ("fp64", "fp32", "mixed"), "precision")
@@ -197,7 +193,7 @@ class PicardStepResult:
         The accepted ``f^{n+1}`` batch, shape ``(num_batch, n)``.
     linear_iterations:
         Per-Picard-iteration, per-system linear-solver iteration counts,
-        shape ``(picard_iters_run, num_batch)`` — the raw data behind
+        shape ``(num_iterations, num_batch)`` — the raw data behind
         Table III.
     picard_updates:
         Per-Picard-iteration max relative update ``||f^{k+1} - f^k|| /
@@ -412,8 +408,6 @@ class PicardStepper:
             update = np.linalg.norm(x - f_k, axis=1) / rhs_scale
             updates.append(float(update.max()))
             f_k = x
-            if self.options.picard_tol and update.max() < self.options.picard_tol:
-                break
 
         if self.options.conservation_fix:
             f_k = apply_conservation_fix(self.grid, f_n, f_k)

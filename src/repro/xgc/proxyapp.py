@@ -55,12 +55,6 @@ class ProxyAppConfig:
         Relative spread of the per-node density/temperature/flow profiles.
     seed:
         RNG seed for the node profiles.
-    interspecies_coupling:
-        Apply the electron-ion momentum/energy exchange after each
-        collision step (operator splitting); requires exactly the default
-        electron + one-ion species pair.
-    nu_ei:
-        Electron-ion momentum-exchange frequency for the coupling.
     """
 
     num_mesh_nodes: int = 8
@@ -73,8 +67,6 @@ class ProxyAppConfig:
     picard: PicardOptions = field(default_factory=PicardOptions)
     profile_variation: float = 0.25
     seed: int = 2022
-    interspecies_coupling: bool = False
-    nu_ei: float = 0.5
 
     def __post_init__(self) -> None:
         check_positive(self.num_mesh_nodes, "num_mesh_nodes")
@@ -217,40 +209,8 @@ class CollisionProxyApp:
     # -- driver ----------------------------------------------------------------
 
     def run(self, num_steps: int = 1, f0: np.ndarray | None = None) -> ProxyAppResult:
-        """Run ``num_steps`` backward-Euler steps from ``f0``.
-
-        With ``interspecies_coupling`` enabled, each like-species collision
-        step is followed by the electron-ion exchange at every node
-        (operator splitting; see :mod:`repro.xgc.coupling`).
-        """
-        cfg = self.config
+        """Run ``num_steps`` backward-Euler steps from ``f0``."""
         if f0 is None:
             f0 = self.initial_state()
-        if not cfg.interspecies_coupling:
-            f, results = self.stepper.run(f0, cfg.dt, num_steps)
-            return ProxyAppResult(f_final=f, step_results=results)
-
-        if len(cfg.species) != 2:
-            raise ValueError(
-                "interspecies coupling requires exactly two species"
-            )
-        from .coupling import apply_interspecies_exchange
-
-        f = np.ascontiguousarray(f0, dtype=np.float64)
-        results = []
-        for _ in range(num_steps):
-            step = self.stepper.step(f, cfg.dt)
-            results.append(step)
-            f = step.f_new.copy()
-            exch = apply_interspecies_exchange(
-                cfg.grid,
-                f[0::2],
-                f[1::2],
-                mass_e=cfg.species[0].mass,
-                mass_i=cfg.species[1].mass,
-                dt=cfg.dt,
-                nu_ei=cfg.nu_ei,
-            )
-            f[0::2] = exch.f_e
-            f[1::2] = exch.f_i
+        f, results = self.stepper.run(f0, self.config.dt, num_steps)
         return ProxyAppResult(f_final=f, step_results=results)

@@ -7,13 +7,11 @@ electrons".  The batched-solver design is what makes that cheap: more
 species per node just means more systems in the batch, all sharing the
 stencil pattern.
 
-This module provides ready-made configurations:
-
-* :func:`single_ion` — the paper's evaluation setup (electrons + deuterium);
-* :func:`multi_ion` — a deuterium-tritium burning-plasma mix with a carbon
-  impurity (4 species per node), prefiguring the multi-species future;
-* :func:`electron_only` — the stiffest systems alone, for solver stress
-  tests.
+This module provides :func:`multi_ion`, a deuterium-tritium
+burning-plasma mix with a carbon impurity (4 species per node) that
+prefigures the multi-species future (the paper's own electron + deuterium
+setup is :class:`ProxyAppConfig`'s default), and the operator-zoo
+scenarios of :data:`OPERATOR_SCENARIOS`.
 
 Additional heavy species are defined here rather than in
 :mod:`repro.xgc.species` because only the two-species set is part of the
@@ -47,12 +45,9 @@ from .species import DEUTERON, ELECTRON, Species
 __all__ = [
     "TRITON",
     "CARBON",
-    "single_ion",
     "multi_ion",
-    "electron_only",
     "OperatorScenario",
     "OperatorStepOutcome",
-    "operator_scenarios",
     "run_operator_scenario",
 ]
 
@@ -61,18 +56,6 @@ TRITON = Species(name="triton", mass=5497.0, charge=1.0)
 
 #: Fully-stripped carbon-12 impurity (m_C / m_e ~ 21875).
 CARBON = Species(name="carbon", mass=21875.0, charge=6.0)
-
-
-def single_ion(num_mesh_nodes: int = 8, **overrides) -> ProxyAppConfig:
-    """The paper's evaluated configuration: electrons + deuterium.
-
-    Keyword overrides are forwarded to :class:`ProxyAppConfig`.
-    """
-    return ProxyAppConfig(
-        num_mesh_nodes=num_mesh_nodes,
-        species=(ELECTRON, DEUTERON),
-        **overrides,
-    )
 
 
 def multi_ion(num_mesh_nodes: int = 4, **overrides) -> ProxyAppConfig:
@@ -86,15 +69,6 @@ def multi_ion(num_mesh_nodes: int = 4, **overrides) -> ProxyAppConfig:
     return ProxyAppConfig(
         num_mesh_nodes=num_mesh_nodes,
         species=(ELECTRON, DEUTERON, TRITON, CARBON),
-        **overrides,
-    )
-
-
-def electron_only(num_mesh_nodes: int = 8, **overrides) -> ProxyAppConfig:
-    """Electrons alone: every system in the batch is a hard one."""
-    return ProxyAppConfig(
-        num_mesh_nodes=num_mesh_nodes,
-        species=(ELECTRON,),
         **overrides,
     )
 
@@ -232,11 +206,6 @@ OPERATOR_SCENARIOS: dict[str, OperatorScenario] = {
         ),
     )
 }
-
-
-def operator_scenarios() -> dict[str, OperatorScenario]:
-    """All predefined operator scenarios (a defensive copy)."""
-    return dict(OPERATOR_SCENARIOS)
 
 
 @dataclass(frozen=True)

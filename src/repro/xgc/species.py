@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..utils.validation import check_positive
 
 __all__ = ["Species", "ELECTRON", "DEUTERON", "SPECIES_BY_NAME"]
@@ -46,24 +44,6 @@ class Species:
         check_positive(self.mass, "mass")
         if not self.name:
             raise ValueError("species name must be non-empty")
-
-    def thermal_speed(self, temperature: float) -> float:
-        """Thermal speed ``sqrt(T / m)`` in normalised units."""
-        check_positive(temperature, "temperature")
-        return float(np.sqrt(temperature / self.mass))
-
-    def collision_frequency(
-        self, density: float, temperature: float, *, nu_ref: float = 1.0
-    ) -> float:
-        """Like-particle collision frequency, normalised.
-
-        Uses the standard scaling ``nu ~ n / (sqrt(m) T^{3/2})`` with the
-        reference electron value ``nu_ref`` at ``n = T = 1``.  Coulomb
-        logarithm differences between species are absorbed into ``nu_ref``.
-        """
-        check_positive(density, "density")
-        check_positive(temperature, "temperature")
-        return float(nu_ref * density / (np.sqrt(self.mass) * temperature ** 1.5))
 
 
 #: Electron species (mass 1 by normalisation).

@@ -122,19 +122,6 @@ class TestPropertyBased:
         x = banded_lu_solve(csr_to_banded(csr), b)
         np.testing.assert_allclose(x, x_true, rtol=1e-6, atol=1e-8)
 
-    @given(seed=st.integers(0, 2**20), n=st.integers(2, 25))
-    @settings(max_examples=40, deadline=None)
-    def test_lu_and_qr_agree(self, seed, n):
-        from repro.core import banded_qr_solve
-
-        rng = np.random.default_rng(seed)
-        dense = random_banded_dense(rng, 2, n, 2, 2)
-        csr = BatchCsr.from_dense(dense)
-        b = rng.standard_normal((2, n))
-        x_lu = banded_lu_solve(csr_to_banded(csr), b)
-        x_qr = banded_qr_solve(csr_to_banded(csr), b)
-        np.testing.assert_allclose(x_lu, x_qr, rtol=1e-6, atol=1e-8)
-
 
 class TestBatchBandedLuSolver:
     def test_solve_interface(self, rng):

@@ -9,7 +9,6 @@ from repro.core import (
     AbsoluteResidual,
     CombinedCriterion,
     RelativeResidual,
-    make_criterion,
 )
 
 
@@ -72,20 +71,6 @@ class TestCombined:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             CombinedCriterion()
-
-
-class TestFactory:
-    @pytest.mark.parametrize("kind", ["abs", "absolute"])
-    def test_absolute(self, kind):
-        assert isinstance(make_criterion(kind, 1e-9), AbsoluteResidual)
-
-    @pytest.mark.parametrize("kind", ["rel", "relative"])
-    def test_relative(self, kind):
-        assert isinstance(make_criterion(kind, 1e-4), RelativeResidual)
-
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            make_criterion("energy", 1.0)
 
 
 class TestProperties:

@@ -9,46 +9,27 @@ from repro.core import (
     BatchCsr,
     BatchThomas,
     BatchTridiag,
-    extract_tridiagonal,
     thomas_solve,
 )
 
 
-def tridiag_dense(rng, nb, n, *, dominant=True):
-    dense = np.zeros((nb, n, n))
+def tridiag_bands(rng, nb, n):
+    """Diagonally dominant ``(dl, d, du)`` bands and the same batch dense."""
     i = np.arange(n)
-    dense[:, i, i] = rng.standard_normal((nb, n))
-    if n > 1:
-        dense[:, i[1:], i[:-1]] = rng.standard_normal((nb, n - 1))
-        dense[:, i[:-1], i[1:]] = rng.standard_normal((nb, n - 1))
-    if dominant:
-        dense[:, i, i] = np.abs(dense).sum(axis=2) + 1.0
-    return dense
-
-
-class TestExtract:
-    def test_bands_roundtrip(self, rng):
-        dense = tridiag_dense(rng, 3, 10)
-        m = BatchCsr.from_dense(dense)
-        dl, d, du = extract_tridiagonal(m)
-        i = np.arange(10)
-        np.testing.assert_array_equal(d, dense[:, i, i])
-        np.testing.assert_array_equal(dl, dense[:, i[1:], i[:-1]])
-        np.testing.assert_array_equal(du, dense[:, i[:-1], i[1:]])
-
-    def test_rejects_wider_bandwidth(self, rng):
-        dense = tridiag_dense(rng, 2, 8)
-        dense[:, 5, 2] = 1.0
-        with pytest.raises(ValueError, match="not tridiagonal"):
-            extract_tridiagonal(BatchCsr.from_dense(dense))
+    dl = rng.standard_normal((nb, max(n - 1, 0)))
+    du = rng.standard_normal((nb, max(n - 1, 0)))
+    dense = np.zeros((nb, n, n))
+    dense[:, i[1:], i[:-1]] = dl
+    dense[:, i[:-1], i[1:]] = du
+    d = np.abs(dense).sum(axis=2) + 1.0 + np.abs(rng.standard_normal((nb, n)))
+    dense[:, i, i] = d
+    return dl, d, du, dense
 
 
 class TestThomasSolve:
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 200])
     def test_matches_numpy(self, rng, n):
-        dense = tridiag_dense(rng, 3, n)
-        m = BatchCsr.from_dense(dense)
-        dl, d, du = extract_tridiagonal(m)
+        dl, d, du, dense = tridiag_bands(rng, 3, n)
         b = rng.standard_normal((3, n))
         x = thomas_solve(dl, d, du, b)
         for k in range(3):
@@ -76,11 +57,9 @@ class TestThomasSolve:
     @settings(max_examples=60, deadline=None)
     def test_property_random_dominant(self, seed, nb, n):
         rng = np.random.default_rng(seed)
-        dense = tridiag_dense(rng, nb, n)
-        m = BatchCsr.from_dense(dense)
+        dl, d, du, dense = tridiag_bands(rng, nb, n)
         x_true = rng.standard_normal((nb, n))
-        b = m.apply(x_true)
-        dl, d, du = extract_tridiagonal(m)
+        b = BatchCsr.from_dense(dense).apply(x_true)
         x = thomas_solve(dl, d, du, b)
         np.testing.assert_allclose(x, x_true, rtol=1e-7, atol=1e-9)
 
@@ -89,33 +68,32 @@ class TestBatchTridiag:
     def test_interleaved_layout(self, rng):
         """The value arrays are (n, nb) C-order: the batch axis is
         contiguous — the coalesced interleaved storage of the GPU kernels."""
-        dense = tridiag_dense(rng, 4, 6)
-        tri = BatchTridiag.from_matrix(BatchCsr.from_dense(dense))
+        dl, d, du, _ = tridiag_bands(rng, 4, 6)
+        tri = BatchTridiag(dl, d, du)
         assert tri._d.shape == (6, 4)
         assert tri._d.strides[1] == tri._d.itemsize
 
     def test_apply_matches_csr(self, rng):
-        dense = tridiag_dense(rng, 3, 12)
+        dl, d, du, dense = tridiag_bands(rng, 3, 12)
         csr = BatchCsr.from_dense(dense)
-        tri = BatchTridiag.from_matrix(csr)
+        tri = BatchTridiag(dl, d, du)
         x = rng.standard_normal((3, 12))
         np.testing.assert_allclose(tri.apply(x), csr.apply(x), rtol=1e-12)
 
     def test_storage_has_no_index_metadata(self, rng):
-        dense = tridiag_dense(rng, 4, 10)
+        dl, d, du, dense = tridiag_bands(rng, 4, 10)
         csr = BatchCsr.from_dense(dense)
-        tri = BatchTridiag.from_matrix(csr)
+        tri = BatchTridiag(dl, d, du)
         # values only: (3n - 2) * nb * 8 bytes vs CSR's values + indices.
         assert tri.storage_bytes() < csr.storage_bytes()
 
 
 class TestBatchThomasSolver:
     def test_solve_interface(self, rng):
-        dense = tridiag_dense(rng, 4, 30)
-        m = BatchCsr.from_dense(dense)
+        dl, d, du, dense = tridiag_bands(rng, 4, 30)
         x_true = rng.standard_normal((4, 30))
-        b = m.apply(x_true)
-        res = BatchThomas().solve(m, b)
+        b = BatchCsr.from_dense(dense).apply(x_true)
+        res = BatchThomas().solve(BatchTridiag(dl, d, du), b)
         assert res.all_converged
         assert res.solver == "thomas"
         np.testing.assert_allclose(res.x, x_true, rtol=1e-8, atol=1e-10)
@@ -123,14 +101,13 @@ class TestBatchThomasSolver:
     def test_agrees_with_banded_lu(self, rng):
         from repro.core import BatchBandedLu
 
-        dense = tridiag_dense(rng, 2, 25)
-        m = BatchCsr.from_dense(dense)
+        dl, d, du, dense = tridiag_bands(rng, 2, 25)
         b = rng.standard_normal((2, 25))
-        x_thomas = BatchThomas().solve(m, b).x
-        x_lu = BatchBandedLu().solve(m, b).x
+        x_thomas = BatchThomas().solve(BatchTridiag(dl, d, du), b).x
+        x_lu = BatchBandedLu().solve(BatchCsr.from_dense(dense), b).x
         np.testing.assert_allclose(x_thomas, x_lu, rtol=1e-9, atol=1e-11)
 
     def test_rejects_nine_point_stencil(self, small_app):
         matrix, f = small_app.build_matrices()
-        with pytest.raises(ValueError, match="not tridiagonal"):
+        with pytest.raises(TypeError, match="BatchTridiag"):
             BatchThomas().solve(matrix, f)

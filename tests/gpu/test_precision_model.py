@@ -16,7 +16,6 @@ from repro.gpu.kernel import (
     spmv_work,
     storage_for_solver,
 )
-from repro.gpu.roofline import solver_roofline_report
 from repro.gpu.timing import estimate_iterative_solve, estimate_spmv
 from repro.gpu.tuning import tune_batched_solver, tune_for_matrix
 
@@ -130,16 +129,3 @@ class TestTimingScaling:
             hw, "ell", N992, NNZ, 1000, stored_nnz=STORED, value_bytes=4
         )
         assert t32.total_time_s < t64.total_time_s
-
-    def test_roofline_intensity_rises_at_fp32(self):
-        p64 = {p.name: p for p in solver_roofline_report(V100, N992, NNZ, stored_nnz=STORED)}
-        p32 = {
-            p.name: p
-            for p in solver_roofline_report(
-                V100, N992, NNZ, stored_nnz=STORED, value_bytes=4
-            )
-        }
-        for name in ("spmv-csr", "spmv-ell", "spmv-dia"):
-            assert p32[name].intensity > p64[name].intensity
-        # The direct baselines stay fp64 — identical on both reports.
-        assert p32["dense-lu"].intensity == p64["dense-lu"].intensity

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from repro.__main__ import main
-from repro.xgc import PicardOptions
+from repro.xgc import PICARD_SOLVERS, PicardOptions
 
 
 class TestCli:
@@ -28,6 +28,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "electron" in out
         assert "conservation drifts" in out
+
+    @pytest.mark.parametrize("solver", PICARD_SOLVERS)
+    def test_picard_every_solver(self, capsys, solver):
+        """``--solver`` offers exactly the solvers ``PicardOptions``
+        accepts, and each one runs a step."""
+        assert main(["picard", "--nodes", "1", "--steps", "1",
+                     "--solver", solver]) == 0
+        assert "conservation drifts" in capsys.readouterr().out
 
     def test_picard_format_defaults_to_picard_options(self, capsys):
         with pytest.raises(SystemExit):

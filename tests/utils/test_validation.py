@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from repro.utils.validation import (
-    as_f64_array,
     as_index_array,
-    check_axis_length,
     check_in,
     check_non_negative,
     check_positive,
-    check_same_shape,
     check_shape,
 )
 
@@ -33,18 +30,6 @@ class TestScalarChecks:
 
 
 class TestArrayChecks:
-    def test_as_f64_no_copy_when_clean(self):
-        a = np.zeros(5, dtype=np.float64)
-        assert as_f64_array(a, "a") is a
-
-    def test_as_f64_converts(self):
-        out = as_f64_array([1, 2, 3], "a")
-        assert out.dtype == np.float64
-
-    def test_as_f64_ndim_checked(self):
-        with pytest.raises(ValueError):
-            as_f64_array(np.zeros((2, 2)), "a", ndim=1)
-
     def test_as_index_converts(self):
         out = as_index_array([0, 1, 2], "idx")
         assert out.dtype == np.int32
@@ -58,14 +43,3 @@ class TestArrayChecks:
         assert check_shape(a, (2, 3), "a") is a
         with pytest.raises(ValueError):
             check_shape(a, (3, 2), "a")
-
-    def test_check_same_shape(self):
-        check_same_shape(np.zeros(3), np.ones(3), "a", "b")
-        with pytest.raises(ValueError):
-            check_same_shape(np.zeros(3), np.ones(4), "a", "b")
-
-    def test_check_axis_length(self):
-        a = np.zeros((2, 5))
-        assert check_axis_length(a, 1, 5, "a") is a
-        with pytest.raises(ValueError):
-            check_axis_length(a, 0, 5, "a")

@@ -205,7 +205,7 @@ class TestAssemblyMechanics:
 
 
 class TestAssemblyBlocks:
-    """ELL and DIA assemble in row blocks that OpenBLAS runs on the calling
+    """Assembly runs in row blocks that OpenBLAS runs on the calling
     thread; the values must not change by a bit."""
 
     @staticmethod
@@ -219,16 +219,30 @@ class TestAssemblyBlocks:
             dt=np.full(num_batch, 0.1),
         )
 
+    @staticmethod
+    def assembler(stencil, fmt):
+        return {
+            "csr": stencil.assemble,
+            "ell": stencil.assemble_ell,
+            "dia": stencil.assemble_dia,
+        }[fmt]
+
     @pytest.mark.parametrize("num_batch", [1, 2, 5, 6, 7, 16, 240])
     @pytest.mark.parametrize("fmt", ["csr", "ell", "dia"])
     def test_blocks_equal_one_matmul(self, paper_stencil, fmt, num_batch, monkeypatch):
-        """Bit-equal to one ``np.matmul`` of the whole batch; every ELL/DIA
-        block is under the single-thread cut-off and, from two systems
-        on, has at least two rows (a one-row product runs as GEMV).  CSR
-        runs one GEMM (see ``CollisionStencil._assemble``)."""
+        """Bit-equal to one ``np.matmul`` of the whole batch, for CSR of
+        the ELL templates converted to CSR (one CSR GEMM of a large batch
+        rounds its last two columns differently, see
+        ``CollisionStencil._assemble``); every block is under the
+        single-thread cut-off and, from two systems on, has at least two
+        rows (a one-row product runs as GEMV)."""
         co = self.varied_coeffs(num_batch)
-        templates = paper_stencil._template_batch(fmt).values.reshape(5, -1)
-        ref = np.matmul(paper_stencil._coefficient_matrix(co), templates)
+        templates = paper_stencil._template_batch("ell" if fmt == "csr" else fmt)
+        ref = np.matmul(
+            paper_stencil._coefficient_matrix(co),
+            templates.values.reshape(5, -1),
+        ).reshape((num_batch,) + templates.values.shape[1:])
+        ref = to_format(templates.with_values(ref), fmt).values.reshape(num_batch, -1)
         blocks = []
         real = np.matmul
 
@@ -237,24 +251,35 @@ class TestAssemblyBlocks:
             return real(a, b, out=out)
 
         monkeypatch.setattr(np, "matmul", spy)
-        assemble = {
-            "csr": paper_stencil.assemble,
-            "ell": paper_stencil.assemble_ell,
-            "dia": paper_stencil.assemble_dia,
-        }[fmt]
-        got = assemble(co).values.reshape(num_batch, -1)
+        got = self.assembler(paper_stencil, fmt)(co).values.reshape(num_batch, -1)
         monkeypatch.undo()
         np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
         rows = [r for r, _ in blocks]
         assert sum(rows) == num_batch
-        if fmt == "csr":
-            assert rows == [num_batch]
-            return
         assert all(mnk <= GEMM_SERIAL_MNK for _, mnk in blocks)
         if num_batch >= 2:
             assert min(rows) >= 2
         if num_batch == 240:
-            assert rows == [5] * 48
+            # 5 x 8928 ELL/DIA and 5 x 8554 CSR template columns per row.
+            assert rows == ([6] * 40 if fmt == "csr" else [5] * 48)
+
+    @pytest.mark.parametrize("fmt", ["csr", "ell", "dia"])
+    def test_values_do_not_depend_on_the_batch(self, paper_stencil, fmt):
+        """Each pair of systems of a 240-system assembly, assembled alone,
+        gets the same bits."""
+        co = self.varied_coeffs(240)
+        assemble = self.assembler(paper_stencil, fmt)
+        whole = assemble(co).values
+        for lo in range(0, 240, 2):
+            pair = CollisionCoefficients(
+                nu=co.nu[lo:lo + 2], vt2=co.vt2[lo:lo + 2],
+                u_par=co.u_par[lo:lo + 2], eta=co.eta[lo:lo + 2],
+                dt=co.dt[lo:lo + 2],
+            )
+            np.testing.assert_array_equal(
+                assemble(pair).values.view(np.uint64),
+                whole[lo:lo + 2].view(np.uint64),
+            )
 
     @pytest.mark.parametrize("row_mnk", [1, 44640, 87381, 100_000, 200_000, 10**6])
     def test_row_blocks_cover_the_batch(self, row_mnk):

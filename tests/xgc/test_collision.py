@@ -7,7 +7,6 @@ from repro.xgc import (
     DEUTERON,
     ELECTRON,
     CollisionCoefficients,
-    concat_coefficients,
     linearized_coefficients,
     linearized_coefficients_masses,
     maxwellian,
@@ -42,17 +41,6 @@ class TestCollisionCoefficients:
                 nu=np.ones(2), vt2=np.ones(3), u_par=np.zeros(2),
                 eta=np.zeros(2), dt=np.ones(2),
             )
-
-    def test_concat(self):
-        a = CollisionCoefficients.uniform(2, nu=1.0)
-        b = CollisionCoefficients.uniform(3, nu=2.0)
-        c = concat_coefficients(a, b)
-        assert c.num_batch == 5
-        np.testing.assert_array_equal(c.nu, [1, 1, 2, 2, 2])
-
-    def test_concat_empty_rejected(self):
-        with pytest.raises(ValueError):
-            concat_coefficients()
 
 
 class TestLinearizedCoefficients:

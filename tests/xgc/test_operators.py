@@ -38,7 +38,6 @@ from repro.xgc import (
     grid_moments,
     landau_coupled_operator,
     lenard_bernstein_operator,
-    operator_scenarios,
     run_operator_scenario,
 )
 from repro.xgc.scenarios import LANDAU_MIX
@@ -325,7 +324,7 @@ class TestScenarioConservation:
         scenario without pinning it fails here."""
         with open(GOLDEN) as fh:
             golden = json.load(fh)
-        assert set(golden["scenarios"]) == set(operator_scenarios())
+        assert set(golden["scenarios"]) == set(OPERATOR_SCENARIOS)
 
 
 class TestGoldenOperators:

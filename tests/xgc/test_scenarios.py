@@ -12,10 +12,9 @@ from repro.xgc import (
     TRITON,
     CollisionProxyApp,
     PicardOptions,
+    ProxyAppConfig,
     VelocityGrid,
-    electron_only,
     multi_ion,
-    single_ion,
 )
 
 
@@ -37,7 +36,8 @@ class TestSpeciesConstants:
 
 class TestScenarioFactories:
     def test_single_ion_matches_paper(self):
-        cfg = single_ion()
+        """The paper's electron + deuterium plasma is the default."""
+        cfg = ProxyAppConfig()
         assert cfg.species == (ELECTRON, DEUTERON)
         assert cfg.num_batch == 16
 
@@ -46,13 +46,8 @@ class TestScenarioFactories:
         assert len(cfg.species) == 4
         assert cfg.num_batch == 12
 
-    def test_electron_only(self):
-        cfg = electron_only(num_mesh_nodes=5)
-        assert cfg.species == (ELECTRON,)
-        assert cfg.num_batch == 5
-
     def test_overrides_forwarded(self, fast_grid):
-        cfg = single_ion(num_mesh_nodes=2, grid=fast_grid, dt=0.01)
+        cfg = multi_ion(num_mesh_nodes=2, grid=fast_grid, dt=0.01)
         assert cfg.grid is fast_grid
         assert cfg.dt == 0.01
 

@@ -87,7 +87,7 @@ def make_plain():
 
 def make_escalating():
     return EscalationSolver(
-        ladder=(make_plain(), "gmres", "refinement", "direct"),
+        make_plain(),
         preconditioner="identity",
         criterion=AbsoluteResidual(TOL),
         max_iter=2000,

@@ -26,6 +26,7 @@ import time
 
 from repro.core import AbsoluteResidual, make_solver
 from repro.core.solvers.schedule import (
+    GMRES_RESTART,
     iterative_solver_names,
     measure_op_counts,
     solver_schedule,
@@ -33,8 +34,6 @@ from repro.core.solvers.schedule import (
 from repro.gpu import A100, estimate_iterative_solve
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-
-GMRES_RESTART = 30
 
 
 def build_xgc_batch(num_mesh_nodes: int, seed: int = 2022):
@@ -50,10 +49,9 @@ def build_xgc_batch(num_mesh_nodes: int, seed: int = 2022):
 
 def run_solver_gate(matrix, f, name: str, *, tol: float, max_iter: int) -> dict:
     """One instrumented solve: measured vs declared counts + GPU estimate."""
-    extra = {"restart": GMRES_RESTART} if name == "gmres" else {}
     solver = make_solver(
         name, preconditioner="jacobi", criterion=AbsoluteResidual(tol),
-        max_iter=max_iter, **extra,
+        max_iter=max_iter,
     )
     t0 = time.perf_counter()
     counts, stats, result = measure_op_counts(solver, matrix, f)
@@ -64,8 +62,7 @@ def run_solver_gate(matrix, f, name: str, *, tol: float, max_iter: int) -> dict:
     stored = 9 * matrix.num_rows
     est = estimate_iterative_solve(
         A100, "ell", matrix.num_rows, matrix.nnz_per_system,
-        result.iterations, stored_nnz=stored,
-        solver=name, gmres_restart=GMRES_RESTART,
+        result.iterations, stored_nnz=stored, solver=name,
     )
     return {
         "solver": name,
@@ -140,7 +137,7 @@ def main(argv=None) -> int:
     for name in solvers:
         # The registry must reject unknown names loudly (the old silent
         # BiCGSTAB fallback is the bug this gate guards against).
-        solver_schedule(name, gmres_restart=GMRES_RESTART)
+        solver_schedule(name)
     try:
         solver_schedule("not-a-solver")
     except ValueError:

@@ -29,7 +29,6 @@ from .blas import (
 from .compaction import BatchCompactor
 from .convert import to_format
 from .faults import (
-    HealthOptions,
     SolverHealth,
     derive_health,
     health_counts,
@@ -94,7 +93,6 @@ from .workspace import (
     StorageConfig,
     VectorSpec,
     plan_storage,
-    solver_vector_specs,
 )
 
 __all__ = [
@@ -151,7 +149,6 @@ __all__ = [
     "BatchLogger",
     # health / robustness
     "SolverHealth",
-    "HealthOptions",
     "health_counts",
     "worst_health",
     "summarize_health",
@@ -167,7 +164,6 @@ __all__ = [
     "StorageConfig",
     "VectorSpec",
     "plan_storage",
-    "solver_vector_specs",
     # types
     "DTYPE",
     "INDEX_DTYPE",

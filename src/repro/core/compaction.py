@@ -32,7 +32,11 @@ import numpy as np
 from .logging_ import BatchLogger
 from .stop import StoppingCriterion
 
-__all__ = ["BatchCompactor"]
+__all__ = ["BatchCompactor", "COMPACT_MIN_BATCH"]
+
+#: Batches of at most this many systems are never compacted — the gather
+#: overhead cannot pay off on tiny remainders.
+COMPACT_MIN_BATCH = 4
 
 
 class BatchCompactor:
@@ -46,10 +50,8 @@ class BatchCompactor:
         through :attr:`criterion` rather than the solver-level instance.
     threshold:
         Compact when ``num_active <= threshold * batch_size``.  ``None``
-        disables compaction entirely.
-    min_batch:
-        Do not compact batches at or below this size — the gather overhead
-        cannot pay off on tiny remainders.
+        disables compaction entirely.  Batches of at most
+        :data:`COMPACT_MIN_BATCH` systems are never compacted.
     enabled:
         Master switch (e.g. False when the matrix format has no
         ``take_batch``).
@@ -60,12 +62,10 @@ class BatchCompactor:
         criterion: StoppingCriterion,
         *,
         threshold: float | None = 0.5,
-        min_batch: int = 4,
         enabled: bool = True,
     ) -> None:
         self.criterion = criterion
         self.threshold = threshold
-        self.min_batch = int(min_batch)
         self.enabled = bool(enabled) and threshold is not None
         self._idx: np.ndarray | None = None  # global indices of current rows
         self.num_events = 0
@@ -103,7 +103,7 @@ class BatchCompactor:
         if not self.enabled:
             return False
         size = active.size
-        if size <= self.min_batch:
+        if size <= COMPACT_MIN_BATCH:
             return False
         num_active = int(np.count_nonzero(active))
         return 0 < num_active < size and num_active <= self.threshold * size
@@ -218,13 +218,7 @@ class BatchCompactor:
             full_mask[self._idx[local_mask]] = True
 
     def log_converged(
-        self,
-        logger: BatchLogger,
-        iteration: int,
-        local_norms: np.ndarray,
-        local_mask: np.ndarray,
+        self, logger: BatchLogger, iteration: int, local_mask: np.ndarray
     ) -> None:
         """Log a convergence event with original batch indices."""
-        logger.log_converged(
-            iteration, self.global_indices(local_mask), local_norms[local_mask]
-        )
+        logger.log_converged(iteration, self.global_indices(local_mask))

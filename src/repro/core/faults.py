@@ -9,9 +9,10 @@ logger objects — detected inside the shared
 :class:`~repro.core.solvers.base.IterationDriver` by vectorised guards:
 
 * **non-finite** residual norms (NaN/Inf anywhere in a system's residual),
-* **divergence** (residual grew by ``divergence_factor`` over its start),
+* **divergence** (residual grew by :data:`DIVERGENCE_FACTOR` over its
+  start),
 * **stagnation** (no relative improvement of the best residual for
-  ``stagnation_window`` consecutive loop trips),
+  :data:`STAGNATION_WINDOW` consecutive loop trips),
 * **breakdown** of the Krylov recurrences, flagged by the solver bodies
   themselves the moment a defining scalar (``rho``-family or
   ``omega``-family denominator) is exactly zero or non-finite.
@@ -27,16 +28,15 @@ exactly the unhealthy subset up a ladder of stronger methods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from ..utils.validation import check_positive
-
 __all__ = [
     "SolverHealth",
-    "HealthOptions",
+    "DIVERGENCE_FACTOR",
+    "STAGNATION_WINDOW",
+    "STAGNATION_RTOL",
     "HEALTH_DTYPE",
     "health_counts",
     "worst_health",
@@ -66,45 +66,19 @@ class SolverHealth(IntEnum):
     NON_FINITE = 6      #: NaN/Inf in the residual (poisoned operands)
 
 
-@dataclass(frozen=True)
-class HealthOptions:
-    """Thresholds of the driver's vectorised health guards.
+#: A system is DIVERGED once its residual norm exceeds this factor times
+#: its *initial* residual norm.  Scale-invariant: both sides scale with the
+#: system, so uniformly rescaled batches make identical decisions.
+DIVERGENCE_FACTOR = 1e8
 
-    Attributes
-    ----------
-    enabled:
-        Master switch; ``False`` restores the pre-health behaviour (systems
-        keep burning iterations to ``max_iter``, health stays ITERATING).
-    divergence_factor:
-        A system is DIVERGED once its residual norm exceeds this factor
-        times its *initial* residual norm.  Scale-invariant: both sides
-        scale with the system, so uniformly rescaled batches make identical
-        decisions.
-    stagnation_window:
-        Loop trips without a relative best-residual improvement of at least
-        ``stagnation_rtol`` before a system is declared STAGNATED.  The
-        clock is driver trips (Arnoldi steps for GMRES), not wall time.
-        ``0`` disables the stagnation guard.
-    stagnation_rtol:
-        Minimum relative improvement of the running best residual that
-        counts as progress (``new < (1 - rtol) * best``).
-    """
+#: Loop trips without a relative best-residual improvement of at least
+#: :data:`STAGNATION_RTOL` before a system is declared STAGNATED.  The
+#: clock is driver trips (Arnoldi steps for GMRES), not wall time.
+STAGNATION_WINDOW = 100
 
-    enabled: bool = True
-    divergence_factor: float = 1e8
-    stagnation_window: int = 100
-    stagnation_rtol: float = 1e-4
-
-    def __post_init__(self) -> None:
-        check_positive(self.divergence_factor, "divergence_factor")
-        if self.stagnation_window < 0:
-            raise ValueError(
-                f"stagnation_window must be >= 0, got {self.stagnation_window}"
-            )
-        if not 0.0 < self.stagnation_rtol < 1.0:
-            raise ValueError(
-                f"stagnation_rtol must lie in (0, 1), got {self.stagnation_rtol}"
-            )
+#: Minimum relative improvement of the running best residual that counts
+#: as progress (``new < (1 - STAGNATION_RTOL) * best``).
+STAGNATION_RTOL = 1e-4
 
 
 def health_counts(health: np.ndarray) -> dict[str, int]:

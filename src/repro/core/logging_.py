@@ -2,9 +2,11 @@
 
 Ginkgo's batched kernels take a ``LogType`` template argument that records,
 for each system in the batch, the iteration count at convergence and the
-final residual norm.  :class:`BatchLogger` is the equivalent here, with an
-optional full residual history (used by the convergence-study example and
-the tests that validate Table III).
+final residual norm.  :class:`BatchLogger` is the equivalent here for the
+iteration counts, with an optional full residual history (used by the
+convergence-study example and the tests that validate Table III); the
+final norms come from the iteration driver
+(:attr:`SolveResult.residual_norms <repro.core.types.SolveResult>`).
 """
 
 from __future__ import annotations
@@ -28,55 +30,27 @@ class BatchLogger:
         self.record_history = bool(record_history)
         self._iterations: np.ndarray | None = None
         self._halted: np.ndarray | None = None
-        self._res_norms: np.ndarray | None = None
         self._history: list[np.ndarray] | None = [] if record_history else None
-        self._num_batch: int | None = None
 
     # -- solver-facing API -------------------------------------------------
 
     def initialize(self, num_batch: int) -> None:
         """Reset state for a batch of ``num_batch`` systems."""
-        self._num_batch = num_batch
         self._iterations = np.zeros(num_batch, dtype=np.int64)
         self._halted = np.zeros(num_batch, dtype=bool)
-        self._res_norms = np.full(num_batch, np.inf)
         if self.record_history is True:
             self._history = []
 
-    def log_iteration(
-        self, iteration: int, res_norms: np.ndarray, newly_converged: np.ndarray
-    ) -> None:
-        """Record one solver iteration.
-
-        Parameters
-        ----------
-        iteration:
-            Iteration index just completed (0-based).
-        res_norms:
-            Current per-system residual norms (all systems, including
-            already-converged ones whose values are frozen).
-        newly_converged:
-            Mask of systems that converged *at this* iteration.
-        """
-        if self._iterations is None:
-            raise RuntimeError("logger used before initialize()")
-        self._iterations[newly_converged] = iteration + 1
-        self._res_norms[newly_converged] = res_norms[newly_converged]
-
-    def log_converged(
-        self, iteration: int, indices: np.ndarray, res_norms: np.ndarray
-    ) -> None:
-        """Record convergence for systems named by *global* batch indices.
+    def log_converged(self, iteration: int, indices: np.ndarray) -> None:
+        """Record that the systems named by *global* batch ``indices``
+        converged at ``iteration`` (0-based; logged as ``iteration + 1``).
 
         The compacted solve path works on a gathered sub-batch; it reports
-        convergence with the systems' original batch indices and the
-        already-sliced residual norms.  Semantics match
-        :meth:`log_iteration` exactly.
+        convergence with the systems' original batch indices.
         """
         if self._iterations is None:
             raise RuntimeError("logger used before initialize()")
         self._iterations[indices] = iteration + 1
-        self._res_norms[indices] = res_norms
 
     def log_history(self, res_norms: np.ndarray) -> None:
         """Append one per-iteration residual snapshot (when enabled)."""
@@ -95,8 +69,8 @@ class BatchLogger:
         self._iterations[indices] = trips
         self._halted[indices] = True
 
-    def finalize(self, res_norms: np.ndarray, unconverged: np.ndarray, max_iter: int) -> None:
-        """Record final state for systems that never converged.
+    def finalize(self, unconverged: np.ndarray, max_iter: int) -> None:
+        """Bill ``max_iter`` to the systems that never converged.
 
         Systems halted early by the health guards keep the trip count
         recorded at deactivation instead of being billed ``max_iter``.
@@ -104,7 +78,6 @@ class BatchLogger:
         if self._iterations is None:
             raise RuntimeError("logger used before initialize()")
         self._iterations[unconverged & ~self._halted] = max_iter
-        self._res_norms[unconverged] = res_norms[unconverged]
 
     # -- user-facing API -----------------------------------------------------
 
@@ -114,13 +87,6 @@ class BatchLogger:
         if self._iterations is None:
             raise RuntimeError("logger holds no data; run a solve first")
         return self._iterations
-
-    @property
-    def residual_norms(self) -> np.ndarray:
-        """Per-system residual norms at convergence."""
-        if self._res_norms is None:
-            raise RuntimeError("logger holds no data; run a solve first")
-        return self._res_norms
 
     @property
     def history(self) -> list[np.ndarray]:

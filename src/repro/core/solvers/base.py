@@ -22,7 +22,13 @@ import numpy as np
 from ...utils.validation import as_value_array, check_positive
 from ..batch_dense import batch_norm2
 from ..compaction import BatchCompactor
-from ..faults import HEALTH_DTYPE, HealthOptions, SolverHealth
+from ..faults import (
+    DIVERGENCE_FACTOR,
+    HEALTH_DTYPE,
+    STAGNATION_RTOL,
+    STAGNATION_WINDOW,
+    SolverHealth,
+)
 from ..logging_ import BatchLogger
 from ..precision import FP64, PrecisionPolicy, policy_for_dtype, precision_policy
 from ..preconditioners import (
@@ -93,9 +99,9 @@ class BatchedIterativeSolver:
         batch drops to this value or below, the still-active systems are
         gathered into a compact sub-batch and iterated alone (results are
         scattered back on exit).  Per-system numerics are bit-identical
-        either way.  ``None`` disables compaction.
-    compact_min_batch:
-        Never compact batches at or below this size.
+        either way.  ``None`` disables compaction.  Batches of at most
+        :data:`~repro.core.compaction.COMPACT_MIN_BATCH` systems are never
+        compacted.
     precision:
         Precision policy for the solve: ``"fp64"`` (the default paper
         configuration), ``"fp32"``, ``"mixed"`` (fp32 storage/compute,
@@ -105,13 +111,12 @@ class BatchedIterativeSolver:
         matrices run the unchanged (bit-identical) double path and fp32
         matrices run pure single.  An explicit policy casts the matrix
         and right-hand side to its storage dtype on entry.
-    health:
-        :class:`~repro.core.faults.HealthOptions` tuning the driver's
-        per-system health guards (non-finite / divergence / stagnation
-        detection); defaults to :class:`HealthOptions()
-        <repro.core.faults.HealthOptions>`.  Detected-unhealthy systems
-        are frozen with a :class:`~repro.core.faults.SolverHealth` code in
-        ``SolveResult.health`` instead of silently burning iterations.
+
+    The driver's per-system health guards (non-finite / divergence /
+    stagnation detection, thresholds in :mod:`repro.core.faults`) freeze
+    detected-unhealthy systems with a
+    :class:`~repro.core.faults.SolverHealth` code in ``SolveResult.health``
+    instead of letting them burn iterations.
     """
 
     name = "abstract"
@@ -123,9 +128,7 @@ class BatchedIterativeSolver:
         max_iter: int = 500,
         logger: BatchLogger | None = None,
         compact_threshold: float | None = 0.5,
-        compact_min_batch: int = 4,
         precision: PrecisionPolicy | str | None = None,
-        health: HealthOptions | None = None,
     ) -> None:
         if isinstance(preconditioner, str):
             preconditioner = make_preconditioner(preconditioner)
@@ -139,9 +142,7 @@ class BatchedIterativeSolver:
                 f"got {compact_threshold}"
             )
         self.compact_threshold = compact_threshold
-        self.compact_min_batch = int(check_positive(compact_min_batch, "compact_min_batch"))
         self.precision = None if precision is None else precision_policy(precision)
-        self.health_options = health or HealthOptions()
         #: Policy of the solve in flight (set by :meth:`solve`).
         self._active_policy: PrecisionPolicy = self.precision or FP64
         self._workspace: SolverWorkspace | None = None
@@ -158,8 +159,7 @@ class BatchedIterativeSolver:
 
         One source of truth shared by the host iteration driver (vector
         allocation), the GPU performance model, and the shared-memory
-        configurator.  Parameterised solvers (GMRES) override this to
-        thread their configuration into the registry lookup.
+        configurator.
         """
         return solver_schedule(self.name)
 
@@ -294,7 +294,6 @@ class BatchedIterativeSolver:
         comp = BatchCompactor(
             self.criterion,
             threshold=self.compact_threshold,
-            min_batch=self.compact_min_batch,
             enabled=hasattr(matrix, "take_batch"),
         )
         self._last_compactor = comp
@@ -318,12 +317,8 @@ class BatchedIterativeSolver:
         residual(matrix, x, b, out=r)
         res_norms = batch_norm2(r, dtype=acc)
         self.criterion.initialize(batch_norm2(b, dtype=acc), res_norms)
-        converged = self.criterion.check(res_norms)
-        # Iteration count 0 for systems converged on entry (already the
-        # logger's initial state); just record their final norms.
-        if np.any(converged):
-            self.logger.log_iteration(-1, res_norms, converged)
-        return res_norms, converged
+        # Systems converged on entry keep the logger's initial count of 0.
+        return res_norms, self.criterion.check(res_norms)
 
 
 class SolveState:
@@ -492,7 +487,7 @@ class IterationDriver:
     def finish(self) -> tuple[np.ndarray, np.ndarray]:
         """Scatter back the compact iterate and close out the logger."""
         self.comp.finalize(self._x_full, self.state.x)
-        self.logger.finalize(self.final_norms, ~self.converged, self.solver.max_iter)
+        self.logger.finalize(~self.converged, self.solver.max_iter)
         self.health[self.converged] = SolverHealth.CONVERGED
         return self.final_norms, self.converged
 
@@ -511,8 +506,7 @@ class IterationDriver:
 
     def _check_health(self, norms: np.ndarray, mask: np.ndarray) -> None:
         """Vectorised NaN/Inf, divergence, and stagnation guards."""
-        opts = self.solver.health_options
-        if not opts.enabled or not np.any(mask):
+        if not np.any(mask):
             return
         vals = norms[mask]
         idx = self.comp.global_indices(mask)
@@ -521,21 +515,18 @@ class IterationDriver:
         bad = ~np.isfinite(vals)
         code[bad] = SolverHealth.NON_FINITE
 
-        diverged = ~bad & (
-            vals > opts.divergence_factor * self.initial_norms[idx]
-        )
+        diverged = ~bad & (vals > DIVERGENCE_FACTOR * self.initial_norms[idx])
         code[diverged] = SolverHealth.DIVERGED
         bad |= diverged
 
-        if opts.stagnation_window:
-            trip = self.stats.trips
-            best = self._best_norms[idx]
-            improved = vals < (1.0 - opts.stagnation_rtol) * best
-            self._best_norms[idx] = np.minimum(best, np.where(bad, best, vals))
-            self._improve_trip[idx[improved]] = trip
-            stalled = ~bad & (trip - self._improve_trip[idx] >= opts.stagnation_window)
-            code[stalled] = SolverHealth.STAGNATED
-            bad |= stalled
+        trip = self.stats.trips
+        best = self._best_norms[idx]
+        improved = vals < (1.0 - STAGNATION_RTOL) * best
+        self._best_norms[idx] = np.minimum(best, np.where(bad, best, vals))
+        self._improve_trip[idx[improved]] = trip
+        stalled = ~bad & (trip - self._improve_trip[idx] >= STAGNATION_WINDOW)
+        code[stalled] = SolverHealth.STAGNATED
+        bad |= stalled
 
         if np.any(bad):
             self.health[idx[bad]] = code[bad]
@@ -552,7 +543,7 @@ class IterationDriver:
         non-finite for an active system — before the poisoned value can
         propagate through the vector updates.
         """
-        if not self.solver.health_options.enabled or not np.any(local_mask):
+        if not np.any(local_mask):
             return
         idx = self.comp.global_indices(local_mask)
         self.health[idx] = state
@@ -562,13 +553,13 @@ class IterationDriver:
     def log_history(self) -> None:
         self.logger.log_history(self.final_norms)
 
-    def freeze(self, it: int, norms: np.ndarray, newly: np.ndarray) -> None:
+    def freeze(self, it: int, newly: np.ndarray) -> None:
         """Log, mark, and deactivate systems whose criterion fired.
 
         The unverified path (CG, Richardson): the recursive residual is
         trusted as-is.
         """
-        self.comp.log_converged(self.logger, it, norms, newly)
+        self.comp.log_converged(self.logger, it, newly)
         self.comp.mark_converged(self.converged, newly)
         self.state.active &= ~newly
 
@@ -606,7 +597,7 @@ class IterationDriver:
         confirmed = candidates & self.comp.criterion.check(true_norms)
         if np.any(confirmed):
             self.comp.update_norms(self.final_norms, true_norms, confirmed)
-            self.comp.log_converged(self.logger, it, true_norms, confirmed)
+            self.comp.log_converged(self.logger, it, confirmed)
             self.comp.mark_converged(self.converged, confirmed)
             st.active &= ~confirmed
         restarted = candidates & ~confirmed

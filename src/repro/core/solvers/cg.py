@@ -56,7 +56,7 @@ class BatchCg(BatchedIterativeSolver):
             drv.update_norms(res_norms, st.active)
             newly = st.active & drv.criterion.check(res_norms)
             if np.any(newly):
-                drv.freeze(it, res_norms, newly)
+                drv.freeze(it, newly)
             drv.log_history()
             if not np.any(st.active):
                 return STOP

@@ -11,9 +11,9 @@ inside each column step operate on every system of the batch at once via
 advanced indexing.  Per-system pivot choices are honoured — different
 systems may pick different pivot rows at the same step.
 
-The solver accepts any batch-matrix format; non-banded inputs are converted
-through :func:`repro.utils.banded.csr_to_banded` (pattern-detected
-bandwidths, ``kl`` extra diagonals of pivot fill headroom).
+The solver accepts any batch-matrix format and converts it through
+:func:`repro.utils.banded.csr_to_banded` (pattern-detected bandwidths,
+``kl`` extra diagonals of pivot fill headroom).
 """
 
 from __future__ import annotations
@@ -130,19 +130,10 @@ class BatchBandedLu:
         """Solve the batch directly.  ``x0`` is accepted and ignored
         (direct solvers cannot exploit an initial guess — one of the
         paper's arguments for iterative solvers)."""
-        if isinstance(matrix, BatchBanded):
-            banded = BatchBanded(
-                matrix.work.copy(), matrix.kl, matrix.ku, matrix.fill
-            )
-            csr = None
-        else:
-            csr = to_format(matrix, "csr")
-            banded = csr_to_banded(csr)
+        csr = to_format(matrix, "csr")
         b = np.asarray(b, dtype=np.float64)
-        x = banded_lu_solve(banded, b)
-
-        source = matrix if csr is None else csr
-        res_norms = batch_norm2(b - source.apply(x))
+        x = banded_lu_solve(csr_to_banded(csr), b)
+        res_norms = batch_norm2(b - csr.apply(x))
         nb = x.shape[0]
         return SolveResult(
             x=x,

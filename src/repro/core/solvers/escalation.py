@@ -7,9 +7,10 @@ systems of a batch broke down and *how*; this module acts on it.  The
 the non-escalating path and finish **bit-identical** — then gathers the
 unhealthy remainder into a compact sub-batch (the same ``take_batch``
 gather :class:`~repro.core.compaction.BatchCompactor` uses) and re-solves
-it with progressively stronger methods:
+it with progressively stronger methods, a fixed ladder above the primary:
 
-    BiCGSTAB  →  GMRES  →  fp64 iterative refinement  →  banded direct
+    primary (BiCGSTAB by default)  →  GMRES  →  fp64 iterative refinement
+    →  banded direct
 
 Every rung starts its re-solves from a **zero guess** — a corrupted warm
 start (NaN-poisoned Picard iterate) is one of the faults escalation exists
@@ -39,24 +40,11 @@ from ..stop import AbsoluteResidual, StoppingCriterion
 from ..types import SolveResult
 from .base import BatchedIterativeSolver
 from .bicgstab import BatchBicgstab
-from .cg import BatchCg
-from .cgs import BatchCgs
 from .direct_banded import BatchBandedLu, SingularBatchError
 from .gmres import BatchGmres
 from .refinement import RefinementSolver
-from .richardson import BatchRichardson
 
 __all__ = ["EscalationSolver", "EscalationReport", "RungAttempt"]
-
-_ITERATIVE_RUNGS = {
-    "bicgstab": BatchBicgstab,
-    "cg": BatchCg,
-    "cgs": BatchCgs,
-    "gmres": BatchGmres,
-    "richardson": BatchRichardson,
-}
-
-_DIRECT_NAMES = ("direct", "banded-lu")
 
 
 @dataclass
@@ -122,14 +110,14 @@ class EscalationSolver:
 
     Parameters
     ----------
-    ladder:
-        Sequence of rungs.  Entry 0 is the primary solver run over the
-        full batch; subsequent entries re-solve only the still-unhealthy
-        systems.  Each entry is a solver *instance* (used as-is) or a name:
-        ``"bicgstab"``, ``"cg"``, ``"cgs"``, ``"gmres"``, ``"richardson"``,
-        ``"refinement"`` (pure-fp64 iterative refinement), or ``"direct"``
-        (banded LU with a per-system singular fallback).
-    preconditioner / max_iter / compact_threshold / health / gmres_restart:
+    primary:
+        The solver run over the full batch (used as-is).  When omitted, a
+        :class:`~repro.core.solvers.bicgstab.BatchBicgstab` is built from
+        ``preconditioner`` / ``criterion`` / ``max_iter``.  The rungs above
+        it are fixed: GMRES, pure-fp64 iterative refinement, then banded LU
+        with a per-system singular fallback; each re-solves only the
+        still-unhealthy systems.
+    preconditioner / max_iter:
         Configuration of the internally built iterative rungs.
     criterion:
         The escalation-level stopping criterion; each built rung gets its
@@ -142,57 +130,38 @@ class EscalationSolver:
 
     def __init__(
         self,
-        ladder: tuple = ("bicgstab", "gmres", "refinement", "direct"),
+        primary=None,
         *,
         preconditioner=None,
         criterion: StoppingCriterion | None = None,
         max_iter: int = 500,
-        compact_threshold: float | None = 0.5,
-        health=None,
-        gmres_restart: int = 30,
     ) -> None:
-        if not ladder:
-            raise ValueError("escalation ladder must have at least one rung")
         self.criterion = criterion or AbsoluteResidual(1e-10)
         self.max_iter = int(check_positive(max_iter, "max_iter"))
-        self._build_opts = dict(
-            preconditioner=preconditioner,
-            max_iter=self.max_iter,
-            compact_threshold=compact_threshold,
-            health=health,
-        )
-        self._gmres_restart = int(check_positive(gmres_restart, "gmres_restart"))
-        self.rungs = tuple(self._build_rung(entry) for entry in ladder)
-        self.ladder = tuple(
-            getattr(r, "name", str(r)) for r in self.rungs
-        )
-        #: :class:`EscalationReport` of the most recent solve.
-        self.last_report: EscalationReport | None = None
-
-    def _build_rung(self, entry):
-        if not isinstance(entry, str):
-            return entry  # ready-made solver instance
-        if entry in _DIRECT_NAMES:
-            return BatchBandedLu()
-        crit = copy.deepcopy(self.criterion)
-        if entry == "refinement":
-            return RefinementSolver(
-                preconditioner=self._build_opts["preconditioner"],
-                criterion=crit,
+        if primary is None:
+            primary = BatchBicgstab(
+                preconditioner=preconditioner,
+                criterion=copy.deepcopy(self.criterion),
+                max_iter=self.max_iter,
+            )
+        self.rungs = (
+            primary,
+            BatchGmres(
+                preconditioner=preconditioner,
+                criterion=copy.deepcopy(self.criterion),
+                max_iter=self.max_iter,
+            ),
+            RefinementSolver(
+                preconditioner=preconditioner,
+                criterion=copy.deepcopy(self.criterion),
                 precision="fp64",
                 inner_max_iter=self.max_iter,
-            )
-        try:
-            cls = _ITERATIVE_RUNGS[entry]
-        except KeyError:
-            raise ValueError(
-                f"unknown escalation rung {entry!r}; choices: "
-                f"{sorted(_ITERATIVE_RUNGS) + ['refinement', 'direct']}"
-            ) from None
-        kwargs = dict(self._build_opts, criterion=crit)
-        if entry == "gmres":
-            kwargs["restart"] = self._gmres_restart
-        return cls(**kwargs)
+            ),
+            BatchBandedLu(),
+        )
+        self.ladder = tuple(r.name for r in self.rungs)
+        #: :class:`EscalationReport` of the most recent solve.
+        self.last_report: EscalationReport | None = None
 
     # -- public API -----------------------------------------------------------
 
@@ -246,7 +215,7 @@ class EscalationSolver:
             attempts.append(
                 RungAttempt(
                     rung=rung_idx,
-                    solver=getattr(rung, "name", str(rung)),
+                    solver=rung.name,
                     attempted=int(idx.size),
                     rescued=int(gidx.size),
                     total_iterations=int(rung_res.iterations.sum()),
@@ -306,7 +275,7 @@ class EscalationSolver:
             iterations=iterations,
             residual_norms=norms,
             converged=converged,
-            solver=getattr(rung, "name", str(rung)),
+            solver=rung.name,
             format=getattr(sub_matrix, "format_name", "unknown"),
         )
 

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...utils.validation import check_positive
 from ..batch_dense import batch_dot, batch_norm2
 from ..faults import SolverHealth
 from ..spmv import residual
 from .base import BatchedIterativeSolver, IterationDriver, safe_divide
-from .schedule import solver_schedule
+from .schedule import GMRES_RESTART
 
 __all__ = ["BatchGmres"]
 
@@ -37,24 +36,15 @@ __all__ = ["BatchGmres"]
 class BatchGmres(BatchedIterativeSolver):
     """Batched restarted GMRES(m) with per-system termination.
 
-    Parameters
-    ----------
-    restart:
-        Krylov subspace dimension per cycle (default 30).
+    Each cycle builds a Krylov subspace of ``m = GMRES_RESTART`` (30)
+    dimensions, capped at the system size.
     """
 
     name = "gmres"
 
-    def __init__(self, *args, restart: int = 30, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.restart = int(check_positive(restart, "restart"))
-
-    def op_schedule(self):
-        return solver_schedule("gmres", gmres_restart=self.restart)
-
     def _iterate(self, matrix, b, x, precond, ws):
         nb, n = x.shape
-        m = min(self.restart, n)
+        m = min(GMRES_RESTART, n)
 
         # The m+1 modelled basis vectors live in one (m+1, nb, n) array, so
         # the driver manages only the residual and the two scratch vectors.
@@ -154,7 +144,7 @@ class BatchGmres(BatchedIterativeSolver):
                 est = np.abs(g[:, j + 1])
                 newly = cycle_active & drv.criterion.check(est)
                 if np.any(newly):
-                    comp.log_converged(self.logger, total_it + j, est, newly)
+                    comp.log_converged(self.logger, total_it + j, newly)
                     st.logged |= newly
                     cycle_active &= ~newly
                 if self.logger.record_history:
@@ -198,9 +188,7 @@ class BatchGmres(BatchedIterativeSolver):
                 # iteration count; systems it lagged on are logged now.
                 est_missed = true_conv & ~st.logged
                 if np.any(est_missed):
-                    comp.log_converged(
-                        self.logger, total_it - 1, res_norms, est_missed
-                    )
+                    comp.log_converged(self.logger, total_it - 1, est_missed)
                     st.logged |= est_missed
                 comp.mark_converged(drv.converged, true_conv)
                 st.active &= ~true_conv

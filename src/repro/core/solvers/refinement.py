@@ -39,6 +39,13 @@ from .bicgstab import BatchBicgstab
 
 __all__ = ["RefinementSolver"]
 
+#: Relative residual-reduction factor of the default inner solver: each
+#: sweep only needs to cut the correction residual by a modest factor.
+INNER_TOL = 1e-4
+
+#: Cap on outer correction sweeps.
+MAX_OUTER = 20
+
 
 class RefinementSolver:
     """Batched iterative refinement around a low-precision inner solver.
@@ -48,9 +55,8 @@ class RefinementSolver:
     inner:
         The inner batched iterative solver producing the corrections.  When
         omitted, a :class:`~repro.core.solvers.bicgstab.BatchBicgstab` is
-        built with the requested ``precision``, an ``inner_tol`` relative
-        residual criterion (each sweep only needs to reduce the correction
-        residual by a modest factor), and ``inner_max_iter``.
+        built with the requested ``precision``, an :data:`INNER_TOL`
+        relative residual criterion, and ``inner_max_iter``.
     precision:
         Precision policy for the default inner solver: ``"fp32"``,
         ``"mixed"`` (default — fp32 storage with fp64 reductions), or a
@@ -61,12 +67,9 @@ class RefinementSolver:
     criterion:
         The *outer* stopping criterion, checked against the true fp64
         residual; defaults to the paper's ``AbsoluteResidual(1e-10)``.
-    inner_tol:
-        Relative residual-reduction factor of the default inner solver.
     inner_max_iter:
-        Iteration cap per inner solve.
-    max_outer:
-        Cap on outer correction sweeps.
+        Iteration cap per inner solve.  At most :data:`MAX_OUTER` outer
+        correction sweeps run.
 
     Notes
     -----
@@ -84,21 +87,18 @@ class RefinementSolver:
         precision: PrecisionPolicy | str = "mixed",
         preconditioner: BatchPreconditioner | str | None = None,
         criterion: StoppingCriterion | None = None,
-        inner_tol: float = 1e-4,
         inner_max_iter: int = 200,
-        max_outer: int = 20,
     ) -> None:
         if inner is None:
             inner = BatchBicgstab(
                 preconditioner=preconditioner,
-                criterion=RelativeResidual(inner_tol),
+                criterion=RelativeResidual(INNER_TOL),
                 max_iter=int(check_positive(inner_max_iter, "inner_max_iter")),
                 precision=precision_policy(precision),
             )
         self.inner = inner
         self.precision = inner.precision or precision_policy(precision)
         self.criterion = criterion or AbsoluteResidual(1e-10)
-        self.max_outer = int(check_positive(max_outer, "max_outer"))
         #: Outer correction sweeps of the most recent solve.
         self.last_outer_iterations = 0
         self._workspace: SolverWorkspace | None = None
@@ -163,7 +163,7 @@ class RefinementSolver:
         iterations = np.zeros(shape.num_batch, dtype=np.int64)
 
         outer = 0
-        while not converged.all() and outer < self.max_outer:
+        while not converged.all() and outer < MAX_OUTER:
             outer += 1
             # Zero the residual rows of already-converged systems: the
             # inner relative criterion then freezes them at iteration 0

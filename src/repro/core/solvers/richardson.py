@@ -1,15 +1,15 @@
-"""Batched (preconditioned, damped) Richardson iteration.
+"""Batched preconditioned Richardson iteration.
 
-The simplest preconditionable iterative method: ``x += relax * M^-1 r``.
-With the Jacobi preconditioner this is damped Jacobi relaxation.  Useful as
-a smoke-test solver, as a smoother, and as the cheapest point in the
+The simplest preconditionable iterative method: ``x += M^-1 r``.  With the
+Jacobi preconditioner this is Jacobi relaxation.  Useful as a smoke-test
+solver, as a smoother, and as the cheapest point in the
 solver-composability space the Ginkgo design exposes.  Like every iterative
 solver here it runs masked updates through :mod:`repro.core.blas` and
 compacts the batch once most systems have converged.
 
 Breakdown audit: Richardson has no recurrence scalars (no ``rho`` /
-``omega``), so the only degradation modes are divergence (relaxation too
-aggressive for the spectrum), stagnation (spectral radius ~= 1), and
+``omega``), so the only degradation modes are divergence (spectral radius
+of ``I - M^-1 A`` above 1), stagnation (spectral radius ~= 1), and
 NaN/Inf operands — all three are caught by the iteration driver's
 vectorised health guards on the recorded residual norms.
 """
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...utils.validation import check_positive
 from ..batch_dense import batch_norm2
 from ..blas import masked_axpy
 from ..spmv import residual
@@ -28,19 +27,9 @@ __all__ = ["BatchRichardson"]
 
 
 class BatchRichardson(BatchedIterativeSolver):
-    """Batched damped Richardson iteration with per-system termination.
-
-    Parameters
-    ----------
-    relaxation:
-        Damping factor applied to every correction (default 1.0).
-    """
+    """Batched Richardson iteration with per-system termination."""
 
     name = "richardson"
-
-    def __init__(self, *args, relaxation: float = 1.0, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.relaxation = float(check_positive(relaxation, "relaxation"))
 
     def _iterate(self, matrix, b, x, precond, ws):
         drv = IterationDriver(self, matrix, b, x, precond, ws)
@@ -48,7 +37,7 @@ class BatchRichardson(BatchedIterativeSolver):
         def body(st, it):
             st.precond.apply(st.r, out=st.z)
             # Frozen systems take a zero step.
-            masked_axpy(st.x, self.relaxation, st.z, mask=st.active, work=st.work)
+            masked_axpy(st.x, 1.0, st.z, mask=st.active, work=st.work)
 
             residual(st.matrix, st.x, st.b, out=st.r)
 
@@ -56,7 +45,7 @@ class BatchRichardson(BatchedIterativeSolver):
             drv.update_norms(res_norms, st.active)
             newly = st.active & drv.criterion.check(res_norms)
             if np.any(newly):
-                drv.freeze(it, res_norms, newly)
+                drv.freeze(it, newly)
             drv.log_history()
 
         return drv.run(body)

@@ -44,6 +44,7 @@ __all__ = [
     "OpSchedule",
     "OpStats",
     "OpCounts",
+    "GMRES_RESTART",
     "REPLACEMENT_PERIOD",
     "solver_schedule",
     "iterative_solver_names",
@@ -135,11 +136,6 @@ class OpSchedule:
     #: for the pipelined variants: pipelined CG fuses its two dots plus the
     #: residual norm into one round).
     dot_rounds: float = 0.0
-    #: Kernel launches per iteration when the solve is *not* compiled into
-    #: one fused kernel: every SpMV, preconditioner apply, reduction round,
-    #: and fused vector-update group is its own launch.
-    fused_groups: float = 0.0
-    setup_fused_groups: float = 0.0
     setup_spmvs: float = 1.0
     setup_precond_applies: float = 0.0
     setup_dots: float = 0.0
@@ -168,7 +164,6 @@ class OpSchedule:
     cycle_norms: float = 0.0
     cycle_axpys: float = 0.0
     cycle_syncs: float = 0.0
-    cycle_fused_groups: float = 0.0
     #: GMRES: dot count per Arnoldi step grows with the subspace (step j
     #: performs j+1 MGS dots); the flat ``dots`` field holds the cycle
     #: average and :meth:`expected_counts` uses the exact triangular sum.
@@ -245,9 +240,6 @@ def _bicgstab_schedule() -> OpSchedule:
         # (t.s, t.t) pair (one round since the classic hot loop adopted
         # fused_dots), and ||r||.  The unfused textbook loop pays 6.
         syncs=5.0, dot_rounds=3.0,
-        # Component-kernel launches per iteration: 2 SpMV + 2 precond + 5
-        # reduction rounds + 4 fused vector-update kernels.
-        fused_groups=13.0, setup_fused_groups=5.0,
         setup_spmvs=1.0, setup_norms=2.0, setup_syncs=2.0,
         verify_spmvs=1.0, verify_norms=1.0, verify_syncs=1.0,
         # The ||s|| early exit skips the second half-step entirely.
@@ -265,8 +257,6 @@ def _cg_schedule() -> OpSchedule:
         # 3 rounds: p.Ap, ||r||, r.z — the classic CG synchronization cost
         # pipelined CG collapses to one.
         syncs=3.0, dot_rounds=2.0,
-        # 1 SpMV + 1 precond + 3 reduction rounds + 3 vector updates.
-        fused_groups=8.0, setup_fused_groups=6.0,
         setup_spmvs=1.0, setup_precond_applies=1.0, setup_dots=1.0,
         setup_norms=2.0, setup_syncs=3.0,
         # Convergence is checked before the direction update: the final
@@ -291,8 +281,6 @@ def _cgs_schedule() -> OpSchedule:
         # only 2 reduction rounds per iteration.
         spmvs=2.0, precond_applies=2.0, dots=3.0, norms=0.0, axpys=7.0,
         syncs=2.0, dot_rounds=2.0,
-        # 2 SpMV + 2 precond + 2 reduction rounds + 7 vector updates.
-        fused_groups=13.0, setup_fused_groups=7.0,
         setup_spmvs=1.0, setup_dots=1.0, setup_norms=2.0, setup_syncs=3.0,
         verify_spmvs=1.0, verify_norms=1.0, verify_syncs=1.0,
         # Restarted systems reseed rho from the true residual: one dot.
@@ -318,7 +306,6 @@ def _richardson_schedule() -> OpSchedule:
         solver="richardson",
         spmvs=1.0, precond_applies=1.0, dots=0.0, norms=1.0, axpys=1.0,
         syncs=1.0, dot_rounds=0.0,
-        fused_groups=4.0, setup_fused_groups=3.0,
         setup_spmvs=1.0, setup_norms=2.0, setup_syncs=2.0,
         vectors=(
             VectorSpec("z", "spmv", touches=2.0),
@@ -329,10 +316,20 @@ def _richardson_schedule() -> OpSchedule:
     )
 
 
-def _gmres_schedule(restart: int) -> OpSchedule:
-    m = int(restart)
-    if m < 1:
-        raise ValueError(f"gmres_restart must be >= 1, got {restart}")
+#: Krylov subspace dimension of one GMRES cycle: the basis holds
+#: ``GMRES_RESTART + 1`` SpMV-operand vectors and the cycle work amortises
+#: over ``GMRES_RESTART`` iterations.
+GMRES_RESTART = 30
+
+#: Pipelined solvers recompute their drifting recurrences from scratch
+#: every this many iterations (residual replacement, Ghysels & Vanroose);
+#: declared as the schedule's ``cycle_length`` so the GPU model amortises
+#: the replacement kernels honestly.
+REPLACEMENT_PERIOD = 8
+
+
+def _gmres_schedule() -> OpSchedule:
+    m = GMRES_RESTART
     basis = tuple(VectorSpec(f"v{j}", "spmv", touches=2.0) for j in range(m + 1))
     return OpSchedule(
         solver="gmres",
@@ -344,16 +341,12 @@ def _gmres_schedule(restart: int) -> OpSchedule:
         # exact count is triangular; expected_counts pins syncs to
         # dots + norms).
         syncs=(m + 1) / 2.0 + 1.0, dot_rounds=(m + 1) / 2.0,
-        fused_groups=float(m) + 5.0, setup_fused_groups=3.0,
         setup_spmvs=1.0, setup_norms=2.0, setup_syncs=2.0,
         # Per restart cycle: starting residual + norm, the solution update
         # through the preconditioner, and the boundary true residual + norm.
         cycle_length=m,
         cycle_spmvs=2.0, cycle_precond_applies=1.0, cycle_norms=2.0,
         cycle_axpys=float(m), cycle_syncs=2.0,
-        # Restart boundary as component kernels: 2 SpMV + 1 precond + 2
-        # reduction rounds + the Hessenberg solve / solution update pair.
-        cycle_fused_groups=7.0,
         dots_grow_with_subspace=True,
         vectors=basis + (
             VectorSpec("r", "aux", touches=2.0),
@@ -361,13 +354,6 @@ def _gmres_schedule(restart: int) -> OpSchedule:
         ),
         host_scratch=("gmres_work", "gmres_upd"),
     )
-
-
-#: Pipelined solvers recompute their drifting recurrences from scratch
-#: every this many iterations (residual replacement, Ghysels & Vanroose);
-#: declared as the schedule's ``cycle_length`` so the GPU model amortises
-#: the replacement kernels honestly.
-REPLACEMENT_PERIOD = 8
 
 
 def _pipelined_cg_schedule() -> OpSchedule:
@@ -382,8 +368,6 @@ def _pipelined_cg_schedule() -> OpSchedule:
         solver="pipelined_cg",
         spmvs=1.0, precond_applies=1.0, dots=3.0, norms=0.0, axpys=4.0,
         syncs=1.0, dot_rounds=1.0,
-        # 1 SpMV + 1 precond + 1 fused reduction + 1 merged 4-way update.
-        fused_groups=4.0, setup_fused_groups=6.0,
         setup_spmvs=2.0, setup_precond_applies=1.0, setup_dots=2.0,
         setup_norms=2.0, setup_syncs=3.0,
         verify_spmvs=1.0, verify_norms=1.0, verify_syncs=1.0,
@@ -391,10 +375,9 @@ def _pipelined_cg_schedule() -> OpSchedule:
         # residual: one precond, one SpMV, one fused two-dot round.
         restart_spmvs=1.0, restart_precond_applies=1.0, restart_dots=2.0,
         restart_syncs=1.0,
-        # Residual replacement: recompute r = b - A x and s = A p — as
-        # component kernels, two SpMVs plus the b - A x subtraction.
+        # Residual replacement: recompute r = b - A x and s = A p — two
+        # SpMVs plus the b - A x subtraction.
         cycle_length=REPLACEMENT_PERIOD, cycle_spmvs=2.0,
-        cycle_fused_groups=3.0,
         vectors=(
             VectorSpec("u", "spmv", touches=3.0),
             VectorSpec("w", "spmv", touches=3.0),
@@ -431,8 +414,6 @@ def _pipelined_bicgstab_schedule() -> OpSchedule:
         solver="pipelined_bicgstab",
         spmvs=2.0, precond_applies=2.0, dots=6.0, norms=0.0, axpys=7.0,
         syncs=2.0, dot_rounds=2.0,
-        # 2 SpMV + 2 precond + 2 reduction rounds + 4 vector updates.
-        fused_groups=10.0, setup_fused_groups=5.0,
         setup_spmvs=1.0, setup_dots=1.0, setup_norms=2.0, setup_syncs=3.0,
         verify_spmvs=1.0, verify_norms=1.0, verify_syncs=1.0,
         # Drifted systems reseed the rho recurrence from the true residual.
@@ -442,10 +423,11 @@ def _pipelined_bicgstab_schedule() -> OpSchedule:
     )
 
 
-_FIXED_SCHEDULES = {
+_SCHEDULES = {
     "bicgstab": _bicgstab_schedule,
     "cg": _cg_schedule,
     "cgs": _cgs_schedule,
+    "gmres": _gmres_schedule,
     "pipelined_bicgstab": _pipelined_bicgstab_schedule,
     "pipelined_cg": _pipelined_cg_schedule,
     "richardson": _richardson_schedule,
@@ -454,30 +436,26 @@ _FIXED_SCHEDULES = {
 
 def iterative_solver_names() -> tuple[str, ...]:
     """Names of all iterative solvers with a declared schedule."""
-    return tuple(sorted([*_FIXED_SCHEDULES, "gmres"]))
+    return tuple(sorted(_SCHEDULES))
 
 
 @lru_cache(maxsize=None)
-def solver_schedule(solver: str, *, gmres_restart: int = 30) -> OpSchedule:
+def solver_schedule(solver: str) -> OpSchedule:
     """The declared :class:`OpSchedule` of a named solver.
 
-    GMRES is parameterised by its restart length ``m``: the basis holds
-    ``m + 1`` SpMV-operand vectors and the cycle work amortises over ``m``
-    iterations.  Unknown names raise ``ValueError`` — the GPU model must
-    never silently fall back to BiCGSTAB's numbers.
+    Unknown names raise ``ValueError`` — the GPU model must never silently
+    fall back to BiCGSTAB's numbers.
 
     Schedules are frozen value objects, so the registry is memoized:
     repeated lookups (the GPU model needs one per estimate, and the
     service bills every dispatched batch through it) return the same
     shared instance instead of rebuilding the dataclass every call.
     """
-    if solver == "gmres":
-        return _gmres_schedule(gmres_restart)
     try:
-        return _FIXED_SCHEDULES[solver]()
+        return _SCHEDULES[solver]()
     except KeyError:
         raise ValueError(
-            f"unknown solver {solver!r}; choices: {sorted(_FIXED_SCHEDULES) + ['gmres']}"
+            f"unknown solver {solver!r}; choices: {sorted(_SCHEDULES)}"
         ) from None
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "VectorSpec",
     "StorageConfig",
     "SolverWorkspace",
-    "solver_vector_specs",
     "plan_storage",
 ]
 
@@ -66,20 +65,6 @@ class VectorSpec:
             raise ValueError(f"role must be 'spmv' or 'aux', got {self.role!r}")
         if self.touches <= 0.0:
             raise ValueError(f"touches must be positive, got {self.touches}")
-
-
-def solver_vector_specs(solver: str, *, gmres_restart: int = 30) -> tuple[VectorSpec, ...]:
-    """Vector specs for a named solver, from its declared operation schedule.
-
-    GMRES is parameterised by its restart length: it keeps the ``m + 1``
-    Krylov basis vectors (all SpMV operands) plus residual and solution.
-    The specs come from the same :class:`~repro.core.solvers.schedule.
-    OpSchedule` registry the host solvers and the GPU model read, so the
-    placement planner can never drift from what the solvers allocate.
-    """
-    from .solvers.schedule import solver_schedule
-
-    return solver_schedule(solver, gmres_restart=gmres_restart).vectors
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ import numpy as np
 from ..core import (
     AbsoluteResidual,
     BatchBicgstab,
-    BatchLogger,
     make_solver,
     to_format,
 )
@@ -100,7 +99,6 @@ def measured_zero_guess(num_mesh_nodes: int = 8):
         preconditioner="jacobi",
         criterion=AbsoluteResidual(1e-10),
         max_iter=500,
-        logger=BatchLogger(),
     )
     return app, solver.solve(matrix, f)
 

@@ -22,7 +22,6 @@ from ..core import (
     MonolithicBlockSolver,
     assemble_block_diagonal,
     plan_storage,
-    solver_vector_specs,
     to_format,
 )
 from ..core.solvers.schedule import solver_schedule
@@ -231,7 +230,7 @@ def ablation_shmem() -> ExperimentResult:
         f"{hw.name + ' n_sh/t_ms':>16}" for hw in GPUS
     )]
     for budget in budgets:
-        cfg = plan_storage(solver_vector_specs("bicgstab"), N_ROWS, budget)
+        cfg = plan_storage(solver_schedule("bicgstab").vectors, N_ROWS, budget)
         work = iteration_work(
             schedule, N_ROWS, app.stencil.nnz, "ell", cfg,
             stored_nnz=STORED_ELL,

@@ -29,7 +29,6 @@ from .kernel import (
     dense_lu_work,
     escalation_work,
     iteration_work,
-    kernel_launches,
     reduction_phase_count,
     reduction_round_scale,
     reduction_rounds,
@@ -87,7 +86,6 @@ __all__ = [
     "reduction_phase_count",
     "reduction_round_scale",
     "reduction_rounds",
-    "kernel_launches",
     "MemoryEstimate",
     "estimate_memory",
     "Occupancy",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ..core.solvers.schedule import OpSchedule, solver_schedule
-from ..core.workspace import StorageConfig, plan_storage, solver_vector_specs
+from ..core.workspace import StorageConfig, plan_storage
 
 __all__ = [
     "KernelWork",
@@ -32,7 +32,6 @@ __all__ = [
     "banded_lu_work",
     "banded_qr_work",
     "escalation_work",
-    "kernel_launches",
     "reduction_phase_count",
     "reduction_round_scale",
     "reduction_rounds",
@@ -189,47 +188,22 @@ def reduction_round_scale(hw, num_lanes: int) -> float:
     )
 
 
-def kernel_launches(
-    schedule: OpSchedule, num_iterations: float, *, fused: bool = True
-) -> float:
-    """Host-side kernel launches of one batched solve.
-
-    ``fused=True`` is the paper's production kernel: the whole solve —
-    setup, every iteration, convergence checks — is ONE launch.  With
-    ``fused=False`` every fused kernel group (the maximal run of BLAS-1 /
-    SpMV work between two reduction rounds, declared as the schedules'
-    ``fused_groups`` channel) becomes its own launch, which is how a
-    library-composed (cuBLAS/cuSPARSE-call-per-op) implementation runs
-    and why it loses at small batch sizes.
-    """
-    if fused:
-        return 1.0
-    return (
-        schedule.setup_fused_groups
-        + schedule.amortized("fused_groups") * num_iterations
-    )
-
-
 @lru_cache(maxsize=4096)
 def storage_for_solver(
     solver: str,
     num_rows: int,
     shared_budget_bytes: int,
     *,
-    gmres_restart: int = 30,
     value_bytes: int = VALUE_BYTES,
 ) -> StorageConfig:
     """Shared-memory placement for a solver's auxiliary vectors (§IV-D).
 
-    ``gmres_restart`` sizes the GMRES Krylov basis (``m + 1`` SpMV-operand
-    vectors); it is ignored by the fixed-footprint solvers.  fp32 vectors
-    (``value_bytes=4``) are half the size, so the same shared-memory
-    budget holds twice as many — the placement genuinely changes with the
-    precision policy.
+    fp32 vectors (``value_bytes=4``) are half the size, so the same
+    shared-memory budget holds twice as many — the placement genuinely
+    changes with the precision policy.
     """
     return plan_storage(
-        solver_vector_specs(solver, gmres_restart=gmres_restart),
-        num_rows, shared_budget_bytes,
+        solver_schedule(solver).vectors, num_rows, shared_budget_bytes,
         value_bytes=value_bytes,
     )
 
@@ -330,7 +304,6 @@ def escalation_work(
     stored_nnz: int | None = None,
     shared_budget_bytes: int = 0,
     value_bytes: int = VALUE_BYTES,
-    gmres_restart: int = 30,
     kl: int | None = None,
     ku: int | None = None,
 ) -> KernelWork:
@@ -343,8 +316,8 @@ def escalation_work(
     :class:`~repro.core.solvers.schedule.OpSchedule` machinery as a primary
     solve: one :func:`setup_work` per attempted system plus
     :func:`iteration_work` per recorded iteration.  ``"refinement"`` bills
-    at the BiCGSTAB schedule (its inner sweeps) and ``"direct"`` /
-    ``"banded-lu"`` at :func:`banded_lu_work` per system with bandwidths
+    at the BiCGSTAB schedule (its inner sweeps) and ``"banded-lu"`` at
+    :func:`banded_lu_work` per system with bandwidths
     ``kl`` / ``ku`` (default ``isqrt(num_rows)``, the paper's ~n^(1/2)
     collision-stencil band).
 
@@ -362,14 +335,13 @@ def escalation_work(
     for solver_name, total_iterations, num_systems in rungs:
         if num_systems <= 0:
             continue
-        if solver_name in ("direct", "banded-lu"):
+        if solver_name == "banded-lu":
             total = total + banded_lu_work(num_rows, kl, ku).scaled(num_systems)
             continue
         schedule_name = "bicgstab" if solver_name == "refinement" else solver_name
-        schedule = solver_schedule(schedule_name, gmres_restart=gmres_restart)
+        schedule = solver_schedule(schedule_name)
         storage = storage_for_solver(
-            schedule_name, num_rows, shared_budget_bytes,
-            gmres_restart=gmres_restart, value_bytes=value_bytes,
+            schedule_name, num_rows, shared_budget_bytes, value_bytes=value_bytes,
         )
         per_iter = iteration_work(
             schedule, num_rows, nnz, fmt, storage,

@@ -35,7 +35,6 @@ from .kernel import (
     banded_qr_work,
     dense_lu_work,
     iteration_work,
-    kernel_launches,
     reduction_round_scale,
     reduction_rounds,
     setup_work,
@@ -63,7 +62,7 @@ class GpuSolveEstimate:
         ``total_time_s / num_batch`` (the right panel of Fig. 6).
     launch_s:
         Kernel-launch overhead component — one launch for the fused
-        kernel, one per component kernel otherwise.
+        kernel.
     block_times_s:
         Per-system block execution times.
     storage:
@@ -138,9 +137,7 @@ def estimate_iterative_solve(
     *,
     stored_nnz: int | None = None,
     solver: str = "bicgstab",
-    gmres_restart: int = 30,
     value_bytes: int = 8,
-    fused: bool = True,
     shared_budget_bytes: int | None = None,
 ) -> GpuSolveEstimate:
     """Model the fused batched iterative solve.
@@ -164,21 +161,12 @@ def estimate_iterative_solve(
         OpSchedule` to charge — each solver gets its own per-iteration
         work, vector footprint, and spill traffic.  Unknown names raise
         ``ValueError``.
-    gmres_restart:
-        GMRES restart length ``m``; sizes the Krylov basis for the §IV-D
-        placement and the per-iteration dot count.  Ignored otherwise.
     value_bytes:
         Bytes per stored value: 8 for fp64 (default), 4 for the fp32 and
         mixed precision policies.  Halves every value-traffic stream,
         doubles the vector capacity of the shared-memory budget, and
         doubles the usable compute throughput (GPU fp32 peak is twice the
         fp64 peak).
-    fused:
-        ``True`` (the paper's production kernel) bills ONE kernel launch
-        for the whole solve; ``False`` models a library-composed
-        implementation that launches every fused kernel group of the
-        schedule separately, paying ``launch_overhead_us`` per component
-        kernel per iteration.
     shared_budget_bytes:
         Per-block dynamic shared-memory budget for the §IV-D placement.
         Defaults to ``hw.shared_budget_per_block()`` (the hardware's
@@ -191,10 +179,9 @@ def estimate_iterative_solve(
 
     if shared_budget_bytes is None:
         shared_budget_bytes = hw.shared_budget_per_block()
-    schedule = solver_schedule(solver, gmres_restart=gmres_restart)
+    schedule = solver_schedule(solver)
     storage = storage_for_solver(
-        solver, num_rows, int(shared_budget_bytes),
-        gmres_restart=gmres_restart, value_bytes=value_bytes,
+        solver, num_rows, int(shared_budget_bytes), value_bytes=value_bytes,
     )
     occ = compute_occupancy(hw, storage.shared_bytes_used, num_rows)
 
@@ -249,14 +236,11 @@ def estimate_iterative_solve(
     )
 
     block_times = t_setup + iterations * t_iter
-    # The kernel's loop trips until the *slowest* system converges: both
-    # the launch count of the unfused composition and the grid-wide
-    # reduction rounds scale with the batch-maximum iteration count.
+    # The whole solve is one fused kernel launch.  Its loop trips until
+    # the *slowest* system converges, so the grid-wide reduction rounds
+    # scale with the batch-maximum iteration count.
     iters_max = float(iterations.max()) if num_batch else 0.0
-    launch = (
-        kernel_launches(schedule, iters_max, fused=fused)
-        * hw.launch_overhead_us * 1e-6
-    )
+    launch = hw.launch_overhead_us * 1e-6
     # One block per system, one lane per row (capped at the 1024-lane
     # block limit): targets whose kernels compile narrower than the warp
     # (PVC SIMD16) pay extra barrier phases per reduction round.

@@ -33,7 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..core.workspace import StorageConfig, plan_storage, solver_vector_specs
+from ..core.solvers.schedule import solver_schedule
+from ..core.workspace import StorageConfig, plan_storage
 from ..utils.validation import check_positive
 from .hardware import GpuSpec
 from .occupancy import Occupancy, compute_occupancy
@@ -281,7 +282,6 @@ def tune_batched_solver(
     nnz_row_max: int,
     *,
     solver: str = "bicgstab",
-    gmres_restart: int = 30,
     value_bytes: int = 8,
     padding_fraction: float | None = None,
     num_diags: int | None = None,
@@ -300,10 +300,6 @@ def tune_batched_solver(
         Row-length range of the shared sparsity pattern.
     solver:
         Solver whose auxiliary vectors the shared-memory plan covers.
-    gmres_restart:
-        Krylov subspace dimension when ``solver="gmres"`` — it sizes the
-        ``m + 1`` basis vectors the placement must cover.  Ignored by the
-        fixed-footprint solvers.
     padding_fraction:
         Exact ELL padding fraction when the row-length distribution is
         known (``tune_for_matrix`` supplies it); defaults to the
@@ -363,8 +359,8 @@ def tune_batched_solver(
     # finally to none (the kernel then streams through global memory).
     budget = hw.shared_budget_per_block()
     storage = plan_storage(
-        solver_vector_specs(plan_solver, gmres_restart=gmres_restart),
-        num_rows, budget, value_bytes=value_bytes,
+        solver_schedule(plan_solver).vectors, num_rows, budget,
+        value_bytes=value_bytes,
     )
     if storage.num_shared == 0 and budget > 0:
         rationale["shared"] = (
@@ -416,7 +412,6 @@ def tune_for_matrix(
     matrix,
     *,
     solver: str = "bicgstab",
-    gmres_restart: int = 30,
     value_bytes: int | None = None,
     num_batch: int | None = None,
 ) -> TuningDecision:
@@ -452,7 +447,7 @@ def tune_for_matrix(
     num_diags = int(np.unique(cols - rows).size)
     dia_padding = 1.0 - rows.size / (num_diags * num_rows)
     return tune_batched_solver(
-        hw, num_rows, lo, hi, solver=solver, gmres_restart=gmres_restart,
+        hw, num_rows, lo, hi, solver=solver,
         value_bytes=value_bytes, padding_fraction=padding,
         num_diags=num_diags, dia_padding_fraction=dia_padding,
         num_batch=num_batch or None,

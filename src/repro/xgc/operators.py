@@ -34,8 +34,7 @@ density is conserved to machine precision; :math:`f = f_M` is an *exact*
 discrete equilibrium (the face flux is identically zero); and the matrix
 ``B = diag(w) L diag(f_M)`` is symmetric negative-semidefinite, which is
 what makes the backward-Euler matrix ``M = I - dt\\,\\nu L`` solvable by
-every solver in the registry — including CG on the similarity-transformed
-:meth:`CollisionOperator1D.symmetrized` form, which is SPD.
+every general (not SPD-only) solver in the registry.
 
 The assembled systems come out in the interleaved tridiagonal layout
 (:class:`repro.core.solvers.tridiag.BatchTridiag`), the gather-free DIA
@@ -293,31 +292,6 @@ class CollisionOperator1D:
         out[:, :, idx[:-1], idx[:-1]] -= face
         out[:, :, idx[1:], idx[1:]] -= face
         return out
-
-    # -- SPD similarity ------------------------------------------------------
-
-    def symmetrized(self) -> tuple[BatchTridiag, np.ndarray]:
-        """SPD similarity transform of a single-part operator.
-
-        With ``D = diag(f_eq)``, the matrix ``M_sym = D^{-1/2} M D^{1/2}``
-        is symmetric positive-definite (``I`` minus a symmetric NSD term):
-        its off-diagonals collapse to ``-w / h^2`` exactly, because the
-        geometric-mean face weight cancels the equilibrium ratio.  Returns
-        ``(M_sym as BatchTridiag, sqrt(f_eq))``; ``M x = b`` is equivalent
-        to ``M_sym y = b / sqrt(f_eq)`` with ``x = sqrt(f_eq) * y``, which
-        is what lets CG/pipelined-CG run on these operators.
-        """
-        if self.num_parts != 1:
-            raise ValueError(
-                "symmetrized() requires a single-part operator; the "
-                "multi-species coupling has one equilibrium per part"
-            )
-        off = -(self._weights[:, 0, None] / self.grid.spacing**2)
-        off = np.broadcast_to(off, (self.num_batch, self.grid.nv - 1)).copy()
-        d_sym = 1.0 - self._ad  # similarity preserves the diagonal
-        return BatchTridiag(off, d_sym, off.copy()), np.sqrt(
-            self._equilibria[:, 0, :]
-        )
 
     # -- stepping ------------------------------------------------------------
 

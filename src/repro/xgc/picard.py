@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.faults import worst_health
-from ..core.logging_ import BatchLogger
 from ..core.solvers import EscalationSolver, RefinementSolver, make_solver
 from ..core.stop import AbsoluteResidual, RelativeResidual
 from ..core.types import DTYPE, batch_tile
@@ -282,7 +281,6 @@ class PicardStepper:
                 self.options.solver,
                 preconditioner="jacobi",
                 criterion=AbsoluteResidual(self.options.linear_tol),
-                logger=BatchLogger(),
             )
         else:
             # Low-precision inner sweeps + fp64 outer correction: the
@@ -292,7 +290,6 @@ class PicardStepper:
                 self.options.solver,
                 preconditioner="jacobi",
                 criterion=RelativeResidual(1e-4),
-                logger=BatchLogger(),
                 precision=self.options.precision,
             )
             solver = RefinementSolver(
@@ -304,7 +301,7 @@ class PicardStepper:
             # its exact instruction stream; only unhealthy systems pay for
             # the ladder.
             solver = EscalationSolver(
-                ladder=(solver, "gmres", "refinement", "direct"),
+                solver,
                 preconditioner="jacobi",
                 criterion=AbsoluteResidual(self.options.linear_tol),
             )

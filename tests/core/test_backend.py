@@ -24,6 +24,7 @@ from repro.core import (
     masked_fill,
     pipelined_cg_update,
 )
+from repro.core.solvers.schedule import GMRES_RESTART
 from repro.core.stop import AbsoluteResidual
 from repro.core.workspace import SolverWorkspace
 
@@ -99,14 +100,14 @@ class TestGoldenParityExplicitBackend:
     @pytest.mark.parametrize("name", ("bicgstab", "gmres"))
     def test_bit_identical(self, name, golden, problem):
         meta = golden["meta"]
+        # The pin was taken at the solver constants of today.
+        assert meta["gmres_restart"] == GMRES_RESTART
         matrix, f = problem
-        extra = {"restart": meta["gmres_restart"]} if name == "gmres" else {}
         solver = make_solver(
             name,
             preconditioner=meta["preconditioner"],
             criterion=AbsoluteResidual(meta["tol"]),
             max_iter=meta["max_iter"],
-            **extra,
         )
         ws = SolverWorkspace(matrix.num_batch, matrix.num_rows)
         result = solver.solve(matrix, f, workspace=ws)

@@ -12,6 +12,7 @@ from repro.core import (
     InvalidFormatError,
     to_format,
 )
+from repro.core.compaction import COMPACT_MIN_BATCH
 
 
 def tiny_dia() -> BatchDia:
@@ -241,10 +242,12 @@ class TestCompaction:
         plain = BatchBicgstab(
             criterion=crit, max_iter=200, compact_threshold=None
         ).solve(dia, b)
-        compacted = BatchBicgstab(
-            criterion=crit, max_iter=200, compact_threshold=1.0,
-            compact_min_batch=1,
-        ).solve(dia, b)
+        solver = BatchBicgstab(
+            criterion=crit, max_iter=200, compact_threshold=1.0
+        )
+        compacted = solver.solve(dia, b)
+        assert dia.num_batch > COMPACT_MIN_BATCH
+        assert solver.last_compaction_events > 0
         np.testing.assert_array_equal(plain.iterations, compacted.iterations)
         np.testing.assert_array_equal(plain.x, compacted.x)
 

@@ -26,29 +26,32 @@ from repro.core import (
     StoppingCriterion,
     to_format,
 )
+from repro.core.compaction import COMPACT_MIN_BATCH
 
 NB, N, NUM_HARD = 12, 40, 4
 
 
-def make_batch(rng, *, spd=False):
-    """Diagonally dominant random batch (shared pattern, per-system values)."""
+def make_batch(rng, *, spd=False, dominance=1.0):
+    """Random batch (shared pattern, per-system values), diagonally
+    dominant at the default ``dominance``; 0.4 makes GMRES need more than
+    one restart cycle."""
     pattern = rng.random((1, N, N)) < 0.15
     vals = rng.standard_normal((NB, N, N)) * pattern
     if spd:
         vals = vals + np.swapaxes(vals, 1, 2)
     row_sums = np.abs(vals).sum(axis=2, keepdims=True)
     eye = np.eye(N)[None, :, :]
-    return vals * (1 - eye) + eye * (row_sums + 1.0)
+    return vals * (1 - eye) + eye * (dominance * row_sums + 1.0)
 
 
-def late_picard_problem(rng, *, spd=False):
+def late_picard_problem(rng, **batch):
     """A batch where most systems start converged (warm-start regime).
 
     The first ``NUM_HARD`` systems start from zero; the rest get the exact
     solution as initial guess, so the active fraction is 1/3 from iteration
     zero and compaction triggers immediately.
     """
-    m = BatchCsr.from_dense(make_batch(rng, spd=spd))
+    m = BatchCsr.from_dense(make_batch(rng, **batch))
     x_true = rng.standard_normal((NB, N))
     b = m.apply(x_true)
     x0 = x_true.copy()
@@ -56,13 +59,21 @@ def late_picard_problem(rng, *, spd=False):
     return m, b, x0
 
 
+#: name -> (class, solver kwargs, make_batch kwargs).  GMRES compacts only
+#: at restart boundaries, so its batch needs more than one cycle.
 SOLVERS = {
-    "bicgstab": (BatchBicgstab, {}, False),
-    "cg": (BatchCg, {}, True),
-    "cgs": (BatchCgs, {}, False),
-    "gmres": (BatchGmres, {"restart": 5}, False),
-    "richardson": (BatchRichardson, {"max_iter": 2000}, False),
+    "bicgstab": (BatchBicgstab, {}, {}),
+    "cg": (BatchCg, {}, {"spd": True}),
+    "cgs": (BatchCgs, {}, {}),
+    "gmres": (BatchGmres, {}, {"dominance": 0.4}),
+    "richardson": (BatchRichardson, {"max_iter": 2000}, {}),
 }
+
+
+def assert_gmres_cycles(name, solver):
+    """The GMRES cases must reach a restart boundary to test anything."""
+    if name == "gmres":
+        assert len(solver.last_op_stats.cycle_steps) >= 2
 
 
 def solve_pair(cls, extra, m, b, x0, **kw):
@@ -89,23 +100,25 @@ class TestBitIdenticalAcrossSolvers:
     @pytest.mark.parametrize("name", sorted(SOLVERS))
     @pytest.mark.parametrize("fmt", ["csr", "ell", "dense"])
     def test_warm_start_regime(self, rng, name, fmt):
-        cls, extra, spd = SOLVERS[name]
-        m, b, x0 = late_picard_problem(rng, spd=spd)
+        cls, extra, batch = SOLVERS[name]
+        m, b, x0 = late_picard_problem(rng, **batch)
         m = to_format(m, fmt)
         off, on, solver = solve_pair(cls, extra, m, b, x0)
         assert off.all_converged
         assert solver.last_compaction_events >= 1
+        assert_gmres_cycles(name, solver)
         assert_bit_identical(off, on)
 
     @pytest.mark.parametrize("name", sorted(SOLVERS))
     def test_cold_start_staggered_convergence(self, rng, name):
         """No warm start: systems converge at different iterations, so the
         batch compacts (possibly repeatedly) mid-solve."""
-        cls, extra, spd = SOLVERS[name]
-        m = BatchCsr.from_dense(make_batch(rng, spd=spd))
+        cls, extra, batch = SOLVERS[name]
+        m = BatchCsr.from_dense(make_batch(rng, **batch))
         b = rng.standard_normal((NB, N))
-        off, on, _ = solve_pair(cls, extra, m, b, None)
+        off, on, solver = solve_pair(cls, extra, m, b, None)
         assert off.all_converged
+        assert_gmres_cycles(name, solver)
         assert_bit_identical(off, on)
 
     def test_repeated_compaction_events(self, rng):
@@ -206,7 +219,7 @@ class TestGracefulDegradation:
 
 class TestCompactorUnit:
     def test_should_compact_threshold(self):
-        comp = BatchCompactor(AbsoluteResidual(1e-10), threshold=0.5, min_batch=4)
+        comp = BatchCompactor(AbsoluteResidual(1e-10), threshold=0.5)
         active = np.zeros(10, dtype=bool)
         active[:5] = True
         assert comp.should_compact(active)
@@ -214,9 +227,12 @@ class TestCompactorUnit:
         assert not comp.should_compact(active)
 
     def test_no_compaction_below_min_batch(self):
-        comp = BatchCompactor(AbsoluteResidual(1e-10), threshold=0.5, min_batch=4)
-        active = np.array([True, False, False, False])
+        comp = BatchCompactor(AbsoluteResidual(1e-10), threshold=0.5)
+        active = np.zeros(COMPACT_MIN_BATCH, dtype=bool)
+        active[0] = True
         assert not comp.should_compact(active)
+        # One system more and the same single straggler is gathered.
+        assert comp.should_compact(np.append(active, False))
 
     def test_none_threshold_disables(self):
         comp = BatchCompactor(AbsoluteResidual(1e-10), threshold=None)
@@ -229,7 +245,7 @@ class TestCompactorUnit:
 
     def test_global_indices_chain_across_events(self, rng):
         m, b, _ = late_picard_problem(rng)
-        comp = BatchCompactor(AbsoluteResidual(1e-10), threshold=1.0, min_batch=1)
+        comp = BatchCompactor(AbsoluteResidual(1e-10), threshold=1.0)
         x_full = rng.standard_normal((NB, N))
         x = x_full
         active = np.ones(NB, dtype=bool)
@@ -246,6 +262,7 @@ class TestCompactorUnit:
         comp.compact(sub_active, m2, b2, x_full, x2, precond)
         np.testing.assert_array_equal(comp.indices, expected_global)
         np.testing.assert_array_equal(b2[sub_active], b[expected_global])
+        assert comp.num_events == 2
 
 
 class TestTakeBatch:

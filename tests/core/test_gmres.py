@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import AbsoluteResidual, BatchCsr, BatchGmres, to_format
+from repro.core.solvers.schedule import GMRES_RESTART
+
+from ..conftest import make_random_batch
 
 
 def solver(**kw):
@@ -29,21 +32,22 @@ class TestConvergence:
         true_res = np.linalg.norm(b - csr_batch.apply(res.x), axis=1)
         assert np.all(true_res < 1e-9)
 
-    def test_small_restart_still_converges(self, rng, csr_batch):
-        b = rng.standard_normal((csr_batch.num_batch, csr_batch.num_rows))
-        res = solver().solve(csr_batch, b)
-        res_small = BatchGmres(
-            preconditioner="jacobi",
-            criterion=AbsoluteResidual(1e-10),
-            max_iter=500,
-            restart=5,
-        ).solve(csr_batch, b)
-        assert res_small.all_converged
-        # Restarting can only cost iterations, never save them.
-        assert res_small.total_iterations >= res.total_iterations
+    def test_small_restart_still_converges(self, rng):
+        """Systems that need more Arnoldi steps than one restart cycle
+        holds converge across several cycles."""
+        m = BatchCsr.from_dense(make_random_batch(rng, dominance=0.4))
+        b = rng.standard_normal((m.num_batch, m.num_rows))
+        gm = solver()
+        res = gm.solve(m, b)
+        assert res.all_converged
+        assert res.max_iterations > GMRES_RESTART
+        assert len(gm.last_op_stats.cycle_steps) >= 2
+        true_res = np.linalg.norm(b - m.apply(res.x), axis=1)
+        assert np.all(true_res < 1e-9)
 
     def test_full_gmres_finite_termination(self, rng):
-        """Unrestarted GMRES on an n-dim system converges within n steps."""
+        """A system no larger than the restart length runs unrestarted
+        GMRES, which converges within n steps."""
         n = 12
         dense = rng.standard_normal((2, n, n)) + n * np.eye(n)
         m = BatchCsr.from_dense(dense)
@@ -52,14 +56,9 @@ class TestConvergence:
             preconditioner="identity",
             criterion=AbsoluteResidual(1e-9),
             max_iter=3 * n,
-            restart=n,
         ).solve(m, b)
         assert res.all_converged
         assert res.max_iterations <= n + 1
-
-    def test_invalid_restart(self):
-        with pytest.raises(ValueError):
-            BatchGmres(restart=0)
 
     def test_per_system_counts_differ(self, rng):
         n = 25

@@ -11,25 +11,26 @@ class TestBatchLogger:
         log = BatchLogger()
         log.initialize(3)
         np.testing.assert_array_equal(log.iterations, [0, 0, 0])
-        assert np.all(np.isinf(log.residual_norms))
+        log.log_converged(4, np.array([1]))
+        log.initialize(3)
+        np.testing.assert_array_equal(log.iterations, [0, 0, 0])
 
     def test_records_convergence_iteration(self):
         log = BatchLogger()
         log.initialize(3)
-        res = np.array([1e-12, 0.5, 0.7])
-        log.log_iteration(4, res, np.array([True, False, False]))
+        log.log_converged(4, np.array([0]))
         assert log.iterations[0] == 5  # iteration index 4 => count 5
-        assert log.residual_norms[0] == 1e-12
         assert log.iterations[1] == 0  # untouched
 
     def test_finalize_marks_unconverged(self):
         log = BatchLogger()
-        log.initialize(2)
-        log.log_iteration(2, np.array([1e-11, 1.0]), np.array([True, False]))
-        log.finalize(np.array([1e-11, 0.3]), np.array([False, True]), 100)
+        log.initialize(3)
+        log.log_converged(2, np.array([0]))
+        log.log_halted(np.array([2]), 7)
+        log.finalize(np.array([False, True, True]), 100)
         assert log.iterations[1] == 100
-        assert log.residual_norms[1] == 0.3
         assert log.iterations[0] == 3  # untouched by finalize
+        assert log.iterations[2] == 7  # halted: keeps its trip count
 
     def test_history_disabled_by_default(self):
         log = BatchLogger()
@@ -59,7 +60,7 @@ class TestBatchLogger:
         with pytest.raises(RuntimeError):
             _ = log.iterations
         with pytest.raises(RuntimeError):
-            log.log_iteration(0, np.array([1.0]), np.array([True]))
+            log.log_converged(0, np.array([0]))
 
     def test_reinitialize_clears_history(self):
         log = BatchLogger(record_history=True)

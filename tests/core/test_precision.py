@@ -368,7 +368,7 @@ class TestCompactorSlabs:
         b = rng.standard_normal((nb, n))
         x_full = np.zeros((nb, n))
         precond = JacobiPreconditioner().generate(csr_batch)
-        comp = BatchCompactor(AbsoluteResidual(1e-10), threshold=1.0, min_batch=1)
+        comp = BatchCompactor(AbsoluteResidual(1e-10), threshold=1.0)
 
         active = np.ones(nb, dtype=bool)
         active[0] = False
@@ -403,7 +403,7 @@ class TestCompactorSlabs:
         v = rng.standard_normal((nb, n))
         s = rng.standard_normal(nb)
         precond = JacobiPreconditioner().generate(csr_batch)
-        comp = BatchCompactor(AbsoluteResidual(1e-10), threshold=1.0, min_batch=1)
+        comp = BatchCompactor(AbsoluteResidual(1e-10), threshold=1.0)
         active = np.array([True, False, True, False, True, False])
         sel = np.flatnonzero(active)
         m1, b1, x1, _, _, (v1,), (s1,) = comp.compact(
@@ -415,3 +415,4 @@ class TestCompactorSlabs:
         np.testing.assert_array_equal(x1, x_full[sel])
         np.testing.assert_array_equal(v1, v[sel])
         np.testing.assert_array_equal(s1, s[sel])
+        assert comp.num_events == 1

@@ -1,7 +1,6 @@
 """Tests for the batched Richardson solver."""
 
 import numpy as np
-import pytest
 
 from repro.core import AbsoluteResidual, BatchCsr, BatchRichardson
 
@@ -33,17 +32,6 @@ class TestConvergence:
             max_iter=2000,
         ).solve(csr_batch, b)
         assert rich.total_iterations > bicg.total_iterations
-
-    def test_damping_affects_rate(self, rng, csr_batch):
-        b = rng.standard_normal((csr_batch.num_batch, csr_batch.num_rows))
-        full = solver(relaxation=1.0).solve(csr_batch, b)
-        damped = solver(relaxation=0.5).solve(csr_batch, b)
-        assert full.all_converged and damped.all_converged
-        assert damped.total_iterations > full.total_iterations
-
-    def test_invalid_relaxation(self):
-        with pytest.raises(ValueError):
-            BatchRichardson(relaxation=0.0)
 
     def test_exact_for_identity(self, rng):
         n = 8

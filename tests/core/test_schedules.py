@@ -20,13 +20,13 @@ import pytest
 from repro.core import BatchCsr, make_solver, to_format
 from repro.core.faults import SolverHealth
 from repro.core.solvers.schedule import (
+    GMRES_RESTART,
     CountingMatrix,
     iterative_solver_names,
     measure_op_counts,
     solver_schedule,
 )
 from repro.core.stop import AbsoluteResidual
-from repro.core.workspace import solver_vector_specs
 
 SOLVERS = ("bicgstab", "cg", "cgs", "gmres", "pipelined_bicgstab",
            "pipelined_cg", "richardson")
@@ -39,20 +39,21 @@ GOLDEN = Path(__file__).parent.parent / "data" / "golden_solvers_n992.json"
 
 
 def build_solver(name, tol=1e-10, max_iter=60, **kwargs):
-    extra = {"gmres": {"restart": 30}}.get(name, {})
-    extra.update(kwargs)
     return make_solver(
         name, preconditioner="jacobi", criterion=AbsoluteResidual(tol),
-        max_iter=max_iter, **extra,
+        max_iter=max_iter, **kwargs,
     )
 
 
-def make_batch(num_batch=6, n=40, *, seed=20220157, spd=False, stagger=False):
-    """Well-conditioned diagonally dominant batch with a shared pattern.
+def make_batch(num_batch=6, n=40, *, seed=20220157, spd=False, stagger=False,
+               dominance=1.0):
+    """Well-conditioned batch with a shared pattern.
 
     ``spd`` symmetrises for CG; ``stagger`` makes the second half of the
     batch nearly diagonal so systems converge at very different speeds
-    (exercises verify/freeze and compaction paths).
+    (exercises verify/freeze and compaction paths).  The default
+    ``dominance`` makes the batch diagonally dominant; 0.4 weakens the
+    diagonal so the hard half needs more than one GMRES restart cycle.
     """
     rng = np.random.default_rng(seed)
     pattern = rng.random((1, n, n)) < 0.15
@@ -63,8 +64,18 @@ def make_batch(num_batch=6, n=40, *, seed=20220157, spd=False, stagger=False):
         vals[num_batch // 2:] *= 0.01
     row_sums = np.abs(vals).sum(axis=2, keepdims=True)
     eye = np.eye(n)[None, :, :]
-    vals = vals * (1 - eye) + eye * (row_sums + 1.0)
+    vals = vals * (1 - eye) + eye * (dominance * row_sums + 1.0)
     return BatchCsr.from_dense(vals)
+
+
+def staggered_batch(name):
+    """The staggered batch of ``name``'s conformance cases: SPD for the
+    SPD-only solvers, and weakly dominant for GMRES so that it crosses
+    restart boundaries."""
+    return make_batch(
+        num_batch=12, stagger=True, spd=(name in SPD_ONLY),
+        dominance=0.4 if name == "gmres" else 1.0,
+    )
 
 
 def rhs_for(matrix, *, seed=7):
@@ -90,24 +101,25 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown solver"):
             solver_schedule("chebyshev")
 
-    def test_gmres_restart_validated(self):
-        with pytest.raises(ValueError):
-            solver_schedule("gmres", gmres_restart=0)
-
     def test_workspace_specs_are_the_schedule_vectors(self):
+        """The host solvers allocate exactly the vectors their schedule
+        declares (GMRES keeps its basis in one array of its own)."""
         for name in SOLVERS:
-            assert solver_vector_specs(name) == solver_schedule(name).vectors
-        assert (
-            solver_vector_specs("gmres", gmres_restart=10)
-            == solver_schedule("gmres", gmres_restart=10).vectors
-        )
+            solver = build_solver(name)
+            matrix = make_batch(spd=(name in SPD_ONLY))
+            solver.solve(matrix, rhs_for(matrix))
+            declared = set(solver_schedule(name).workspace_names())
+            if name == "gmres":
+                declared = {"x", "r", "gmres_work", "gmres_upd"}
+            assert set(solver._workspace._vectors) == declared, name
 
     def test_solver_objects_report_their_schedule(self):
         for name in SOLVERS:
             assert build_solver(name).op_schedule().solver == name
-        gm = build_solver("gmres", restart=10)
-        assert gm.op_schedule().cycle_length == 10
-        assert len(gm.op_schedule().vectors) == 13
+        gm = build_solver("gmres")
+        assert gm.op_schedule().cycle_length == GMRES_RESTART
+        # GMRES_RESTART + 1 basis vectors, r and x.
+        assert len(gm.op_schedule().vectors) == GMRES_RESTART + 3
 
     def test_schedules_have_positive_touches(self):
         for name in SOLVERS:
@@ -119,8 +131,6 @@ class TestRegistry:
         looks its schedule up; repeated lookups share one instance."""
         for name in iterative_solver_names():
             assert solver_schedule(name) is solver_schedule(name)
-        assert (solver_schedule("gmres", gmres_restart=10)
-                is solver_schedule("gmres", gmres_restart=10))
 
 
 class TestSyncAccounting:
@@ -207,30 +217,28 @@ class TestConformance:
     def test_staggered_convergence_exact(self, name):
         """Systems freezing at very different iterations (repeated verify
         events) keep the counts exact."""
-        matrix = make_batch(num_batch=12, stagger=True, spd=(name in SPD_ONLY))
-        solver = build_solver(
-            name, tol=1e-10, max_iter=300, compact_threshold=None,
-            **({"restart": 5} if name == "gmres" else {}),
-        )
+        matrix = staggered_batch(name)
+        solver = build_solver(name, tol=1e-10, max_iter=300, compact_threshold=None)
         counts, stats, result = measure_op_counts(solver, matrix, rhs_for(matrix))
         assert result.converged.all()
         assert result.iterations.min() < result.iterations.max()
+        if name == "gmres":
+            assert len(stats.cycle_steps) >= 2
         assert_conformant(solver, counts, stats)
 
     @pytest.mark.parametrize("name", SOLVERS)
     def test_compaction_preserves_counts_and_results(self, name):
         """Active-batch compaction changes kernel *sizes*, never kernel
         *counts* — and stays bit-identical per system."""
-        matrix = make_batch(num_batch=12, stagger=True, spd=(name in SPD_ONLY))
+        matrix = staggered_batch(name)
         b = rhs_for(matrix)
-        extra = {"restart": 5} if name == "gmres" else {}
-        plain = build_solver(name, max_iter=300, compact_threshold=None, **extra)
-        compacting = build_solver(
-            name, max_iter=300, compact_threshold=0.5, compact_min_batch=4,
-            **extra,
-        )
+        plain = build_solver(name, max_iter=300, compact_threshold=None)
+        compacting = build_solver(name, max_iter=300, compact_threshold=0.5)
         c0, s0, r0 = measure_op_counts(plain, matrix, b)
         c1, s1, r1 = measure_op_counts(compacting, matrix, b)
+        assert compacting.last_compaction_events > 0
+        if name == "gmres":
+            assert len(s1.cycle_steps) >= 2
         assert c0.as_dict() == c1.as_dict()
         assert np.array_equal(r0.iterations, r1.iterations)
         assert np.array_equal(r0.converged, r1.converged)
@@ -332,7 +340,7 @@ class TestCandidateOnlyVerification:
         def solve(criterion, rhs):
             solver = make_solver(
                 name, preconditioner="jacobi", criterion=criterion,
-                max_iter=300, compact_threshold=compact, compact_min_batch=4,
+                max_iter=300, compact_threshold=compact,
             )
             counts, stats, result = measure_op_counts(solver, matrix, rhs)
             assert_conformant(solver, counts, stats)
@@ -375,18 +383,16 @@ class TestGoldenParity:
     @pytest.mark.parametrize("name", GOLDEN_SOLVERS)
     def test_bit_identical_to_seed(self, name, golden, problem):
         meta = golden["meta"]
+        # The pin was taken at the solver constants of today: GMRES cycles
+        # of GMRES_RESTART steps and undamped Richardson.
+        assert meta["gmres_restart"] == GMRES_RESTART
+        assert meta["richardson_relaxation"] == 1.0
         matrix, f = problem
-        extra = {}
-        if name == "gmres":
-            extra["restart"] = meta["gmres_restart"]
-        if name == "richardson":
-            extra["relaxation"] = meta["richardson_relaxation"]
         solver = make_solver(
             name,
             preconditioner=meta["preconditioner"],
             criterion=AbsoluteResidual(meta["tol"]),
             max_iter=meta["max_iter"],
-            **extra,
         )
         counts, stats, result = measure_op_counts(solver, matrix, f)
         ref = golden["solvers"][name]

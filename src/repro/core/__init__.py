@@ -8,8 +8,10 @@ Public surface:
   values), :func:`to_format`, :func:`residual`, the batched BLAS-1 helpers.
 * Solvers: :func:`make_solver` / :class:`BatchBicgstab` et al., plus the
   direct baselines (:class:`BatchBandedLu`, :class:`BatchThomas`).
-* Components: preconditioners, stopping criteria, per-system loggers, and
-  the §IV-D shared-memory placement planner.
+* Components: preconditioners, stopping criteria, and the §IV-D
+  shared-memory placement planner; per-system iteration counts, residuals,
+  health codes and the optional residual history come back on
+  :class:`SolveResult`.
 * Precision: :func:`precision_policy` (``fp64`` / ``fp32`` / ``mixed``)
   and :class:`RefinementSolver` for fp64-accurate low-precision solves.
 """
@@ -35,7 +37,6 @@ from .faults import (
     summarize_health,
     worst_health,
 )
-from .logging_ import BatchLogger
 from .precision import (
     FP32,
     FP64,
@@ -146,7 +147,6 @@ __all__ = [
     "AbsoluteResidual",
     "RelativeResidual",
     "CombinedCriterion",
-    "BatchLogger",
     # health / robustness
     "SolverHealth",
     "health_counts",

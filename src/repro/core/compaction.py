@@ -18,18 +18,16 @@ which rows exist — never what any row computes.  The tests in
 ``tests/core/test_compaction.py`` assert exact equality of per-system
 iteration counts and residual norms across the whole solver family.
 
-The compactor also centralises the global/local index bookkeeping: the
-solver's ``converged`` and ``final_norms`` arrays stay full-size and are
-updated through :meth:`mark_converged` / :meth:`update_norms`, and
-convergence events are logged with original batch indices through
-:meth:`log_converged`.
+The compactor also keeps the map from compact rows to original batch
+positions (:attr:`~BatchCompactor.indices`,
+:meth:`~BatchCompactor.global_indices`); the iteration driver writes its
+full-size per-system results through it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .logging_ import BatchLogger
 from .stop import StoppingCriterion
 
 __all__ = ["BatchCompactor", "COMPACT_MIN_BATCH"]
@@ -55,6 +53,9 @@ class BatchCompactor:
     enabled:
         Master switch (e.g. False when the matrix format has no
         ``take_batch``).
+    slabs:
+        The two gather slab sets, e.g. a workspace's ``compaction_slabs``
+        so successive solves reuse them; a fresh pair when omitted.
     """
 
     def __init__(
@@ -63,6 +64,7 @@ class BatchCompactor:
         *,
         threshold: float | None = 0.5,
         enabled: bool = True,
+        slabs: tuple[dict, dict] | None = None,
     ) -> None:
         self.criterion = criterion
         self.threshold = threshold
@@ -74,16 +76,11 @@ class BatchCompactor:
         # instead of allocating fresh temporaries.  Two slab sets alternate
         # because the sources of event N+1 are the outputs of event N — the
         # gather must never read and write the same slab.
-        self._slabs: tuple[dict, dict] = ({}, {})
+        self._slabs: tuple[dict, dict] = slabs if slabs is not None else ({}, {})
         self._turn = 0
         self._capacity = 0
 
     # -- state -------------------------------------------------------------
-
-    @property
-    def compacted(self) -> bool:
-        """Whether the solve currently runs on a gathered sub-batch."""
-        return self._idx is not None
 
     @property
     def indices(self) -> np.ndarray | None:
@@ -198,27 +195,3 @@ class BatchCompactor:
         """Scatter the compact iterate back into the full solution array."""
         if self._idx is not None:
             x_full[self._idx] = x
-
-    # -- scatter helpers for the solver's full-size bookkeeping --------------
-
-    def update_norms(
-        self, full_norms: np.ndarray, local_norms: np.ndarray, local_mask: np.ndarray
-    ) -> None:
-        """``full_norms[sys] = local_norms[sys]`` for masked local systems."""
-        if self._idx is None:
-            np.copyto(full_norms, local_norms, where=local_mask)
-        else:
-            full_norms[self._idx[local_mask]] = local_norms[local_mask]
-
-    def mark_converged(self, full_mask: np.ndarray, local_mask: np.ndarray) -> None:
-        """Raise the full-size converged flags for masked local systems."""
-        if self._idx is None:
-            full_mask |= local_mask
-        else:
-            full_mask[self._idx[local_mask]] = True
-
-    def log_converged(
-        self, logger: BatchLogger, iteration: int, local_mask: np.ndarray
-    ) -> None:
-        """Log a convergence event with original batch indices."""
-        logger.log_converged(iteration, self.global_indices(local_mask))

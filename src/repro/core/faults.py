@@ -4,8 +4,8 @@ The paper's central operational claim is *per-system* convergence
 monitoring: in a batch of thousands of collision systems one degenerate
 system must neither poison its neighbours nor stall the Picard loop.  This
 module gives that claim a first-class vocabulary — a :class:`SolverHealth`
-status per system, in the spirit of Ginkgo's batched stopping-criterion /
-logger objects — detected inside the shared
+status per system, kept next to its iteration count and final residual as
+Ginkgo's batched logger keeps them — detected and recorded by the shared
 :class:`~repro.core.solvers.base.IterationDriver` by vectorised guards:
 
 * **non-finite** residual norms (NaN/Inf anywhere in a system's residual),

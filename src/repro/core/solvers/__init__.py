@@ -1,7 +1,7 @@
 """Batched solvers: Krylov iterative methods and direct baselines.
 
 Iterative (per-system convergence monitoring, pluggable preconditioner /
-criterion / logger — the paper's contribution):
+criterion, a per-system result record — the paper's contribution):
 
 * :class:`~repro.core.solvers.bicgstab.BatchBicgstab` — Algorithm 1, the
   solver behind every result in the paper.

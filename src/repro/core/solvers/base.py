@@ -11,8 +11,10 @@ design translated to NumPy:
   can diverge them),
 * per-system scalars are guarded with :func:`safe_divide` so frozen or
   degenerate systems never produce NaNs that would poison the batch,
-* preconditioner, stopping criterion, and logger are pluggable components,
-  mirroring the C++ template parameters of the CUDA kernel.
+* preconditioner and stopping criterion are pluggable components,
+  mirroring the C++ template parameters of the CUDA kernel, and the
+  :class:`IterationDriver` keeps the per-system record (iteration count,
+  final residual, health) that the kernel's batched logger keeps.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from ..faults import (
     STAGNATION_WINDOW,
     SolverHealth,
 )
-from ..logging_ import BatchLogger
 from ..precision import FP64, PrecisionPolicy, policy_for_dtype, precision_policy
 from ..preconditioners import (
     BatchPreconditioner,
@@ -91,9 +92,10 @@ class BatchedIterativeSolver:
         paper's absolute residual threshold of 1e-10.
     max_iter:
         Iteration cap per system.
-    logger:
-        Optional :class:`~repro.core.logging_.BatchLogger`; one is created
-        internally when omitted.
+    record_history:
+        When True, every solve stores each trip's per-system residual norms
+        in ``SolveResult.residual_history`` (O(iterations x num_batch)
+        memory).  Off by default.
     compact_threshold:
         Active-batch compaction trigger: once the active fraction of the
         batch drops to this value or below, the still-active systems are
@@ -126,7 +128,7 @@ class BatchedIterativeSolver:
         preconditioner: BatchPreconditioner | str | None = None,
         criterion: StoppingCriterion | None = None,
         max_iter: int = 500,
-        logger: BatchLogger | None = None,
+        record_history: bool = False,
         compact_threshold: float | None = 0.5,
         precision: PrecisionPolicy | str | None = None,
     ) -> None:
@@ -135,7 +137,7 @@ class BatchedIterativeSolver:
         self.preconditioner = preconditioner or IdentityPreconditioner()
         self.criterion = criterion or AbsoluteResidual(1e-10)
         self.max_iter = int(check_positive(max_iter, "max_iter"))
-        self.logger = logger or BatchLogger()
+        self.record_history = bool(record_history)
         if compact_threshold is not None and not 0.0 < compact_threshold <= 1.0:
             raise ValueError(
                 f"compact_threshold must lie in (0, 1] or be None, "
@@ -146,11 +148,9 @@ class BatchedIterativeSolver:
         #: Policy of the solve in flight (set by :meth:`solve`).
         self._active_policy: PrecisionPolicy = self.precision or FP64
         self._workspace: SolverWorkspace | None = None
-        self._last_compactor: BatchCompactor | None = None
+        #: Control-flow record and compaction count of the most recent solve.
         self.last_op_stats: OpStats | None = None
-        #: Per-system :class:`~repro.core.faults.SolverHealth` codes of the
-        #: most recent solve (set by the iteration driver).
-        self.last_health: np.ndarray | None = None
+        self.last_compaction_events = 0
 
     # -- subclass hooks ------------------------------------------------------
 
@@ -170,9 +170,9 @@ class BatchedIterativeSolver:
         x: np.ndarray,
         precond: BatchPreconditioner,
         ws: SolverWorkspace,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Run the iteration; return (final per-system residual norms,
-        per-system converged mask).  ``x`` is updated in place."""
+    ) -> IterationDriver:
+        """Run the iteration; return the finished :class:`IterationDriver`
+        holding the per-system results.  ``x`` is updated in place."""
         raise NotImplementedError
 
     # -- public API -----------------------------------------------------------
@@ -241,24 +241,21 @@ class BatchedIterativeSolver:
             x[...] = x0
 
         precond = self.preconditioner.generate(matrix)
-        self.logger.initialize(shape.num_batch)
-        self.last_health = None
+        drv = self._iterate(matrix, b, x, precond, ws)
+        self.last_op_stats = drv.stats
+        self.last_compaction_events = drv.comp.num_events
 
-        res_norms, converged = self._iterate(matrix, b, x, precond, ws)
-
+        # The IterationDriver's arrays are new for every solve; only x
+        # lives in the (reused) workspace.
         return SolveResult(
             x=x.copy(),
-            iterations=self.logger.iterations.copy(),
-            residual_norms=res_norms.copy(),
-            converged=converged.copy(),
+            iterations=drv.iterations,
+            residual_norms=drv.final_norms,
+            converged=drv.converged,
             solver=self.name,
             format=getattr(matrix, "format_name", "unknown"),
-            residual_history=(
-                list(self.logger.history) if self.logger.record_history else None
-            ),
-            health=(
-                None if self.last_health is None else self.last_health.copy()
-            ),
+            residual_history=drv.history,
+            health=drv.health,
         )
 
     # -- shared helpers ---------------------------------------------------------
@@ -283,42 +280,6 @@ class BatchedIterativeSolver:
             )
             self._workspace = ws
         return ws
-
-    def _compactor(self, matrix, precond) -> BatchCompactor:
-        """Build the active-batch compactor for one solve.
-
-        Compaction is armed only when the format can gather sub-batches
-        (``take_batch``); unknown criteria/preconditioners disarm it lazily
-        inside :meth:`BatchCompactor.compact` via their ``restrict`` hooks.
-        """
-        comp = BatchCompactor(
-            self.criterion,
-            threshold=self.compact_threshold,
-            enabled=hasattr(matrix, "take_batch"),
-        )
-        self._last_compactor = comp
-        return comp
-
-    @property
-    def last_compaction_events(self) -> int:
-        """Number of compaction events during the most recent solve."""
-        return 0 if self._last_compactor is None else self._last_compactor.num_events
-
-    def _init_monitor(
-        self, matrix, b: np.ndarray, x: np.ndarray, r: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Compute the initial residual into ``r`` and prime the criterion.
-
-        Returns ``(res_norms, converged)`` for iteration 0 — systems whose
-        initial guess already satisfies the criterion start out frozen with
-        an iteration count of zero.
-        """
-        acc = self._active_policy.accumulate_dtype
-        residual(matrix, x, b, out=r)
-        res_norms = batch_norm2(r, dtype=acc)
-        self.criterion.initialize(batch_norm2(b, dtype=acc), res_norms)
-        # Systems converged on entry keep the logger's initial count of 0.
-        return res_norms, self.criterion.check(res_norms)
 
 
 class SolveState:
@@ -369,17 +330,23 @@ class SolveState:
 class IterationDriver:
     """The shared monitoring loop of the batched iterative solvers.
 
-    Owns everything the five ``_iterate`` bodies used to duplicate:
-    workspace allocation from the solver's declared
+    Owns everything the ``_iterate`` bodies used to duplicate: workspace
+    allocation from the solver's declared
     :class:`~repro.core.solvers.schedule.OpSchedule`, initial-residual
-    priming, the per-system ``active`` mask, full-size ``converged`` /
-    ``final_norms`` bookkeeping, active-batch compaction (gather + state
-    rebinding), convergence logging, true-residual verify-and-freeze with
+    priming, the per-system ``active`` mask, active-batch compaction
+    (gather + state rebinding), true-residual verify-and-freeze with
     restart, finalisation, and the :class:`~repro.core.solvers.schedule.
     OpStats` control-flow record the conformance suite checks against the
     schedule.  A solver's ``_iterate`` builds a driver, registers any
-    extra per-system scalars, and supplies only its recurrence as the
-    loop body.
+    extra per-system scalars, supplies only its recurrence as the loop
+    body, and returns the finished driver.
+
+    It is the only writer of the per-system results, which it
+    holds at full batch size, indexed by original batch position (under
+    compaction it writes through the compactor's index map):
+    :attr:`iterations`, :attr:`converged`, :attr:`final_norms`,
+    :attr:`health`, and :attr:`history` (a list of per-trip residual-norm
+    snapshots when the solver records history, otherwise ``None``).
     """
 
     def __init__(
@@ -410,30 +377,40 @@ class IterationDriver:
         st.register_vector("x", x)
         self.state = st
 
-        # Every iterative solver names its residual vector "r".
-        res_norms, converged = solver._init_monitor(matrix, b, x, st.r)
+        # Initial residual (every iterative solver names its residual
+        # vector "r") and criterion priming.  Systems whose initial guess
+        # already satisfies the criterion start out frozen with an
+        # iteration count of zero.
+        residual(matrix, x, b, out=st.r)
+        res_norms = batch_norm2(st.r, dtype=st.acc_dtype)
+        solver.criterion.initialize(batch_norm2(b, dtype=st.acc_dtype), res_norms)
+        converged = solver.criterion.check(res_norms)
         st.active = ~converged
         self.initial_norms = res_norms
-        #: Full-size converged flags and final norms; under compaction the
-        #: compactor scatters local results into them by global index.
+        nb_full = converged.size
+        self.iterations = np.zeros(nb_full, dtype=np.int64)
         self.converged = converged
         self.final_norms = res_norms.copy()
-        self.comp = solver._compactor(matrix, precond)
-        self.logger = solver.logger
-        self.stats = OpStats()
-        solver.last_op_stats = self.stats
-        self._x_full = x
-        # Per-system health bookkeeping (full batch size, like `converged`).
-        # Guards fire only on norms recorded through update_norms, so a
-        # healthy solve's arithmetic is untouched — the guards read norms
-        # the solver already computed.
-        nb_full = converged.size
         self.health = np.full(nb_full, SolverHealth.ITERATING, dtype=HEALTH_DTYPE)
+        self.history: list[np.ndarray] | None = [] if solver.record_history else None
+        # Compaction is armed only when the format can gather sub-batches
+        # (``take_batch``); unknown criteria/preconditioners disarm it
+        # lazily inside BatchCompactor.compact via their ``restrict`` hooks.
+        self.comp = BatchCompactor(
+            solver.criterion,
+            threshold=solver.compact_threshold,
+            enabled=hasattr(matrix, "take_batch"),
+            slabs=ws.compaction_slabs,
+        )
+        self.stats = OpStats()
+        self._x_full = x
+        # Health-guard state.  Guards fire only on norms recorded through
+        # update_norms, so a healthy solve's arithmetic is untouched — the
+        # guards read norms the solver already computed.
         self._best_norms = np.where(
             np.isfinite(res_norms), res_norms, np.inf
         ).astype(np.float64)
         self._improve_trip = np.zeros(nb_full, dtype=np.int64)
-        solver.last_health = self.health
         # Classify systems that are already poisoned at entry (NaN/Inf in
         # the initial residual) before the loop body ever touches them.
         self._check_health(res_norms, st.active)
@@ -445,13 +422,13 @@ class IterationDriver:
 
     # -- the loop ------------------------------------------------------------
 
-    def run(self, body) -> tuple[np.ndarray, np.ndarray]:
+    def run(self, body) -> IterationDriver:
         """Drive ``body(state, it)`` for up to ``max_iter`` trips.
 
         The body returns :data:`STOP` to end the solve mid-trip (all
         systems froze before the iteration tail).  Compaction is attempted
-        at the top of every trip; the returned arrays are the full-size
-        ``(final_norms, converged)`` pair ``_iterate`` must produce.
+        at the top of every trip; returns the finished driver, which
+        ``_iterate`` must return.
         """
         st = self.state
         for it in range(self.solver.max_iter):
@@ -484,24 +461,38 @@ class IterationDriver:
         st.rebind(new_vectors + (x,), new_scalars)
         return True
 
-    def finish(self) -> tuple[np.ndarray, np.ndarray]:
-        """Scatter back the compact iterate and close out the logger."""
+    def finish(self) -> IterationDriver:
+        """Scatter back the compact iterate and close out the results.
+
+        Systems that neither converged nor were halted by a health guard
+        are billed ``max_iter``; halted ones keep the trip count recorded
+        when they were deactivated.
+        """
         self.comp.finalize(self._x_full, self.state.x)
-        self.logger.finalize(~self.converged, self.solver.max_iter)
+        capped = ~self.converged & (self.health == SolverHealth.ITERATING)
+        self.iterations[capped] = self.solver.max_iter
         self.health[self.converged] = SolverHealth.CONVERGED
-        return self.final_norms, self.converged
+        return self
 
     # -- per-trip helpers -----------------------------------------------------
 
+    def _scatter(self, full: np.ndarray, local: np.ndarray, mask: np.ndarray) -> None:
+        """``full[sys] = local[sys]`` for the masked local systems."""
+        idx = self.comp.indices
+        if idx is None:
+            np.copyto(full, local, where=mask)
+        else:
+            full[idx[mask]] = local[mask]
+
     def update_norms(self, norms: np.ndarray, mask: np.ndarray) -> None:
-        """Record current residual norms into the full-size bookkeeping.
+        """Record current residual norms into :attr:`final_norms`.
 
         Also runs the vectorised health guards on the recorded norms:
         non-finite, diverged, and stagnated systems are flagged in
         :attr:`health` and deactivated so they stop iterating (their last
         recorded norms stay in ``final_norms``).
         """
-        self.comp.update_norms(self.final_norms, norms, mask)
+        self._scatter(self.final_norms, norms, mask)
         self._check_health(norms, mask)
 
     def _check_health(self, norms: np.ndarray, mask: np.ndarray) -> None:
@@ -529,11 +520,20 @@ class IterationDriver:
         bad |= stalled
 
         if np.any(bad):
-            self.health[idx[bad]] = code[bad]
-            self.logger.log_halted(idx[bad], self.stats.trips)
             bad_local = np.zeros(mask.shape, dtype=bool)
             bad_local[mask] = bad
-            self.state.active &= ~bad_local
+            self._halt(bad_local, code[bad])
+
+    def _halt(self, local_mask: np.ndarray, code) -> None:
+        """Record health code and trip count of unconverged systems; freeze them.
+
+        The trip count is what the systems actually ran: a system that
+        breaks down at entry bills 0 iterations, not ``max_iter``.
+        """
+        idx = self.comp.global_indices(local_mask)
+        self.health[idx] = code
+        self.iterations[idx] = self.stats.trips
+        self.state.active &= ~local_mask
 
     def flag_unhealthy(self, local_mask: np.ndarray, state: SolverHealth) -> None:
         """Record a solver-detected breakdown and freeze the systems.
@@ -543,15 +543,33 @@ class IterationDriver:
         non-finite for an active system — before the poisoned value can
         propagate through the vector updates.
         """
-        if not np.any(local_mask):
-            return
-        idx = self.comp.global_indices(local_mask)
-        self.health[idx] = state
-        self.logger.log_halted(idx, self.stats.trips)
-        self.state.active &= ~local_mask
+        if np.any(local_mask):
+            self._halt(local_mask, state)
 
-    def log_history(self) -> None:
-        self.logger.log_history(self.final_norms)
+    def log_history(
+        self, norms: np.ndarray | None = None, mask: np.ndarray | None = None
+    ) -> None:
+        """Append a snapshot of :attr:`final_norms` when recording history.
+
+        ``norms``/``mask`` overlay per-system estimates that are not final
+        norms (GMRES's mid-cycle Arnoldi estimates) on the snapshot.
+        """
+        if self.history is None:
+            return
+        snap = self.final_norms.copy()
+        if norms is not None:
+            self._scatter(snap, norms, mask)
+        self.history.append(snap)
+
+    def log_converged(self, it: int, local_mask: np.ndarray) -> None:
+        """Record ``it + 1`` (``it`` is the 0-based trip) as the masked
+        systems' iteration count."""
+        self.iterations[self.comp.global_indices(local_mask)] = it + 1
+
+    def mark_converged(self, local_mask: np.ndarray) -> None:
+        """Flag the masked systems converged and deactivate them."""
+        self.converged[self.comp.global_indices(local_mask)] = True
+        self.state.active &= ~local_mask
 
     def freeze(self, it: int, newly: np.ndarray) -> None:
         """Log, mark, and deactivate systems whose criterion fired.
@@ -559,9 +577,8 @@ class IterationDriver:
         The unverified path (CG, Richardson): the recursive residual is
         trusted as-is.
         """
-        self.comp.log_converged(self.logger, it, newly)
-        self.comp.mark_converged(self.converged, newly)
-        self.state.active &= ~newly
+        self.log_converged(it, newly)
+        self.mark_converged(newly)
 
     def verify_and_freeze(self, it: int, candidates: np.ndarray, restart=None):
         """Confirm candidate convergences against the true residual.
@@ -596,13 +613,11 @@ class IterationDriver:
             true_norms = batch_norm2(true_r, dtype=st.acc_dtype)
         confirmed = candidates & self.comp.criterion.check(true_norms)
         if np.any(confirmed):
-            self.comp.update_norms(self.final_norms, true_norms, confirmed)
-            self.comp.log_converged(self.logger, it, confirmed)
-            self.comp.mark_converged(self.converged, confirmed)
-            st.active &= ~confirmed
+            self._scatter(self.final_norms, true_norms, confirmed)
+            self.freeze(it, confirmed)
         restarted = candidates & ~confirmed
         if np.any(restarted):
             self.stats.restart_events += 1
             restart(st, true_r, restarted)
-            self.comp.update_norms(self.final_norms, true_norms, restarted)
+            self._scatter(self.final_norms, true_norms, restarted)
         return confirmed, restarted

@@ -53,7 +53,6 @@ class BatchGmres(BatchedIterativeSolver):
             vector_names=("r", "gmres_work", "gmres_upd"),
         )
         st = drv.state
-        comp = drv.comp
         st.register_scalar("logged", drv.converged.copy())
 
         # Krylov basis and Hessenberg storage (reused across cycles,
@@ -144,13 +143,10 @@ class BatchGmres(BatchedIterativeSolver):
                 est = np.abs(g[:, j + 1])
                 newly = cycle_active & drv.criterion.check(est)
                 if np.any(newly):
-                    comp.log_converged(self.logger, total_it + j, newly)
+                    drv.log_converged(total_it + j, newly)
                     st.logged |= newly
                     cycle_active &= ~newly
-                if self.logger.record_history:
-                    snap = drv.final_norms.copy()
-                    comp.update_norms(snap, est, st.active)
-                    self.logger.log_history(snap)
+                drv.log_history(est, st.active)
                 j_done = j + 1
                 if not np.any(cycle_active):
                     break
@@ -188,10 +184,9 @@ class BatchGmres(BatchedIterativeSolver):
                 # iteration count; systems it lagged on are logged now.
                 est_missed = true_conv & ~st.logged
                 if np.any(est_missed):
-                    comp.log_converged(self.logger, total_it - 1, est_missed)
+                    drv.log_converged(total_it - 1, est_missed)
                     st.logged |= est_missed
-                comp.mark_converged(drv.converged, true_conv)
-                st.active &= ~true_conv
+                drv.mark_converged(true_conv)
             # Systems whose estimate was optimistic stay active; their
             # (premature) logged count will be overwritten next cycle.
             st.logged &= ~st.active

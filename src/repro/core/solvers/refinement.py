@@ -28,8 +28,7 @@ import numpy as np
 
 from ...utils.validation import as_value_array, check_positive
 from ..batch_dense import batch_norm2
-from ..faults import derive_health
-from ..precision import MIXED, PrecisionPolicy, precision_policy
+from ..precision import PrecisionPolicy, precision_policy
 from ..preconditioners import BatchPreconditioner
 from ..spmv import residual
 from ..stop import AbsoluteResidual, RelativeResidual, StoppingCriterion
@@ -186,7 +185,6 @@ class RefinementSolver:
             converged=converged.copy(),
             solver=self.name,
             format=getattr(matrix, "format_name", "unknown"),
-            health=derive_health(converged, res_norms),
         )
 
     # -- helpers --------------------------------------------------------------

@@ -34,8 +34,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 from ..batch_dense import batch_dot as _batch_dot
 from ..batch_dense import batch_norm2 as _batch_norm2
 from ..workspace import VectorSpec

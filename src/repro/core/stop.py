@@ -46,10 +46,6 @@ class StoppingCriterion:
         """Return a per-system boolean mask of converged systems."""
         raise NotImplementedError
 
-    def thresholds(self) -> np.ndarray:
-        """Per-system absolute thresholds currently in force."""
-        raise NotImplementedError
-
     def restrict(self, indices: np.ndarray) -> "StoppingCriterion | None":
         """A criterion view for the sub-batch selected by ``indices``.
 
@@ -68,27 +64,12 @@ class AbsoluteResidual(StoppingCriterion):
     def __init__(self, tol: float = 1e-10) -> None:
         check_non_negative(tol, "tol")
         self.tol = float(tol)
-        self._num_batch: int | None = None
-
-    def initialize(self, rhs_norms: np.ndarray, initial_res_norms: np.ndarray) -> None:
-        self._num_batch = rhs_norms.shape[0]
 
     def check(self, res_norms: np.ndarray) -> np.ndarray:
         return res_norms < self.tol
 
-    def thresholds(self) -> np.ndarray:
-        if self._num_batch is None:
-            raise RuntimeError("criterion used before initialize()")
-        return np.full(self._num_batch, self.tol)
-
     def restrict(self, indices: np.ndarray) -> "AbsoluteResidual":
-        sub = AbsoluteResidual(self.tol)
-        if self._num_batch is not None:
-            idx = np.asarray(indices)
-            sub._num_batch = (
-                int(np.count_nonzero(idx)) if idx.dtype == bool else int(idx.shape[0])
-            )
-        return sub
+        return AbsoluteResidual(self.tol)
 
 
 class RelativeResidual(StoppingCriterion):
@@ -112,11 +93,6 @@ class RelativeResidual(StoppingCriterion):
         if self._thresholds is None:
             raise RuntimeError("criterion used before initialize()")
         return res_norms <= self._thresholds
-
-    def thresholds(self) -> np.ndarray:
-        if self._thresholds is None:
-            raise RuntimeError("criterion used before initialize()")
-        return self._thresholds
 
     def restrict(self, indices: np.ndarray) -> "RelativeResidual | None":
         if self._thresholds is None:
@@ -145,10 +121,6 @@ class CombinedCriterion(StoppingCriterion):
         for c in self.criteria[1:]:
             mask = mask | c.check(res_norms)
         return mask
-
-    def thresholds(self) -> np.ndarray:
-        # The effective threshold is the loosest (max) of the components.
-        return np.maximum.reduce([c.thresholds() for c in self.criteria])
 
     def restrict(self, indices: np.ndarray) -> "CombinedCriterion | None":
         parts = [c.restrict(indices) for c in self.criteria]

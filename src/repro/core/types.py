@@ -150,15 +150,15 @@ class SolveResult:
         ``"dense"``, ``"banded"``).
     residual_history:
         Optional list of per-iteration residual-norm snapshots
-        (each ``(num_batch,)``), populated when a convergence logger with
-        history recording is attached.
+        (each ``(num_batch,)``), populated when the iterative solver was
+        built with ``record_history=True``; ``None`` otherwise.
     health:
         Per-system :class:`~repro.core.faults.SolverHealth` codes, shape
         ``(num_batch,)`` int8 — the breakdown taxonomy filled in by the
         iteration driver's health guards.  Solvers without driver-level
-        monitoring (the direct solvers) pass none and get
-        :func:`~repro.core.faults.derive_health` of ``converged`` and
-        ``residual_norms``.
+        monitoring (the direct solvers, refinement's outer loop) pass none
+        and get :func:`~repro.core.faults.derive_health` of ``converged``
+        and ``residual_norms``.
     """
 
     x: np.ndarray

@@ -179,6 +179,11 @@ class SolverWorkspace:
         self.scalar_dtype = np.dtype(scalar_dtype if scalar_dtype is not None else dtype)
         self._vectors: dict[str, np.ndarray] = {}
         self._scalars: dict[str, np.ndarray] = {}
+        #: The two gather slab sets of active-batch compaction
+        #: (:class:`~repro.core.compaction.BatchCompactor`); kept here so
+        #: every solve in this arena reuses them instead of paging in
+        #: fresh memory.
+        self.compaction_slabs: tuple[dict, dict] = ({}, {})
 
     def matches(self, num_batch: int, num_rows: int, dtype=None) -> bool:
         """Whether this workspace fits the given dimensions (and dtype)."""
@@ -213,6 +218,5 @@ class SolverWorkspace:
 
     def allocated_bytes(self) -> int:
         """Total bytes held by the workspace."""
-        return sum(a.nbytes for a in self._vectors.values()) + sum(
-            a.nbytes for a in self._scalars.values()
-        )
+        stores = (self._vectors, self._scalars, *self.compaction_slabs)
+        return sum(a.nbytes for store in stores for a in store.values())

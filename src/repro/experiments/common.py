@@ -10,7 +10,7 @@ The measured solves are cached here, so generators share them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -189,7 +189,7 @@ def measured_picard(num_mesh_nodes: int = 8, warm_start: bool = True):
             nu_ref=app.config.nu_ref,
             eta=app.config.eta,
             kurtosis_gamma=app.config.kurtosis_gamma,
-            options=PicardOptions(warm_start=False),
+            options=replace(app.config.picard, warm_start=False),
             stencil=app.stencil,
         )
     f0 = app.initial_state()

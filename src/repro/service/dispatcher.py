@@ -13,9 +13,10 @@ wall-clock from the models the repo already trusts:
   each shard's matrix values + right-hand sides to the device and the
   solutions back;
 * :mod:`repro.dist.partition` shards the batch across the node's GPUs
-  (block scheme), and the node's ``sync_overhead_us`` is charged once when
-  more than one rank participates — the same accounting as
-  :func:`repro.dist.multi_gpu.estimate_node_solve`.
+  (block scheme), and the node's ``sync_overhead_us`` is charged once,
+  only when more than one rank ran.  (The node model
+  :func:`repro.dist.multi_gpu.estimate_node_solve` charges it on one GPU
+  too; a one-rank dispatch here pays no sync.)
 
 The batch occupies the simulated node for the resulting makespan: the
 dispatcher holds the device by ``await``-ing the virtual clock, so a

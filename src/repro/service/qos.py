@@ -28,7 +28,7 @@ Three concerns, one module:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["ADMIT", "DEGRADE", "SHED", "FairScheduler", "QosPolicy", "TenantSpec"]
 

@@ -7,7 +7,6 @@ from repro.core import (
     AbsoluteResidual,
     BatchBicgstab,
     BatchCsr,
-    BatchLogger,
     RelativeResidual,
     to_format,
 )
@@ -102,13 +101,6 @@ class TestPerSystemMonitoring:
         assert np.all(res.iterations == 0)
         np.testing.assert_allclose(res.x, x_true)
 
-    def test_logger_matches_result(self, rng, csr_batch):
-        log = BatchLogger()
-        s = solver(logger=log)
-        b = rng.standard_normal((csr_batch.num_batch, csr_batch.num_rows))
-        res = s.solve(csr_batch, b)
-        np.testing.assert_array_equal(log.iterations, res.iterations)
-
 
 class TestWarmStart:
     def test_good_guess_reduces_iterations(self, rng, csr_batch):
@@ -153,8 +145,7 @@ class TestEdgeCases:
             solver().solve(csr_batch, np.zeros((1, csr_batch.num_rows)))
 
     def test_history_recording(self, rng, csr_batch):
-        log = BatchLogger(record_history=True)
-        s = solver(logger=log)
+        s = solver(record_history=True)
         b = rng.standard_normal((csr_batch.num_batch, csr_batch.num_rows))
         res = s.solve(csr_batch, b)
         assert res.residual_history is not None

@@ -320,6 +320,27 @@ class TestWorkspaceZeroAlloc:
         ).statistics("lineno")
         assert sum(s.size for s in ws_allocs) == 0
 
+    def test_compaction_slabs_reused_across_solves(self, rng):
+        """A compacting solve gathers into the arena's slabs from the
+        previous solve instead of allocating new ones."""
+        m, b, x0 = late_picard_problem(rng)
+        ws = SolverWorkspace(NB, N)
+        solver = BatchBicgstab(preconditioner="jacobi")
+        first = solver.solve(m, b, x0=x0, workspace=ws)
+        assert solver.last_compaction_events > 0
+        slabs = [dict(store) for store in ws.compaction_slabs]
+        assert slabs[0]
+        bytes_after_first = ws.allocated_bytes()
+
+        second = solver.solve(m, b, x0=x0, workspace=ws)
+        assert solver.last_compaction_events > 0
+        for before, after in zip(slabs, ws.compaction_slabs):
+            assert after.keys() == before.keys()
+            assert all(after[k] is before[k] for k in before)
+        assert ws.allocated_bytes() == bytes_after_first
+        np.testing.assert_array_equal(second.x, first.x)
+        np.testing.assert_array_equal(second.iterations, first.iterations)
+
     def test_shared_workspace_across_solvers(self, rng):
         """One arena serves different solver types on the same batch shape."""
         m, b, x0 = late_picard_problem(rng)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import AbsoluteResidual, BatchCsr, BatchGmres, to_format
 from repro.core.solvers.schedule import GMRES_RESTART
+from repro.experiments.common import paper_app
 
 from ..conftest import make_random_batch
 
@@ -97,3 +98,15 @@ class TestConvergence:
         res = solver(max_iter=2).solve(csr_batch, b)
         assert not res.all_converged
         assert np.all(np.isfinite(res.x))
+
+
+class TestHistory:
+    def test_one_snapshot_per_arnoldi_step(self):
+        """Mid-cycle Arnoldi estimates are recorded once per step, on the
+        XGC batch (69 steps over three restart cycles)."""
+        matrix, f = paper_app(2).build_matrices()
+        gm = solver(record_history=True)
+        res = gm.solve(matrix, f)
+        assert res.all_converged
+        assert len(res.residual_history) == gm.last_op_stats.trips
+        assert res.residual_history[-1].max() < res.residual_history[0].max()

@@ -1,70 +1,119 @@
-"""Tests for the per-system convergence logger."""
+"""Tests for the per-system convergence record.
+
+Ginkgo's batched kernels log, for each system, the iteration count at
+convergence and the final residual norm.  Here the iteration driver keeps
+that record (with the health codes and the optional residual history) and
+is its only writer; the solve returns it as the ``SolveResult``.
+"""
 
 import numpy as np
-import pytest
 
-from repro.core import BatchLogger
+from repro.core import BatchBicgstab, BatchCsr, BatchRichardson, SolverHealth
+from repro.core.solvers.base import IterationDriver
+from repro.core.workspace import SolverWorkspace
+
+
+def make_driver(num_batch=3, max_iter=100, record_history=False):
+    """An IterationDriver over identity systems with ``b = 1`` and a zero
+    guess, so no system starts converged and the batch is too small to
+    compact."""
+    solver = BatchRichardson(max_iter=max_iter, record_history=record_history)
+    matrix = BatchCsr.from_dense(np.tile(np.eye(2), (num_batch, 1, 1)))
+    b = np.ones((num_batch, 2))
+    return IterationDriver(
+        solver, matrix, b, np.zeros_like(b),
+        solver.preconditioner.generate(matrix), SolverWorkspace(num_batch, 2),
+    )
+
+
+def two_solves(rng, csr_batch, **kw):
+    """Two back-to-back solves on one Richardson instance (it appends one
+    history snapshot on every trip); the second starts near the solution,
+    so it needs fewer trips.  Returns the results, their trip counts, and
+    copies of the first result taken before the second solve ran."""
+    s = BatchRichardson(preconditioner="jacobi", **kw)
+    b = rng.standard_normal((csr_batch.num_batch, csr_batch.num_rows))
+    r1 = s.solve(csr_batch, b)
+    trips1 = s.last_op_stats.trips
+    fields = ("iterations", "residual_norms", "converged", "health")
+    saved = {name: getattr(r1, name).copy() for name in fields}
+    if r1.residual_history is not None:
+        saved["residual_history"] = [h.copy() for h in r1.residual_history]
+    near = r1.x + 1e-6 * rng.standard_normal(r1.x.shape)
+    r2 = s.solve(csr_batch, b, x0=near)
+    trips2 = s.last_op_stats.trips
+    assert 0 < trips2 < trips1
+    return r1, r2, trips1, trips2, saved
 
 
 class TestBatchLogger:
-    def test_initialize_resets(self):
-        log = BatchLogger()
-        log.initialize(3)
-        np.testing.assert_array_equal(log.iterations, [0, 0, 0])
-        log.log_converged(4, np.array([1]))
-        log.initialize(3)
-        np.testing.assert_array_equal(log.iterations, [0, 0, 0])
+    def test_initialize_resets(self, rng, csr_batch):
+        """Each solve gets a fresh record: the second reports only its own
+        counts and leaves the first result untouched."""
+        r1, r2, _, trips2, saved = two_solves(rng, csr_batch)
+        assert r2.all_converged
+        assert r2.max_iterations == trips2
+        for name in ("iterations", "residual_norms", "converged", "health"):
+            np.testing.assert_array_equal(getattr(r1, name), saved[name])
 
     def test_records_convergence_iteration(self):
-        log = BatchLogger()
-        log.initialize(3)
-        log.log_converged(4, np.array([0]))
-        assert log.iterations[0] == 5  # iteration index 4 => count 5
-        assert log.iterations[1] == 0  # untouched
+        drv = make_driver()
+        drv.freeze(4, np.array([True, False, False]))
+        assert drv.iterations[0] == 5  # iteration index 4 => count 5
+        assert drv.iterations[1] == 0  # untouched
+        assert drv.converged.tolist() == [True, False, False]
 
     def test_finalize_marks_unconverged(self):
-        log = BatchLogger()
-        log.initialize(3)
-        log.log_converged(2, np.array([0]))
-        log.log_halted(np.array([2]), 7)
-        log.finalize(np.array([False, True, True]), 100)
-        assert log.iterations[1] == 100
-        assert log.iterations[0] == 3  # untouched by finalize
-        assert log.iterations[2] == 7  # halted: keeps its trip count
+        drv = make_driver(max_iter=10)
 
-    def test_history_disabled_by_default(self):
-        log = BatchLogger()
-        log.initialize(1)
-        log.log_history(np.array([1.0]))
-        with pytest.raises(RuntimeError):
-            _ = log.history
+        def body(st, it):
+            if it == 2:
+                drv.freeze(it, np.array([True, False, False]))
+            if it == 6:
+                drv.flag_unhealthy(
+                    np.array([False, False, True]), SolverHealth.BREAKDOWN_RHO
+                )
+
+        assert drv.run(body) is drv
+        assert drv.iterations[1] == 10  # billed max_iter
+        assert drv.iterations[0] == 3  # untouched by finish
+        assert drv.iterations[2] == 7  # halted: keeps its trip count
+        assert drv.health.tolist() == [
+            SolverHealth.CONVERGED, SolverHealth.ITERATING,
+            SolverHealth.BREAKDOWN_RHO,
+        ]
+
+    def test_history_disabled_by_default(self, rng, csr_batch):
+        b = rng.standard_normal((csr_batch.num_batch, csr_batch.num_rows))
+        res = BatchBicgstab(preconditioner="jacobi").solve(csr_batch, b)
+        assert res.residual_history is None
+        drv = make_driver()
+        drv.log_history()
+        assert drv.history is None
 
     def test_history_records_snapshots(self):
-        log = BatchLogger(record_history=True)
-        log.initialize(2)
-        for i, r in enumerate([1.0, 0.1, 0.01]):
-            log.log_history(np.array([r, r * 2]))
-        assert len(log.history) == 3
-        np.testing.assert_allclose(log.convergence_curve(1), [2.0, 0.2, 0.02])
+        drv = make_driver(num_batch=2, record_history=True)
+        active = np.ones(2, dtype=bool)
+        for r in (1.0, 0.1, 0.01):
+            drv.update_norms(np.array([r, r * 2]), active)
+            drv.log_history()
+        assert len(drv.history) == 3
+        np.testing.assert_allclose([h[1] for h in drv.history], [2.0, 0.2, 0.02])
 
     def test_history_snapshots_are_copies(self):
-        log = BatchLogger(record_history=True)
-        log.initialize(1)
-        arr = np.array([1.0])
-        log.log_history(arr)
-        arr[0] = 99.0
-        assert log.history[0][0] == 1.0
+        drv = make_driver(num_batch=1, record_history=True)
+        active = np.ones(1, dtype=bool)
+        drv.update_norms(np.array([1.0]), active)
+        drv.log_history()
+        drv.update_norms(np.array([0.5]), active)
+        assert drv.history[0][0] == 1.0
 
-    def test_use_before_initialize_raises(self):
-        log = BatchLogger()
-        with pytest.raises(RuntimeError):
-            _ = log.iterations
-        with pytest.raises(RuntimeError):
-            log.log_converged(0, np.array([0]))
-
-    def test_reinitialize_clears_history(self):
-        log = BatchLogger(record_history=True)
-        log.initialize(1)
-        log.log_history(np.array([1.0]))
-        log.initialize(1)
-        assert len(log.history) == 0
+    def test_reinitialize_clears_history(self, rng, csr_batch):
+        """A second solve's history holds only its own trips."""
+        r1, r2, trips1, trips2, saved = two_solves(
+            rng, csr_batch, record_history=True
+        )
+        assert len(r1.residual_history) == trips1
+        assert len(r2.residual_history) == trips2
+        for got, want in zip(r1.residual_history, saved["residual_history"]):
+            np.testing.assert_array_equal(got, want)

@@ -305,16 +305,13 @@ class FalseFlagOnce(AbsoluteResidual):
         return hit
 
     def restrict(self, indices):
-        base = super().restrict(indices)
         idx = np.asarray(indices)
         if idx.dtype == bool:
             idx = np.flatnonzero(idx)
         pos = np.flatnonzero(idx == self.victim) if self.victim is not None else []
-        sub = FalseFlagOnce(
+        return FalseFlagOnce(
             self.tol, int(pos[0]) if len(pos) else None, self.loose, self.state
         )
-        sub._num_batch = base._num_batch
-        return sub
 
 
 class TestCandidateOnlyVerification:

@@ -23,15 +23,6 @@ class TestAbsolute:
         mask = c.check(np.array([1e-7, 1e-6, 1e-5]))
         np.testing.assert_array_equal(mask, [True, False, False])
 
-    def test_thresholds_uniform(self):
-        c = AbsoluteResidual(1e-8)
-        c.initialize(np.ones(4), np.ones(4))
-        np.testing.assert_array_equal(c.thresholds(), np.full(4, 1e-8))
-
-    def test_thresholds_before_init_raise(self):
-        with pytest.raises(RuntimeError):
-            AbsoluteResidual().thresholds()
-
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):
             AbsoluteResidual(-1.0)
@@ -41,7 +32,6 @@ class TestRelative:
     def test_scales_with_initial_residual(self):
         c = RelativeResidual(0.1)
         c.initialize(np.ones(2), np.array([10.0, 2.0]))
-        np.testing.assert_array_equal(c.thresholds(), [1.0, 0.2])
         mask = c.check(np.array([0.5, 0.5]))
         np.testing.assert_array_equal(mask, [True, False])
 
@@ -62,11 +52,6 @@ class TestCombined:
         # 0.4 passes relative (0.5), 1e-11 passes absolute, 0.9 passes none.
         mask = c.check(np.array([0.4, 1e-11, 0.9]))
         np.testing.assert_array_equal(mask, [True, True, False])
-
-    def test_thresholds_are_loosest(self):
-        c = CombinedCriterion(AbsoluteResidual(1e-10), RelativeResidual(0.1))
-        c.initialize(np.ones(2), np.array([1.0, 1e-12]))
-        np.testing.assert_allclose(c.thresholds(), [0.1, 1e-10])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -6,10 +6,10 @@ statement over the full batch, so a batch that is 90 % converged pays 100 %
 of the arithmetic for its last stragglers.  :class:`BatchCompactor` closes
 that gap: once the active fraction of the batch drops below a threshold,
 the still-active systems are *gathered* into a compact sub-batch (matrix
-values via ``take_batch``, vectors by fancy indexing, preconditioner and
-stopping criterion via their ``restrict`` views) and the solver keeps
-iterating on the compact arrays; results are scattered back to the full
-batch on exit.
+values via ``take_batch``, every named per-system array by ``np.take``,
+preconditioner and stopping criterion via their ``restrict`` views) and the
+solver keeps iterating on the compact arrays; results are scattered back to
+the full batch on exit.
 
 Per-system numerics are **bit-identical** with compaction on or off: every
 kernel in the solve (SpMV, dots, norms, masked updates) computes each
@@ -110,22 +110,20 @@ class BatchCompactor:
         active: np.ndarray,
         matrix,
         b: np.ndarray,
-        x_full: np.ndarray,
-        x: np.ndarray,
         precond,
-        vectors: tuple = (),
-        scalars: tuple = (),
+        arrays: dict[str, np.ndarray],
+        x_full: np.ndarray,
     ):
         """Gather the active systems; returns the compacted solve state.
 
-        Returns ``(matrix, b, x, precond, active, vectors, scalars)`` with
-        every array reduced to the active rows (``active`` becomes all-True
-        at the new size), or ``None`` when the criterion or preconditioner
-        cannot be restricted — the solver then simply keeps the full batch.
+        Returns ``(matrix, b, precond, arrays)`` with the matrix, ``b`` and
+        every named array of ``arrays`` reduced to the active rows, or
+        ``None`` when the criterion or preconditioner cannot be restricted
+        — the solver then simply keeps the full batch.
 
-        ``x_full`` is the original full-size solution array; the current
-        compact iterate ``x`` is scattered into it before re-gathering so
-        systems dropped now retain their final values.
+        ``arrays["x"]`` is the current (possibly compact) iterate; it is
+        scattered into ``x_full``, the original full-size solution array,
+        before the gather, so systems dropped now retain their final values.
         """
         sel = np.flatnonzero(active)
         sub_criterion = self.criterion.restrict(sel)
@@ -135,7 +133,8 @@ class BatchCompactor:
             return None
 
         if self._idx is not None:
-            x_full[self._idx] = x  # persist progress of to-be-dropped systems
+            # Persist the progress of the systems this event drops.
+            x_full[self._idx] = arrays["x"]
             self._idx = self._idx[sel]
         else:
             self._idx = sel
@@ -147,23 +146,16 @@ class BatchCompactor:
         if self._capacity < sel.size:
             self._capacity = sel.size  # the first event sizes all slabs
 
-        new_active = np.ones(sel.size, dtype=bool)
+        values_out = self._slab(store, "matrix", matrix.values)
         return (
-            self._take_matrix(store, matrix, sel),
+            matrix.take_batch(sel, values_out=values_out),
             self._take(store, "b", b, sel),
-            self._take(store, "x", x_full, self._idx),
             sub_precond,
-            new_active,
-            tuple(
-                self._take(store, f"v{i}", v, sel) for i, v in enumerate(vectors)
-            ),
-            tuple(
-                self._take(store, f"s{i}", s, sel) for i, s in enumerate(scalars)
-            ),
+            {name: self._take(store, name, a, sel) for name, a in arrays.items()},
         )
 
-    def _take(self, store: dict, key: str, src: np.ndarray, sel: np.ndarray):
-        """Gather ``src[sel]`` into this event's preallocated slab."""
+    def _slab(self, store: dict, key: str, src: np.ndarray) -> np.ndarray:
+        """This event's preallocated buffer for gathered rows of ``src``."""
         buf = store.get(key)
         if (
             buf is None
@@ -173,23 +165,13 @@ class BatchCompactor:
         ):
             buf = np.empty((self._capacity,) + src.shape[1:], dtype=src.dtype)
             store[key] = buf
-        out = buf[: sel.size]
+        return buf
+
+    def _take(self, store: dict, key: str, src: np.ndarray, sel: np.ndarray):
+        """Gather ``src[sel]`` into this event's preallocated slab."""
+        out = self._slab(store, key, src)[: sel.size]
         np.take(src, sel, axis=0, out=out)
         return out
-
-    def _take_matrix(self, store: dict, matrix, sel: np.ndarray):
-        """Gather the active systems' matrix values into this event's slab."""
-        values = matrix.values
-        buf = store.get("matrix")
-        if (
-            buf is None
-            or buf.shape[0] < self._capacity
-            or buf.shape[1:] != values.shape[1:]
-            or buf.dtype != values.dtype
-        ):
-            buf = np.empty((self._capacity,) + values.shape[1:], dtype=values.dtype)
-            store["matrix"] = buf
-        return matrix.take_batch(sel, values_out=buf)
 
     def finalize(self, x_full: np.ndarray, x: np.ndarray) -> None:
         """Scatter the compact iterate back into the full solution array."""

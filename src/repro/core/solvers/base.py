@@ -48,6 +48,7 @@ __all__ = [
     "IterationDriver",
     "SolveState",
     "STOP",
+    "bind_arena",
     "safe_divide",
 ]
 
@@ -190,7 +191,7 @@ class BatchedIterativeSolver:
         Parameters
         ----------
         matrix:
-            Any batch-matrix format (CSR / ELL / dense).
+            Any batch-matrix format (CSR / ELL / DIA / dense).
         b:
             Right-hand sides, shape ``(num_batch, num_rows)``.
         x0:
@@ -210,35 +211,14 @@ class BatchedIterativeSolver:
         :class:`~repro.core.types.SolveResult` with per-system iteration
         counts, residual norms and convergence flags.
         """
-        shape: BatchShape = matrix.shape
-        shape.require_square()
         policy = self._resolve_policy(matrix)
         self._active_policy = policy
+        b, ws, x = bind_arena(
+            self, matrix, b, x0, workspace,
+            dtype=policy.storage_dtype, scalar_dtype=policy.accumulate_dtype,
+        )
         if getattr(matrix, "dtype", DTYPE) != policy.storage_dtype:
             matrix = matrix.astype(policy.storage_dtype)
-        b = as_value_array(b, "b", ndim=2, dtype=policy.storage_dtype)
-        shape.compatible_vector(b, "b")
-
-        if workspace is not None:
-            if not workspace.matches(
-                shape.num_batch, shape.num_rows, policy.storage_dtype
-            ):
-                raise DimensionMismatch(
-                    f"workspace is sized ({workspace.num_batch}, "
-                    f"{workspace.num_rows}, {workspace.dtype}) but the batch "
-                    f"needs ({shape.num_batch}, {shape.num_rows}, "
-                    f"{policy.storage_dtype})"
-                )
-            ws = workspace
-        else:
-            ws = self._get_workspace(shape.num_batch, shape.num_rows, policy)
-        x = ws.vector("x")
-        if x0 is None:
-            x[...] = 0.0
-        else:
-            x0 = as_value_array(x0, "x0", ndim=2, dtype=policy.storage_dtype)
-            shape.compatible_vector(x0, "x0")
-            x[...] = x0
 
         precond = self.preconditioner.generate(matrix)
         drv = self._iterate(matrix, b, x, precond, ws)
@@ -266,65 +246,82 @@ class BatchedIterativeSolver:
             return self.precision
         return policy_for_dtype(getattr(matrix, "dtype", DTYPE))
 
-    def _get_workspace(
-        self, num_batch: int, num_rows: int, policy: PrecisionPolicy
-    ) -> SolverWorkspace:
-        """Reuse the cached workspace when dimensions match (zero-alloc path)."""
-        ws = self._workspace
-        if ws is None or not ws.matches(num_batch, num_rows, policy.storage_dtype):
-            ws = SolverWorkspace(
-                num_batch,
-                num_rows,
-                dtype=policy.storage_dtype,
-                scalar_dtype=policy.accumulate_dtype,
+
+def bind_arena(
+    owner,
+    matrix,
+    b: np.ndarray,
+    x0: np.ndarray | None,
+    workspace: SolverWorkspace | None,
+    *,
+    dtype=None,
+    scalar_dtype=None,
+) -> tuple[np.ndarray, SolverWorkspace, np.ndarray]:
+    """The front door of a solve: check its inputs, bind its arena, load ``x0``.
+
+    ``b`` and ``x0`` must be batch vectors of the square ``matrix``; both
+    are converted to ``dtype`` (``None`` keeps each one's float dtype).  The
+    arena is ``workspace``, which must fit, or else ``owner._workspace``,
+    rebuilt in ``b``'s dtype (scalars in ``scalar_dtype``) when the batch
+    changes.  Returns ``(b, ws, x)`` with ``x0`` (or zeros) in ``x``.
+    """
+    shape: BatchShape = matrix.shape
+    shape.require_square()
+    b = as_value_array(b, "b", ndim=2, dtype=dtype)
+    shape.compatible_vector(b, "b")
+    num_batch, num_rows = shape.num_batch, shape.num_rows
+    if workspace is not None:
+        if not workspace.matches(num_batch, num_rows, b.dtype):
+            raise DimensionMismatch(
+                f"workspace is sized ({workspace.num_batch}, "
+                f"{workspace.num_rows}, {workspace.dtype}) but the batch "
+                f"needs ({num_batch}, {num_rows}, {b.dtype})"
             )
-            self._workspace = ws
-        return ws
+        ws = workspace
+    else:
+        ws = owner._workspace
+        if ws is None or not ws.matches(num_batch, num_rows, b.dtype):
+            ws = SolverWorkspace(
+                num_batch, num_rows, dtype=b.dtype, scalar_dtype=scalar_dtype
+            )
+            owner._workspace = ws
+    x = ws.vector("x")
+    if x0 is None:
+        x[...] = 0.0
+    else:
+        x0 = as_value_array(x0, "x0", ndim=2, dtype=dtype)
+        shape.compatible_vector(x0, "x0")
+        x[...] = x0
+    return b, ws, x
 
 
 class SolveState:
     """Named arrays of one batched solve, rebound wholesale on compaction.
 
-    Attributes are the solver's registered vectors and per-system scalars
-    plus ``matrix``, ``b``, ``x``, ``precond``, and the ``active`` mask.
-    Keeping them on one object lets the iteration driver's compaction step
-    gather *every* registered array and rebind the attributes in place, so
-    solver recurrences written against ``st.<name>`` never hold a stale
-    full-size reference.
+    Attributes are ``matrix``, ``b``, ``precond``, the ``active`` mask, and
+    every registered per-system array: the solver's vectors, ``x``, and its
+    recurrence scalars.  Keeping them on one object lets the iteration
+    driver's compaction step gather *every* registered array and rebind the
+    attributes in place, so solver recurrences written against
+    ``st.<name>`` never hold a stale full-size reference.
     """
 
-    def __init__(self, matrix, b, x, precond) -> None:
+    def __init__(self, matrix, b, precond) -> None:
         self.matrix = matrix
         self.b = b
-        self.x = x
         self.precond = precond
         self.active: np.ndarray | None = None
-        self._vector_names: list[str] = []
-        self._scalar_names: list[str] = []
+        self._names: list[str] = []
 
-    def register_vector(self, name: str, arr: np.ndarray) -> np.ndarray:
+    def register(self, name: str, arr: np.ndarray) -> np.ndarray:
         """Expose ``arr`` as ``self.<name>`` and include it in compaction."""
-        self._vector_names.append(name)
+        self._names.append(name)
         setattr(self, name, arr)
         return arr
 
-    def register_scalar(self, name: str, arr: np.ndarray) -> np.ndarray:
-        """Expose a per-system scalar array and include it in compaction."""
-        self._scalar_names.append(name)
-        setattr(self, name, arr)
-        return arr
-
-    def vectors(self) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(self, n) for n in self._vector_names)
-
-    def scalars(self) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(self, n) for n in self._scalar_names)
-
-    def rebind(self, vectors, scalars) -> None:
-        for name, arr in zip(self._vector_names, vectors):
-            setattr(self, name, arr)
-        for name, arr in zip(self._scalar_names, scalars):
-            setattr(self, name, arr)
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The registered arrays, by name."""
+        return {name: getattr(self, name) for name in self._names}
 
 
 class IterationDriver:
@@ -339,7 +336,9 @@ class IterationDriver:
     OpStats` control-flow record the conformance suite checks against the
     schedule.  A solver's ``_iterate`` builds a driver, registers any
     extra per-system scalars, supplies only its recurrence as the loop
-    body, and returns the finished driver.
+    body, and returns the finished driver.  Bodies freeze systems only
+    through :meth:`guard` and :meth:`settle`; GMRES, which runs its own
+    cycle loop, calls the recording methods directly.
 
     It is the only writer of the per-system results, which it
     holds at full batch size, indexed by original batch position (under
@@ -362,7 +361,7 @@ class IterationDriver:
         zero: tuple[str, ...] = (),
     ) -> None:
         self.solver = solver
-        st = SolveState(matrix, b, x, precond)
+        st = SolveState(matrix, b, precond)
         # Reduction (dot/norm) accumulation dtype of the active precision
         # policy; solver bodies pass it to batch_dot/batch_norm2 so mixed
         # precision keeps fp64 reductions over fp32 vectors.
@@ -373,8 +372,8 @@ class IterationDriver:
                 n for n in schedule.workspace_names() if n != "x"
             )
         for name in vector_names:
-            st.register_vector(name, ws.vector(name, zero=name in zero))
-        st.register_vector("x", x)
+            st.register(name, ws.vector(name, zero=name in zero))
+        st.register("x", x)
         self.state = st
 
         # Initial residual (every iterative solver names its residual
@@ -446,19 +445,15 @@ class IterationDriver:
         st = self.state
         if not self.comp.should_compact(st.active):
             return False
-        vectors = st.vectors()
-        scalars = st.scalars()
-        # x travels through the compactor's dedicated slot, not the
-        # generic vector tuple (it must scatter into x_full on exit).
         packed = self.comp.compact(
-            st.active, st.matrix, st.b, self._x_full, st.x, st.precond,
-            vectors=vectors[:-1], scalars=scalars,
+            st.active, st.matrix, st.b, st.precond, st.arrays(), self._x_full
         )
         if packed is None:
             return False
-        (st.matrix, st.b, x, st.precond, st.active,
-         new_vectors, new_scalars) = packed
-        st.rebind(new_vectors + (x,), new_scalars)
+        st.matrix, st.b, st.precond, arrays = packed
+        for name, arr in arrays.items():
+            setattr(st, name, arr)
+        st.active = np.ones(st.b.shape[0], dtype=bool)
         return True
 
     def finish(self) -> IterationDriver:
@@ -536,15 +531,31 @@ class IterationDriver:
         self.state.active &= ~local_mask
 
     def flag_unhealthy(self, local_mask: np.ndarray, state: SolverHealth) -> None:
-        """Record a solver-detected breakdown and freeze the systems.
-
-        Solver bodies call this the moment a defining recurrence scalar
-        (``rho``, the ``alpha`` denominator, ``omega``) is exactly zero or
-        non-finite for an active system — before the poisoned value can
-        propagate through the vector updates.
-        """
+        """Record a solver-detected breakdown and freeze the systems."""
         if np.any(local_mask):
             self._halt(local_mask, state)
+
+    def guard(
+        self, cont: np.ndarray, code: SolverHealth, *scalars: np.ndarray
+    ) -> bool:
+        """Freeze the ``cont`` systems whose recurrence scalars broke down.
+
+        Called as soon as a defining scalar (``rho``, the ``alpha``
+        denominator, ``omega``'s dots) exists, before a poisoned value can
+        reach the vector updates: a ``cont`` system with an exactly zero or
+        non-finite scalar is halted with ``code`` and dropped from ``cont``
+        in place.  Returns True when no system is left active (``STOP``).
+        """
+        first, *rest = scalars
+        bad = (first == 0.0) | ~np.isfinite(first)
+        for scalar in rest:
+            bad |= (scalar == 0.0) | ~np.isfinite(scalar)
+        broken = cont & bad
+        if not np.any(broken):
+            return False
+        self._halt(broken, code)
+        cont &= ~broken
+        return not np.any(self.state.active)
 
     def log_history(
         self, norms: np.ndarray | None = None, mask: np.ndarray | None = None
@@ -571,14 +582,29 @@ class IterationDriver:
         self.converged[self.comp.global_indices(local_mask)] = True
         self.state.active &= ~local_mask
 
-    def freeze(self, it: int, newly: np.ndarray) -> None:
-        """Log, mark, and deactivate systems whose criterion fired.
+    def settle(
+        self, it: int, norms: np.ndarray, cont: np.ndarray, restart=None, *,
+        record: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Close trip ``it``: record its residual norms, freeze what converged.
 
-        The unverified path (CG, Richardson): the recursive residual is
-        trusted as-is.
+        ``norms`` are recorded (and health-checked) for the ``record``
+        systems, ``cont`` by default.  The ``cont`` systems they converge
+        are trusted when ``restart`` is None (CG, Richardson), else
+        confirmed by :meth:`verify_and_freeze`, which restarts the drifted
+        ones.  Logs the history snapshot; returns the restarted mask.
         """
-        self.log_converged(it, newly)
-        self.mark_converged(newly)
+        self.update_norms(norms, cont if record is None else record)
+        newly = cont & self.criterion.check(norms)
+        restarted = np.zeros_like(newly)
+        if np.any(newly):
+            if restart is None:
+                self.log_converged(it, newly)
+                self.mark_converged(newly)
+            else:
+                restarted = self.verify_and_freeze(it, newly, restart)[1]
+        self.log_history()
+        return restarted
 
     def verify_and_freeze(self, it: int, candidates: np.ndarray, restart=None):
         """Confirm candidate convergences against the true residual.
@@ -614,7 +640,8 @@ class IterationDriver:
         confirmed = candidates & self.comp.criterion.check(true_norms)
         if np.any(confirmed):
             self._scatter(self.final_norms, true_norms, confirmed)
-            self.freeze(it, confirmed)
+            self.log_converged(it, confirmed)
+            self.mark_converged(confirmed)
         restarted = candidates & ~confirmed
         if np.any(restarted):
             self.stats.restart_events += 1

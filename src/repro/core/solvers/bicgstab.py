@@ -65,9 +65,9 @@ class BatchBicgstab(BatchedIterativeSolver):
         st = drv.state
         st.r_hat[...] = st.r
 
-        st.register_scalar("rho_old", ws.scalar("rho_old", fill=1.0))
-        st.register_scalar("alpha", ws.scalar("alpha", fill=1.0))
-        st.register_scalar("omega", ws.scalar("omega", fill=1.0))
+        st.register("rho_old", ws.scalar("rho_old", fill=1.0))
+        st.register("alpha", ws.scalar("alpha", fill=1.0))
+        st.register("omega", ws.scalar("omega", fill=1.0))
 
         def body(st, it):
             # `cont` marks systems executing the rest of THIS iteration;
@@ -80,12 +80,8 @@ class BatchBicgstab(BatchedIterativeSolver):
             # or non-finite is the BiCG primary breakdown: the recurrence
             # cannot continue, so the system freezes with a health code
             # instead of silently no-op'ing to max_iter.
-            broken = cont & ((rho == 0.0) | ~np.isfinite(rho))
-            if np.any(broken):
-                drv.flag_unhealthy(broken, SolverHealth.BREAKDOWN_RHO)
-                cont &= ~broken
-                if not np.any(st.active):
-                    return STOP
+            if drv.guard(cont, SolverHealth.BREAKDOWN_RHO, rho):
+                return STOP
             beta = safe_divide(rho, st.rho_old, cont) * safe_divide(
                 st.alpha, st.omega, cont
             )
@@ -100,12 +96,8 @@ class BatchBicgstab(BatchedIterativeSolver):
             # alpha = rho / (r_hat . v); a zero or non-finite denominator
             # with rho != 0 is the second BiCG breakdown (r_hat ⟂ A p).
             alpha_den = batch_dot(st.r_hat, st.v, dtype=st.acc_dtype)
-            broken = cont & ((alpha_den == 0.0) | ~np.isfinite(alpha_den))
-            if np.any(broken):
-                drv.flag_unhealthy(broken, SolverHealth.BREAKDOWN_RHO)
-                cont &= ~broken
-                if not np.any(st.active):
-                    return STOP
+            if drv.guard(cont, SolverHealth.BREAKDOWN_RHO, alpha_den):
+                return STOP
             safe_divide(rho, alpha_den, cont, out=st.alpha)
 
             # s = r - alpha * v
@@ -132,14 +124,8 @@ class BatchBicgstab(BatchedIterativeSolver):
             ts, tt = fused_dots(
                 (st.t, st.s), (st.t, st.t), dtype=st.acc_dtype
             )
-            broken = cont & (
-                (ts == 0.0) | (tt == 0.0) | ~np.isfinite(ts) | ~np.isfinite(tt)
-            )
-            if np.any(broken):
-                drv.flag_unhealthy(broken, SolverHealth.BREAKDOWN_OMEGA)
-                cont &= ~broken
-                if not np.any(st.active):
-                    return STOP
+            if drv.guard(cont, SolverHealth.BREAKDOWN_OMEGA, ts, tt):
+                return STOP
             safe_divide(ts, tt, cont, out=st.omega)
 
             # x += alpha * p_hat + omega * s_hat   (zero steps when frozen
@@ -154,11 +140,9 @@ class BatchBicgstab(BatchedIterativeSolver):
 
             masked_assign(st.rho_old, rho, cont)
 
+            # The health guards watch every active system, including those
+            # restarted at the ||s|| exit, which sat this update out.
             res_norms = batch_norm2(st.r, dtype=st.acc_dtype)
-            drv.update_norms(res_norms, st.active)
-            newly = cont & drv.criterion.check(res_norms)
-            if np.any(newly):
-                drv.verify_and_freeze(it, newly, self._restart)
-            drv.log_history()
+            drv.settle(it, res_norms, cont, self._restart, record=st.active)
 
         return drv.run(body)

@@ -32,7 +32,7 @@ class BatchCg(BatchedIterativeSolver):
 
         st.precond.apply(st.r, out=st.z)
         st.p[...] = st.z
-        st.register_scalar("rz_old", batch_dot(st.r, st.z, dtype=st.acc_dtype))
+        st.register("rz_old", batch_dot(st.r, st.z, dtype=st.acc_dtype))
 
         def body(st, it):
             st.matrix.apply(st.p, out=st.w)
@@ -40,11 +40,8 @@ class BatchCg(BatchedIterativeSolver):
             # breakdown — the search direction carries no curvature
             # information (indefinite or poisoned operator).
             pw = batch_dot(st.p, st.w, dtype=st.acc_dtype)
-            broken = st.active & ((pw == 0.0) | ~np.isfinite(pw))
-            if np.any(broken):
-                drv.flag_unhealthy(broken, SolverHealth.BREAKDOWN_RHO)
-                if not np.any(st.active):
-                    return STOP
+            if drv.guard(st.active, SolverHealth.BREAKDOWN_RHO, pw):
+                return STOP
             alpha = safe_divide(st.rz_old, pw, st.active)
 
             # Frozen systems take zero steps: their alpha is already 0.
@@ -53,21 +50,14 @@ class BatchCg(BatchedIterativeSolver):
             np.subtract(st.r, st.work, out=st.r)
 
             res_norms = batch_norm2(st.r, dtype=st.acc_dtype)
-            drv.update_norms(res_norms, st.active)
-            newly = st.active & drv.criterion.check(res_norms)
-            if np.any(newly):
-                drv.freeze(it, newly)
-            drv.log_history()
+            drv.settle(it, res_norms, st.active)
             if not np.any(st.active):
                 return STOP
 
             st.precond.apply(st.r, out=st.z)
             rz_new = batch_dot(st.r, st.z, dtype=st.acc_dtype)
-            broken = st.active & ((rz_new == 0.0) | ~np.isfinite(rz_new))
-            if np.any(broken):
-                drv.flag_unhealthy(broken, SolverHealth.BREAKDOWN_RHO)
-                if not np.any(st.active):
-                    return STOP
+            if drv.guard(st.active, SolverHealth.BREAKDOWN_RHO, rz_new):
+                return STOP
             beta = safe_divide(rz_new, st.rz_old, st.active)
             st.p *= beta[:, None]
             st.p += st.z

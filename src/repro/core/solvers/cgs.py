@@ -46,7 +46,7 @@ class BatchCgs(BatchedIterativeSolver):
         st.u[...] = st.r
         st.p[...] = st.r
 
-        st.register_scalar("rho_old", batch_dot(st.r_hat, st.r, dtype=st.acc_dtype))
+        st.register("rho_old", batch_dot(st.r_hat, st.r, dtype=st.acc_dtype))
 
         def body(st, it):
             # v = A M^-1 p ; alpha = rho / (r_hat . v)
@@ -56,14 +56,10 @@ class BatchCgs(BatchedIterativeSolver):
             # from the previous trip, or a zero/non-finite alpha
             # denominator, ends the recurrence for that system.
             alpha_den = batch_dot(st.r_hat, st.v, dtype=st.acc_dtype)
-            broken = st.active & (
-                (st.rho_old == 0.0) | ~np.isfinite(st.rho_old)
-                | (alpha_den == 0.0) | ~np.isfinite(alpha_den)
-            )
-            if np.any(broken):
-                drv.flag_unhealthy(broken, SolverHealth.BREAKDOWN_RHO)
-                if not np.any(st.active):
-                    return STOP
+            if drv.guard(
+                st.active, SolverHealth.BREAKDOWN_RHO, st.rho_old, alpha_den
+            ):
+                return STOP
             alpha = safe_divide(st.rho_old, alpha_den, st.active)
 
             # q = u - alpha v ; solution update direction u + q
@@ -88,20 +84,13 @@ class BatchCgs(BatchedIterativeSolver):
             rr, rho = fused_dots(
                 (st.r, st.r), (st.r_hat, st.r), dtype=st.acc_dtype
             )
-            res_norms = np.sqrt(rr)
-            drv.update_norms(res_norms, st.active)
-            newly = st.active & drv.criterion.check(res_norms)
-            if np.any(newly):
-                # Confirm against the true residual (CGS recursions drift
-                # even more readily than BiCGSTAB's); restarted systems
-                # skip the direction update this iteration.
-                _, restarted = drv.verify_and_freeze(it, newly, self._restart)
-                active_now = st.active & ~restarted if np.any(restarted) else st.active
-            else:
-                active_now = st.active
-            drv.log_history()
+            # Convergence is confirmed against the true residual (CGS
+            # recursions drift even more readily than BiCGSTAB's);
+            # restarted systems skip the direction update this iteration.
+            restarted = drv.settle(it, np.sqrt(rr), st.active, self._restart)
             if not np.any(st.active):
                 return STOP
+            active_now = st.active & ~restarted
 
             # beta = rho / rho_old
             beta = safe_divide(rho, st.rho_old, active_now)

@@ -130,6 +130,7 @@ class BatchBandedLu:
         """Solve the batch directly.  ``x0`` is accepted and ignored
         (direct solvers cannot exploit an initial guess — one of the
         paper's arguments for iterative solvers)."""
+        matrix.shape.require_square()
         csr = to_format(matrix, "csr")
         b = np.asarray(b, dtype=np.float64)
         x = banded_lu_solve(csr_to_banded(csr), b)

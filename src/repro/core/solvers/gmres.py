@@ -53,7 +53,7 @@ class BatchGmres(BatchedIterativeSolver):
             vector_names=("r", "gmres_work", "gmres_upd"),
         )
         st = drv.state
-        st.register_scalar("logged", drv.converged.copy())
+        st.register("logged", drv.converged.copy())
 
         # Krylov basis and Hessenberg storage (reused across cycles,
         # reallocated at the compact size after a compaction event).  The

@@ -69,10 +69,10 @@ class BatchPipelinedBicgstab(BatchedIterativeSolver):
         st = drv.state
         st.r_hat[...] = st.r
 
-        st.register_scalar("rho_old", ws.scalar("rho_old", fill=1.0))
-        st.register_scalar("alpha", ws.scalar("alpha", fill=1.0))
-        st.register_scalar("omega", ws.scalar("omega", fill=1.0))
-        rho = st.register_scalar("rho", ws.scalar("rho"))
+        st.register("rho_old", ws.scalar("rho_old", fill=1.0))
+        st.register("alpha", ws.scalar("alpha", fill=1.0))
+        st.register("omega", ws.scalar("omega", fill=1.0))
+        rho = st.register("rho", ws.scalar("rho"))
         rho[...] = batch_dot(st.r_hat, st.r, dtype=st.acc_dtype)
 
         def body(st, it):
@@ -81,12 +81,8 @@ class BatchPipelinedBicgstab(BatchedIterativeSolver):
 
             # rho carried by recurrence from the previous trip; zero or
             # non-finite is the BiCG primary breakdown.
-            broken = cont & ((st.rho == 0.0) | ~np.isfinite(st.rho))
-            if np.any(broken):
-                drv.flag_unhealthy(broken, SolverHealth.BREAKDOWN_RHO)
-                cont &= ~broken
-                if not np.any(st.active):
-                    return STOP
+            if drv.guard(cont, SolverHealth.BREAKDOWN_RHO, st.rho):
+                return STOP
             beta = safe_divide(st.rho, st.rho_old, cont) * safe_divide(
                 st.alpha, st.omega, cont
             )
@@ -99,12 +95,8 @@ class BatchPipelinedBicgstab(BatchedIterativeSolver):
 
             # ROUND 1: alpha = rho / (r_hat . v).
             alpha_den = batch_dot(st.r_hat, st.v, dtype=st.acc_dtype)
-            broken = cont & ((alpha_den == 0.0) | ~np.isfinite(alpha_den))
-            if np.any(broken):
-                drv.flag_unhealthy(broken, SolverHealth.BREAKDOWN_RHO)
-                cont &= ~broken
-                if not np.any(st.active):
-                    return STOP
+            if drv.guard(cont, SolverHealth.BREAKDOWN_RHO, alpha_den):
+                return STOP
             safe_divide(st.rho, alpha_den, cont, out=st.alpha)
 
             # s = r - alpha * v
@@ -119,14 +111,8 @@ class BatchPipelinedBicgstab(BatchedIterativeSolver):
                 (st.t, st.s), (st.t, st.t), (st.r_hat, st.s),
                 (st.r_hat, st.t), (st.s, st.s), dtype=st.acc_dtype,
             )
-            broken = cont & (
-                (ts == 0.0) | (tt == 0.0) | ~np.isfinite(ts) | ~np.isfinite(tt)
-            )
-            if np.any(broken):
-                drv.flag_unhealthy(broken, SolverHealth.BREAKDOWN_OMEGA)
-                cont &= ~broken
-                if not np.any(st.active):
-                    return STOP
+            if drv.guard(cont, SolverHealth.BREAKDOWN_OMEGA, ts, tt):
+                return STOP
             safe_divide(ts, tt, cont, out=st.omega)
 
             # x += alpha * p_hat + omega * s_hat
@@ -144,16 +130,9 @@ class BatchPipelinedBicgstab(BatchedIterativeSolver):
             rho_next = rhs - st.omega * rht
             res_sq = np.maximum(ss - st.omega * (2.0 * ts - st.omega * tt), 0.0)
             res_norms = np.sqrt(res_sq)
-            drv.update_norms(res_norms, cont)
-            newly = cont & drv.criterion.check(res_norms)
-            carry = cont
-            if np.any(newly):
-                _, restarted = drv.verify_and_freeze(it, newly, self._restart)
-                if np.any(restarted):
-                    # _restart reseeded their rho/rho_old exactly.
-                    carry = cont & ~restarted
+            # _restart reseeded the restarted systems' rho/rho_old exactly.
+            carry = cont & ~drv.settle(it, res_norms, cont, self._restart)
             masked_assign(st.rho_old, st.rho, carry)
             masked_assign(st.rho, rho_next, carry)
-            drv.log_history()
 
         return drv.run(body)

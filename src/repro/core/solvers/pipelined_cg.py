@@ -92,11 +92,11 @@ class BatchPipelinedCg(BatchedIterativeSolver):
         st.precond.apply(st.r, out=st.u)
         st.matrix.apply(st.u, out=st.w)
         fd = fused_dots((st.r, st.u), (st.w, st.u), dtype=st.acc_dtype)
-        gamma = st.register_scalar("gamma", ws.scalar("gamma"))
+        gamma = st.register("gamma", ws.scalar("gamma"))
         gamma[...] = fd[0]
-        alpha = st.register_scalar("alpha", ws.scalar("alpha"))
+        alpha = st.register("alpha", ws.scalar("alpha"))
         safe_divide(fd[0], fd[1], st.active, out=alpha)
-        beta = st.register_scalar("beta", ws.scalar("beta"))
+        beta = st.register("beta", ws.scalar("beta"))
         beta[...] = 0.0
 
         def body(st, it):
@@ -116,40 +116,24 @@ class BatchPipelinedCg(BatchedIterativeSolver):
             gamma_new, delta, rr = fused_dots(
                 (st.r, st.u), (st.w, st.u), (st.r, st.r), dtype=st.acc_dtype
             )
-            res_norms = np.sqrt(rr)
-            drv.update_norms(res_norms, st.active)
-            newly = st.active & drv.criterion.check(res_norms)
-            restarted = None
-            if np.any(newly):
-                _, restarted = drv.verify_and_freeze(it, newly, self._restart)
-            drv.log_history()
+            restarted = drv.settle(it, np.sqrt(rr), st.active, self._restart)
             if not np.any(st.active):
                 return STOP
 
-            cont = st.active.copy()
-            if restarted is not None:
-                # Restarted systems got fresh scalars from _restart; the
-                # stale gamma_new/delta of their drifted state must not
-                # overwrite them.
-                cont &= ~restarted
+            # Restarted systems got fresh scalars from _restart; the stale
+            # gamma_new/delta of their drifted state must not overwrite them.
+            cont = st.active & ~restarted
 
             # gamma = 0 (or non-finite) with an unconverged residual means
             # the preconditioned residual carries no descent information —
             # the CG breakdown.
-            broken = cont & ((gamma_new == 0.0) | ~np.isfinite(gamma_new))
-            if np.any(broken):
-                drv.flag_unhealthy(broken, SolverHealth.BREAKDOWN_RHO)
-                cont &= ~broken
+            stop = drv.guard(cont, SolverHealth.BREAKDOWN_RHO, gamma_new)
             beta_new = safe_divide(gamma_new, st.gamma, cont)
             # alpha' = gamma' / (delta - beta' gamma' / alpha): the
             # recurrence form of p . A p, computed without touching the
             # vectors again.
             den = delta - safe_divide(beta_new * gamma_new, st.alpha, cont)
-            broken = cont & ((den == 0.0) | ~np.isfinite(den))
-            if np.any(broken):
-                drv.flag_unhealthy(broken, SolverHealth.BREAKDOWN_RHO)
-                cont &= ~broken
-            if not np.any(st.active):
+            if drv.guard(cont, SolverHealth.BREAKDOWN_RHO, den) or stop:
                 return STOP
             alpha_new = safe_divide(gamma_new, den, cont)
 

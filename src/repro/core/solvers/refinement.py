@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...utils.validation import as_value_array, check_positive
+from ...utils.validation import check_positive
 from ..batch_dense import batch_norm2
 from ..precision import PrecisionPolicy, precision_policy
 from ..preconditioners import BatchPreconditioner
 from ..spmv import residual
 from ..stop import AbsoluteResidual, RelativeResidual, StoppingCriterion
-from ..types import BatchShape, DimensionMismatch, SolveResult
+from ..types import BatchShape, SolveResult
 from ..workspace import SolverWorkspace
+from .base import bind_arena
 from .bicgstab import BatchBicgstab
 
 __all__ = ["RefinementSolver"]
@@ -125,31 +126,8 @@ class RefinementSolver:
         direct low-precision solve); the sweep count is available as
         :attr:`last_outer_iterations`.
         """
+        b, ws, x = bind_arena(self, matrix, b, x0, workspace)
         shape: BatchShape = matrix.shape
-        shape.require_square()
-        b = as_value_array(b, "b", ndim=2)
-        shape.compatible_vector(b, "b")
-
-        if workspace is not None:
-            if not workspace.matches(shape.num_batch, shape.num_rows, b.dtype):
-                raise DimensionMismatch(
-                    f"workspace is sized ({workspace.num_batch}, "
-                    f"{workspace.num_rows}, {workspace.dtype}) but the batch "
-                    f"needs ({shape.num_batch}, {shape.num_rows}, {b.dtype})"
-                )
-            ws = workspace
-        else:
-            ws = self._workspace
-            if ws is None or not ws.matches(shape.num_batch, shape.num_rows, b.dtype):
-                ws = SolverWorkspace(shape.num_batch, shape.num_rows, dtype=b.dtype)
-                self._workspace = ws
-        x = ws.vector("x")
-        if x0 is None:
-            x[...] = 0.0
-        else:
-            x0 = as_value_array(x0, "x0", ndim=2)
-            shape.compatible_vector(x0, "x0")
-            x[...] = x0
         r = ws.vector("r")
 
         low = self._low_matrix_for(matrix)

@@ -16,8 +16,6 @@ vectorised health guards on the recorded residual norms.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..batch_dense import batch_norm2
 from ..blas import masked_axpy
 from ..spmv import residual
@@ -41,11 +39,6 @@ class BatchRichardson(BatchedIterativeSolver):
 
             residual(st.matrix, st.x, st.b, out=st.r)
 
-            res_norms = batch_norm2(st.r, dtype=st.acc_dtype)
-            drv.update_norms(res_norms, st.active)
-            newly = st.active & drv.criterion.check(res_norms)
-            if np.any(newly):
-                drv.freeze(it, newly)
-            drv.log_history()
+            drv.settle(it, batch_norm2(st.r, dtype=st.acc_dtype), st.active)
 
         return drv.run(body)

@@ -264,6 +264,49 @@ def estimate_iterative_solve(
     )
 
 
+def _single_kernel_estimate(
+    hw: GpuSpec,
+    work: KernelWork,
+    num_rows: int,
+    num_batch: int,
+    util: float,
+    *,
+    reuse_passes: float,
+    launches: int,
+    compute_efficiency: float,
+    repeats: int = 1,
+) -> GpuSolveEstimate:
+    """Model ``repeats`` passes of one no-shared-memory kernel over the batch.
+
+    Every block runs one system's ``work`` at lane utilisation ``util``;
+    the batch pays ``launches`` kernel launches.
+    """
+    occ = compute_occupancy(hw, 0, num_rows)
+    mem = estimate_memory(
+        hw, work,
+        shared_bytes_per_block=0,
+        blocks_per_cu=occ.blocks_per_cu,
+        active_systems=min(num_batch, occ.total_slots),
+        reuse_passes=reuse_passes,
+    )
+    t_block = _slot_times(
+        hw, work, occ, mem, util, util, compute_efficiency=compute_efficiency
+    ) * repeats
+    block_times = np.full(num_batch, t_block)
+    launch = hw.launch_overhead_us * 1e-6 * launches
+    total = launch + schedule_blocks(hw, occ, block_times)
+    return GpuSolveEstimate(
+        total_time_s=total,
+        per_entry_time_s=total / max(num_batch, 1),
+        launch_s=launch,
+        block_times_s=block_times,
+        storage=None,
+        occupancy=occ,
+        memory=mem,
+        warp_utilization=util,
+    )
+
+
 def estimate_spmv(
     hw: GpuSpec,
     fmt: str,
@@ -277,32 +320,14 @@ def estimate_spmv(
 ) -> GpuSolveEstimate:
     """Model the standalone batched SpMV kernel (Fig. 7)."""
     work = spmv_work(num_rows, nnz, fmt, stored_nnz=stored_nnz, value_bytes=value_bytes)
-    occ = compute_occupancy(hw, 0, num_rows)
-    mem = estimate_memory(
-        hw, work,
-        shared_bytes_per_block=0,
-        blocks_per_cu=occ.blocks_per_cu,
-        active_systems=min(num_batch, occ.total_slots),
-        reuse_passes=float(max(repeats, 1)),
-    )
     nnz_row = max(1, round(nnz / max(num_rows, 1)))
-    util = spmv_utilization(fmt, num_rows, nnz_row, hw)
-    t_block = _slot_times(
-        hw, work, occ, mem, util, util,
+    return _single_kernel_estimate(
+        hw, work, num_rows, num_batch,
+        spmv_utilization(fmt, num_rows, nnz_row, hw),
+        reuse_passes=float(max(repeats, 1)),
+        launches=repeats,
         compute_efficiency=hw.fp64_efficiency * (8.0 / value_bytes),
-    ) * repeats
-    block_times = np.full(num_batch, t_block)
-    launch = hw.launch_overhead_us * 1e-6 * repeats
-    total = launch + schedule_blocks(hw, occ, block_times)
-    return GpuSolveEstimate(
-        total_time_s=total,
-        per_entry_time_s=total / max(num_batch, 1),
-        launch_s=launch,
-        block_times_s=block_times,
-        storage=None,
-        occupancy=occ,
-        memory=mem,
-        warp_utilization=util,
+        repeats=repeats,
     )
 
 
@@ -318,29 +343,12 @@ def estimate_dense_lu(
     itself, so this estimate deliberately grants the kernel full dense-BLAS
     efficiency (no extra penalty factor) and lets the O(n^3) work speak.
     """
-    work = dense_lu_work(num_rows)
-    occ = compute_occupancy(hw, 0, num_rows)
-    mem = estimate_memory(
-        hw, work,
-        shared_bytes_per_block=0,
-        blocks_per_cu=occ.blocks_per_cu,
-        active_systems=min(num_batch, occ.total_slots),
+    return _single_kernel_estimate(
+        hw, dense_lu_work(num_rows), num_rows, num_batch,
+        ell_spmv_utilization(num_rows, hw.warp_size),
         reuse_passes=float(max(num_rows // 8, 2)),  # blocked reuse
-    )
-    util = ell_spmv_utilization(num_rows, hw.warp_size)
-    t_block = _slot_times(hw, work, occ, mem, util, util)
-    block_times = np.full(num_batch, t_block)
-    launch = hw.launch_overhead_us * 1e-6 * 2  # factor + solve
-    total = launch + schedule_blocks(hw, occ, block_times)
-    return GpuSolveEstimate(
-        total_time_s=total,
-        per_entry_time_s=total / max(num_batch, 1),
-        launch_s=launch,
-        block_times_s=block_times,
-        storage=None,
-        occupancy=occ,
-        memory=mem,
-        warp_utilization=util,
+        launches=2,  # factor + solve
+        compute_efficiency=hw.fp64_efficiency,
     )
 
 
@@ -358,30 +366,10 @@ def estimate_direct_qr(
     multiplied by ``hw.qr_parallel_efficiency`` (see
     :mod:`repro.gpu.hardware`).
     """
-    work = banded_qr_work(num_rows, kl, ku)
-    occ = compute_occupancy(hw, 0, num_rows)
-    mem = estimate_memory(
-        hw, work,
-        shared_bytes_per_block=0,
-        blocks_per_cu=occ.blocks_per_cu,
-        active_systems=min(num_batch, occ.total_slots),
+    return _single_kernel_estimate(
+        hw, banded_qr_work(num_rows, kl, ku), num_rows, num_batch,
+        ell_spmv_utilization(num_rows, hw.warp_size),
         reuse_passes=float(max(kl, 2)),  # band re-traversed per column sweep
-    )
-    util = ell_spmv_utilization(num_rows, hw.warp_size)
-    t_block = _slot_times(
-        hw, work, occ, mem, util, util,
+        launches=3,  # analysis + factor + solve
         compute_efficiency=hw.fp64_efficiency * hw.qr_parallel_efficiency,
-    )
-    block_times = np.full(num_batch, t_block)
-    launch = hw.launch_overhead_us * 1e-6 * 3  # analysis + factor + solve
-    total = launch + schedule_blocks(hw, occ, block_times)
-    return GpuSolveEstimate(
-        total_time_s=total,
-        per_entry_time_s=total / max(num_batch, 1),
-        launch_s=launch,
-        block_times_s=block_times,
-        storage=None,
-        occupancy=occ,
-        memory=mem,
-        warp_utilization=util,
     )

@@ -251,15 +251,15 @@ class TestCompactorUnit:
         active = np.ones(NB, dtype=bool)
         active[[0, 5, 11]] = False
         precond = BatchBicgstab(preconditioner="jacobi").preconditioner.generate(m)
-        packed = comp.compact(active, m, b, x_full, x, precond)
-        m2, b2, x2, _, active2, _, _ = packed
+        m2, b2, _, arrays = comp.compact(active, m, b, precond, {"x": x}, x_full)
+        x2 = arrays["x"]
         np.testing.assert_array_equal(comp.indices, np.flatnonzero(active))
-        assert active2.all() and x2.shape[0] == NB - 3
+        assert m2.num_batch == b2.shape[0] == x2.shape[0] == NB - 3
         # Second-level compaction: indices compose to global ids.
         sub_active = np.zeros(NB - 3, dtype=bool)
         sub_active[[0, 2]] = True
         expected_global = comp.indices[[0, 2]]
-        comp.compact(sub_active, m2, b2, x_full, x2, precond)
+        comp.compact(sub_active, m2, b2, precond, {"x": x2}, x_full)
         np.testing.assert_array_equal(comp.indices, expected_global)
         np.testing.assert_array_equal(b2[sub_active], b[expected_global])
         assert comp.num_events == 2

@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from repro.core import BatchBandedLu, BatchCsr, banded_lu_solve
+from repro.core.types import DimensionMismatch
 from repro.core.faults import HEALTH_DTYPE, SolverHealth
 from repro.core.solvers.direct_banded import SingularBatchError
 from repro.utils import csr_to_banded, detect_bandwidths
@@ -156,6 +157,13 @@ class TestBatchBandedLuSolver:
         np.testing.assert_allclose(
             csr.apply(res.x), b, rtol=1e-8, atol=1e-10
         )
+
+    def test_non_square_batch_rejected(self, rng):
+        """A non-square batch fails at the API boundary, before any band
+        is factored."""
+        csr = BatchCsr.from_dense(rng.standard_normal((2, 4, 5)))
+        with pytest.raises(DimensionMismatch, match="square"):
+            BatchBandedLu().solve(csr, rng.standard_normal((2, 4)))
 
     def test_initial_guess_ignored(self, rng):
         dense = random_banded_dense(rng, 2, 10, 1, 1)

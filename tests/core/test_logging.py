@@ -13,11 +13,13 @@ from repro.core.solvers.base import IterationDriver
 from repro.core.workspace import SolverWorkspace
 
 
-def make_driver(num_batch=3, max_iter=100, record_history=False):
+def make_driver(num_batch=3, max_iter=100, record_history=False, solver=None):
     """An IterationDriver over identity systems with ``b = 1`` and a zero
     guess, so no system starts converged and the batch is too small to
-    compact."""
-    solver = BatchRichardson(max_iter=max_iter, record_history=record_history)
+    compact.  The default solver is Richardson; pass a verifying solver
+    (one whose schedule declares ``true_r``) to exercise restarts."""
+    if solver is None:
+        solver = BatchRichardson(max_iter=max_iter, record_history=record_history)
     matrix = BatchCsr.from_dense(np.tile(np.eye(2), (num_batch, 1, 1)))
     b = np.ones((num_batch, 2))
     return IterationDriver(
@@ -57,18 +59,24 @@ class TestBatchLogger:
             np.testing.assert_array_equal(getattr(r1, name), saved[name])
 
     def test_records_convergence_iteration(self):
+        """settle() without a restart trusts the recorded norms: systems
+        that meet the criterion are counted, flagged and deactivated."""
         drv = make_driver()
-        drv.freeze(4, np.array([True, False, False]))
+        restarted = drv.settle(4, np.array([0.0, 1.0, 1.0]), drv.state.active)
         assert drv.iterations[0] == 5  # iteration index 4 => count 5
         assert drv.iterations[1] == 0  # untouched
         assert drv.converged.tolist() == [True, False, False]
+        assert drv.state.active.tolist() == [False, True, True]
+        assert not restarted.any()
 
     def test_finalize_marks_unconverged(self):
         drv = make_driver(max_iter=10)
 
         def body(st, it):
             if it == 2:
-                drv.freeze(it, np.array([True, False, False]))
+                drv.settle(
+                    it, np.array([0.0, 1.0, 1.0]), np.array([True, False, False])
+                )
             if it == 6:
                 drv.flag_unhealthy(
                     np.array([False, False, True]), SolverHealth.BREAKDOWN_RHO
@@ -117,3 +125,83 @@ class TestBatchLogger:
         assert len(r2.residual_history) == trips2
         for got, want in zip(r1.residual_history, saved["residual_history"]):
             np.testing.assert_array_equal(got, want)
+
+
+class TestGuard:
+    """``IterationDriver.guard``: the solver bodies' breakdown check."""
+
+    def test_non_finite_later_scalar_freezes_its_system(self):
+        drv = make_driver(max_iter=5)
+        seen = {}
+
+        def body(st, it):
+            if it == 3:
+                cont = st.active.copy()
+                seen["stop"] = drv.guard(
+                    cont, SolverHealth.BREAKDOWN_OMEGA,
+                    np.array([1.0, 2.0, 3.0]), np.array([1.0, np.nan, 1.0]),
+                )
+                seen["cont"] = cont.tolist()
+                seen["active"] = st.active.tolist()
+
+        drv.run(body)
+        assert seen == {
+            "stop": False,
+            "cont": [True, False, True],
+            "active": [True, False, True],
+        }
+        assert drv.health.tolist() == [
+            SolverHealth.ITERATING, SolverHealth.BREAKDOWN_OMEGA,
+            SolverHealth.ITERATING,
+        ]
+        assert drv.iterations[1] == 4  # halted on its fourth trip
+
+    def test_zero_outside_cont_is_ignored(self):
+        drv = make_driver()
+        cont = np.array([True, False, True])
+        stop = drv.guard(cont, SolverHealth.BREAKDOWN_RHO, np.array([1.0, 0.0, 1.0]))
+        assert not stop
+        assert cont.tolist() == [True, False, True]
+        assert drv.state.active.all()
+        assert drv.health[1] == SolverHealth.ITERATING
+
+    def test_true_when_the_last_active_system_breaks(self):
+        drv = make_driver()
+        cont = drv.state.active.copy()
+        rho = SolverHealth.BREAKDOWN_RHO
+        assert not drv.guard(cont, rho, np.array([0.0, np.inf, 1.0]))
+        assert drv.guard(cont, rho, np.array([1.0, 1.0, 0.0]))
+        assert not cont.any() and not drv.state.active.any()
+        assert (drv.health == rho).all()
+
+
+class TestSettle:
+    """``IterationDriver.settle``: the end of a solver body's trip."""
+
+    def test_restart_gets_candidates_the_true_residual_rejects(self):
+        drv = make_driver(solver=BatchBicgstab())
+        drv.state.x[1] = 1.0  # system 1 is solved exactly; 0 and 2 are not
+        calls = []
+
+        def restart(st, true_r, mask):
+            calls.append(mask.copy())
+
+        restarted = drv.settle(
+            2, np.array([0.0, 0.0, 1.0]), drv.state.active.copy(), restart
+        )
+        assert [m.tolist() for m in calls] == [[True, False, False]]
+        assert restarted.tolist() == [True, False, False]
+        assert drv.state.active.tolist() == [True, False, True]
+        assert drv.converged.tolist() == [False, True, False]
+        assert drv.iterations.tolist() == [0, 3, 0]
+
+    def test_record_outside_cont_is_recorded_not_frozen(self):
+        drv = make_driver()
+        initial = drv.final_norms[2]
+        drv.settle(
+            2, np.zeros(3), np.array([True, False, False]),
+            record=np.array([True, True, False]),
+        )
+        assert drv.final_norms.tolist() == [0.0, 0.0, initial]
+        assert drv.converged.tolist() == [True, False, False]
+        assert drv.state.active.tolist() == [False, True, True]

@@ -354,10 +354,8 @@ class TestRefinementSolver:
 
 
 class TestCompactorSlabs:
-    def _event(self, comp, active, matrix, b, x_full, x, precond, vectors):
-        packed = comp.compact(
-            active, matrix, b, x_full, x, precond, vectors=vectors
-        )
+    def _event(self, comp, active, matrix, b, precond, arrays, x_full):
+        packed = comp.compact(active, matrix, b, precond, arrays, x_full)
         assert packed is not None
         return packed
 
@@ -373,24 +371,20 @@ class TestCompactorSlabs:
         active = np.ones(nb, dtype=bool)
         active[0] = False
         v = rng.standard_normal((nb, n))
-        m1, b1, x1, p1, a1, (v1,), _ = self._event(
-            comp, active, csr_batch, b, x_full, x_full, precond, (v,)
+        m1, b1, p1, a1 = self._event(
+            comp, active, csr_batch, b, precond, {"x": x_full, "v": v}, x_full
         )
-        slab_v1 = v1.base
+        slab_v1 = a1["v"].base
         assert slab_v1 is not None  # gathered into a preallocated slab
 
-        active2 = np.ones(a1.size, dtype=bool)
+        active2 = np.ones(b1.shape[0], dtype=bool)
         active2[0] = False
-        m2, b2, x2, p2, a2, (v2,), _ = self._event(
-            comp, active2, m1, b1, x_full, x1, p1, (v1,)
-        )
+        m2, b2, p2, a2 = self._event(comp, active2, m1, b1, p1, a1, x_full)
         # Alternating slab sets: event 3 must land in event 1's buffers.
-        active3 = np.ones(a2.size, dtype=bool)
+        active3 = np.ones(b2.shape[0], dtype=bool)
         active3[0] = False
-        m3, b3, x3, p3, a3, (v3,), _ = self._event(
-            comp, active3, m2, b2, x_full, x2, p2, (v2,)
-        )
-        assert v3.base is slab_v1
+        m3, b3, p3, a3 = self._event(comp, active3, m2, b2, p2, a2, x_full)
+        assert a3["v"].base is slab_v1
         assert comp.num_events == 3
 
     def test_gather_values_unchanged(self, csr_batch, rng):
@@ -406,13 +400,13 @@ class TestCompactorSlabs:
         comp = BatchCompactor(AbsoluteResidual(1e-10), threshold=1.0)
         active = np.array([True, False, True, False, True, False])
         sel = np.flatnonzero(active)
-        m1, b1, x1, _, _, (v1,), (s1,) = comp.compact(
-            active, csr_batch, b, x_full, x_full.copy(), precond,
-            vectors=(v,), scalars=(s,),
+        m1, b1, _, a1 = comp.compact(
+            active, csr_batch, b, precond,
+            {"x": x_full.copy(), "v": v, "s": s}, x_full,
         )
         np.testing.assert_array_equal(m1.values, csr_batch.values[sel])
         np.testing.assert_array_equal(b1, b[sel])
-        np.testing.assert_array_equal(x1, x_full[sel])
-        np.testing.assert_array_equal(v1, v[sel])
-        np.testing.assert_array_equal(s1, s[sel])
+        np.testing.assert_array_equal(a1["x"], x_full[sel])
+        np.testing.assert_array_equal(a1["v"], v[sel])
+        np.testing.assert_array_equal(a1["s"], s[sel])
         assert comp.num_events == 1

@@ -10,7 +10,11 @@ gathered into a compact sub-batch.  Per-system iteration counts must be
 configurations, and writes ``BENCH_host_kernels.json`` at the repo root.
 
 Also micro-times the fused allocation-free BLAS-1 helpers of
-:mod:`repro.core.blas` against the ``np.where`` copy idiom they replaced.
+:mod:`repro.core.blas` against the ``np.where`` copy idiom they replaced,
+and records (ungated) the fixed host cost of one solver trip: the median
+host microseconds per BiCGSTAB + Jacobi trip on 1 and 8 of the proxy app's
+n = 992 electron systems in DIA, where the 1-system figure is almost all
+per-trip bookkeeping and the step to 8 is per-system arithmetic.
 
 Run standalone (CI smoke gate)::
 
@@ -39,6 +43,7 @@ from repro.core import (
     to_format,
 )
 from repro.core.blas import fused_update, masked_axpy
+from repro.xgc import ELECTRON, CollisionProxyApp, ProxyAppConfig
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -128,6 +133,49 @@ def bench_blas_micro(num_batch: int, num_rows: int, reps: int = 100):
     }
 
 
+#: Batch sizes, solves per size and trips per solve of the trip-cost probe.
+TRIP_SIZES = (1, 8)
+TRIP_REPEATS = 25
+TRIP_MAX_ITER = 40
+
+
+def bench_trip_overhead():
+    """Median host microseconds per BiCGSTAB + Jacobi trip at ``TRIP_SIZES``.
+
+    The systems are the first electron systems of a 64-node proxy app
+    (seed 2022) in DIA, started from ``x0 = b`` with an unreachable
+    tolerance, so every solve runs exactly ``TRIP_MAX_ITER`` trips with no
+    verify event and no compaction.  A sample is one solve's wall time
+    over its trip count, so it includes the solve's set-up spread over
+    those trips.
+    """
+    app = CollisionProxyApp(ProxyAppConfig(num_mesh_nodes=64, seed=2022))
+    matrix, f = app.build_matrices()
+    electrons = np.flatnonzero(app.masses == ELECTRON.mass)
+    per_trip = {}
+    for nb in TRIP_SIZES:
+        sel = electrons[:nb]
+        m, b = matrix.take_batch(sel), f[sel]
+        solver = BatchBicgstab(
+            preconditioner="jacobi",
+            criterion=AbsoluteResidual(1e-300),
+            max_iter=TRIP_MAX_ITER,
+            compact_threshold=None,
+        )
+        _, samples, _ = best_of(lambda: solver.solve(m, b, x0=b), TRIP_REPEATS)
+        trips = solver.last_op_stats.trips
+        per_trip[str(nb)] = 1e6 * float(np.median(samples)) / trips
+    return {
+        "format": matrix.format_name,
+        "num_rows": matrix.num_rows,
+        "solver": "bicgstab",
+        "preconditioner": "jacobi",
+        "trips_per_solve": trips,
+        "repeats": TRIP_REPEATS,
+        "median_us_per_trip": per_trip,
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--num-batch", type=int, default=240)
@@ -189,6 +237,7 @@ def main(argv=None) -> int:
             "all_converged": bool(res_plain.all_converged),
         },
         "blas": bench_blas_micro(args.num_batch, args.num_rows),
+        "trip_overhead": bench_trip_overhead(),
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n")
 
@@ -202,6 +251,10 @@ def main(argv=None) -> int:
     print(f"  blas micro:  masked_axpy "
           f"{report['blas']['masked_axpy_speedup']:.2f}x, fused_update "
           f"{report['blas']['fused_update_speedup']:.2f}x vs np.where")
+    trip_us = report["trip_overhead"]["median_us_per_trip"]
+    print("  trip cost:   " + ", ".join(
+        f"{us:.0f} us at {nb}" for nb, us in trip_us.items()
+    ) + " systems (BiCGSTAB + Jacobi trip, DIA n = 992, median)")
     print(f"  report: {args.output}")
 
     if not (iters_identical and norms_identical):

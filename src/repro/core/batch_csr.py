@@ -115,11 +115,6 @@ class BatchCsr(BatchMatrix):
     def pattern(self) -> tuple[np.ndarray, np.ndarray]:
         return (self._row_ptrs, self._col_idxs)
 
-    def with_values(self, values: np.ndarray) -> "BatchCsr":
-        return BatchCsr(
-            self.num_cols, self._row_ptrs, self._col_idxs, values, check=False
-        )
-
     def entries(self):
         """Entries in stored order, which is CSR order when columns are
         sorted within rows (as every built-in constructor stores them)."""

@@ -56,9 +56,6 @@ class BatchDense(BatchMatrix):
     def pattern(self) -> tuple:
         return ()
 
-    def with_values(self, values: np.ndarray) -> "BatchDense":
-        return BatchDense(values)
-
     def entries(self):
         """The positions non-zero in some system (the union pattern)."""
         rows, cols = nonzero_union(self._values)

@@ -133,9 +133,6 @@ class BatchDia(BatchMatrix):
         self._pad_lo = max(0, -int(offsets.min()))
         self._pad_hi = max(0, int(offsets.max()) + num_rows - num_cols)
         self._grid = _offset_grid(offsets.tolist())
-        # Lazily-allocated per-tile scratch (see _scratch): no temporaries
-        # per SpMV after the first (core/blas discipline).
-        self._work: tuple | None = None
 
     # -- attributes ------------------------------------------------------
 
@@ -177,9 +174,6 @@ class BatchDia(BatchMatrix):
     def pattern(self) -> tuple[np.ndarray]:
         return (self._offsets,)
 
-    def with_values(self, values: np.ndarray) -> "BatchDia":
-        return BatchDia(self.num_cols, self._offsets, values, check=False)
-
     def entries(self):
         """Every in-band position of every stored diagonal, stored zeros
         included — the honest stored pattern of the batch."""
@@ -207,30 +201,55 @@ class BatchDia(BatchMatrix):
 
     # -- matrix-vector product ---------------------------------------------
 
-    def _scratch(self, tile: int, x_dtype: np.dtype):
-        """Reused per-tile scratch: zero-padded ``x`` rows, the
-        ``(tile, num_diags, num_rows)`` products, and (for a grid offset
-        set) the strided view of the padded rows that lines ``x`` up with
-        every diagonal at once."""
+    def _plan(self, tile: int, x_dtype: np.dtype) -> tuple:
+        """The per-tile views of :meth:`apply`, built once per matrix,
+        tile size and ``x`` dtype and kept in ``_work`` next to the
+        ``(tile, width)`` zero-padded ``x`` rows they view.
+
+        One entry per tile: ``(t0, t1, x_slot, multiplies, products)``.
+        ``x_slot`` is the tile's unpadded region of the zero-padded ``x``
+        rows, ``multiplies`` the ``(values, x window, products)`` operand
+        triples of its multiplies (one for a grid offset set, one per
+        diagonal otherwise), and ``products`` its ``(nt, num_diags,
+        num_rows)`` scratch, which the reduction sums.
+        """
         work = self._work
-        if work is None or work[0].shape[0] < tile or work[0].dtype != x_dtype:
-            width = self._pad_lo + self.num_cols + self._pad_hi
-            xpad = np.zeros((tile, width), dtype=x_dtype)
-            prod = np.empty(
-                (tile, self.num_diags, self.num_rows), dtype=self._values.dtype
+        if work is not None and work[0].shape[0] == tile and work[0].dtype == x_dtype:
+            return work[1]
+        num_batch, num_rows, num_cols = self.num_batch, self.num_rows, self.num_cols
+        pad = self._pad_lo
+        values = self._values
+        xpad = np.zeros((tile, pad + num_cols + self._pad_hi), dtype=x_dtype)
+        prod = np.empty((tile, self.num_diags, num_rows), dtype=values.dtype)
+        if self._grid is not None:
+            # Splitting the diagonal axis in two is always a view, and one
+            # strided view of the padded rows lines x up with every diagonal.
+            groups, run, step = self._grid
+            grid_shape = (groups, run, num_rows)
+            values_g = values.reshape((num_batch,) + grid_shape)
+            prod_g = prod.reshape((tile,) + grid_shape)
+            item = xpad.itemsize
+            xgrid = as_strided(
+                xpad[:, pad + int(self._offsets[0]):],
+                shape=(tile,) + grid_shape,
+                strides=(xpad.strides[0], step * item, item, item),
+                writeable=False,
             )
-            xgrid = None
+        tiles = []
+        for t0 in range(0, num_batch, tile):
+            t1 = min(t0 + tile, num_batch)
+            nt = t1 - t0
+            xp, p = xpad[:nt], prod[:nt]
             if self._grid is not None:
-                groups, run, step = self._grid
-                item = xpad.itemsize
-                xgrid = as_strided(
-                    xpad[:, self._pad_lo + int(self._offsets[0]):],
-                    shape=(tile, groups, run, self.num_rows),
-                    strides=(xpad.strides[0], step * item, item, item),
-                    writeable=False,
+                multiplies = ((values_g[t0:t1], xgrid[:nt], prod_g[:nt]),)
+            else:
+                multiplies = tuple(
+                    (values[t0:t1, k], xp[:, pad + d : pad + d + num_rows], p[:, k])
+                    for k, d, _, _ in self._spans
                 )
-            work = self._work = (xpad, prod, xgrid)
-        return work
+            tiles.append((t0, t1, xp[:, pad : pad + num_cols], multiplies, p))
+        self._work = (xpad, tuple(tiles))
+        return self._work[1]
 
     def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Batched gather-free SpMV ``out[k] = A[k] @ x[k]``.
@@ -248,7 +267,8 @@ class BatchDia(BatchMatrix):
         into ``out`` in ascending-offset order from ``+0.0``, so a leading
         ``-0.0`` product still sums to ``+0.0``.  No index array is read
         and no gather is issued: the diagonal structure *is* the
-        addressing.
+        addressing.  Every view those calls take is built by the first
+        call (:meth:`_plan`), so later calls issue only the calls above.
 
         Fringe positions multiply ``0.0`` by padding ``0.0``; adding that
         ``+0.0`` to an accumulator that starts at ``+0.0`` cannot change
@@ -256,28 +276,13 @@ class BatchDia(BatchMatrix):
         row is computed independently of the tiling.
         """
         self._shape.compatible_vector(x, "x")
-        num_batch, num_rows, num_cols = self.num_batch, self.num_rows, self.num_cols
+        num_batch, num_rows = self.num_batch, self.num_rows
         if out is None:
             out = np.empty((num_batch, num_rows), dtype=self._values.dtype)
-        values = self._values
-        pad = self._pad_lo
         tile = min(num_batch, dia_tile(self.num_diags, num_rows, out.itemsize))
-        xpad, prod, xgrid = self._scratch(tile, x.dtype)
-        if xgrid is not None:
-            # Splitting the diagonal axis in two is always a view.
-            grid_shape = self._grid[:2] + (num_rows,)
-            values_g = values.reshape((num_batch,) + grid_shape)
-            prod_g = prod.reshape((prod.shape[0],) + grid_shape)
-        for t0 in range(0, num_batch, tile):
-            t1 = min(t0 + tile, num_batch)
-            nt = t1 - t0
-            xp, p = xpad[:nt], prod[:nt]
-            xp[:, pad : pad + num_cols] = x[t0:t1]
-            if xgrid is not None:
-                np.multiply(values_g[t0:t1], xgrid[:nt], out=prod_g[:nt])
-            else:
-                for k, d, _, _ in self._spans:
-                    window = xp[:, pad + d : pad + d + num_rows]
-                    np.multiply(values[t0:t1, k], window, out=p[:, k])
-            np.add.reduce(p, axis=1, out=out[t0:t1], initial=0.0)
+        for t0, t1, x_slot, multiplies, products in self._plan(tile, x.dtype):
+            x_slot[...] = x[t0:t1]
+            for values, window, prod in multiplies:
+                np.multiply(values, window, out=prod)
+            np.add.reduce(products, axis=1, out=out[t0:t1], initial=0.0)
         return out

@@ -93,8 +93,6 @@ class BatchEll(BatchMatrix):
         # every call, and re-deriving them per apply() would allocate and
         # re-scan the whole index array on the hottest loop in the library.
         self._gather_cols = np.maximum(col_idxs, 0)
-        # Lazily-allocated per-tile SpMV scratch (see _scratch).
-        self._work: tuple[np.ndarray, np.ndarray] | None = None
         if check:
             self._reject_repeated_columns()
 
@@ -131,9 +129,6 @@ class BatchEll(BatchMatrix):
     def pattern(self) -> tuple[np.ndarray]:
         return (self._col_idxs,)
 
-    def with_values(self, values: np.ndarray) -> "BatchEll":
-        return BatchEll(self.num_cols, self._col_idxs, values, check=False)
-
     def entries(self):
         # Row-major scan: slots already hold each row's entries in column
         # order when the batch was built from entries, so the sort is one
@@ -162,7 +157,8 @@ class BatchEll(BatchMatrix):
     # -- matrix-vector product ---------------------------------------------
 
     def _scratch(self, tile: int, x_dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
-        """Reused ``(tile, num_rows)`` gather and product buffers."""
+        """Reused ``(tile, num_rows)`` gather and product buffers, kept in
+        ``_work`` (built on the first SpMV, no temporaries after it)."""
         work = self._work
         if work is None or work[0].shape[0] < tile or work[0].dtype != x_dtype:
             prod_dtype = np.result_type(self._values.dtype, x_dtype)

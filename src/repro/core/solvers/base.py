@@ -49,6 +49,7 @@ __all__ = [
     "SolveState",
     "STOP",
     "bind_arena",
+    "guarded_divide",
     "safe_divide",
 ]
 
@@ -70,12 +71,23 @@ def safe_divide(
     slip past the zero check and silently propagate NaN into every
     downstream update of that system.
     """
-    ok = active & (den != 0.0) & np.isfinite(den)
+    return guarded_divide(num, den, active & (den != 0.0) & np.isfinite(den), out)
+
+
+def guarded_divide(
+    num: np.ndarray, den: np.ndarray, mask: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``num / den`` on the ``mask`` systems, 0 on the others.
+
+    For a ``mask`` that :meth:`IterationDriver.guard` has just cleared of
+    zero and non-finite ``den``: there :func:`safe_divide`'s own check
+    would return ``mask`` unchanged.
+    """
     if out is None:
-        out = np.zeros_like(num)
+        out = np.zeros(num.shape, num.dtype)
     else:
         out[...] = 0.0
-    np.divide(num, den, out=out, where=ok)
+    np.divide(num, den, out=out, where=mask)
     return out
 
 
@@ -299,10 +311,11 @@ class SolveState:
     """Named arrays of one batched solve, rebound wholesale on compaction.
 
     Attributes are ``matrix``, ``b``, ``precond``, the ``active`` mask, and
-    every registered per-system array: the solver's vectors, ``x``, and its
-    recurrence scalars.  Keeping them on one object lets the iteration
-    driver's compaction step gather *every* registered array and rebind the
-    attributes in place, so solver recurrences written against
+    every registered per-system array: the solver's vectors, ``x``, its
+    recurrence scalars, and the driver's health-guard state (``limit``,
+    ``best_norms``, ``improve_trip``).  Keeping them on one object lets the
+    iteration driver's compaction step gather *every* registered array and
+    rebind the attributes in place, so solver recurrences written against
     ``st.<name>`` never hold a stale full-size reference.
     """
 
@@ -385,8 +398,18 @@ class IterationDriver:
         solver.criterion.initialize(batch_norm2(b, dtype=st.acc_dtype), res_norms)
         converged = solver.criterion.check(res_norms)
         st.active = ~converged
-        self.initial_norms = res_norms
         nb_full = converged.size
+        # Health-guard state, per system like any recurrence scalar, so
+        # compaction gathers it: the divergence limit, the best norm so
+        # far and the trip that last improved it.  Guards fire only on
+        # norms recorded through update_norms, so a healthy solve's
+        # arithmetic is untouched — they read norms the solver computed.
+        st.register("limit", DIVERGENCE_FACTOR * res_norms)
+        st.register(
+            "best_norms",
+            np.where(np.isfinite(res_norms), res_norms, np.inf).astype(np.float64),
+        )
+        st.register("improve_trip", np.zeros(nb_full, dtype=np.int64))
         self.iterations = np.zeros(nb_full, dtype=np.int64)
         self.converged = converged
         self.final_norms = res_norms.copy()
@@ -403,13 +426,6 @@ class IterationDriver:
         )
         self.stats = OpStats()
         self._x_full = x
-        # Health-guard state.  Guards fire only on norms recorded through
-        # update_norms, so a healthy solve's arithmetic is untouched — the
-        # guards read norms the solver already computed.
-        self._best_norms = np.where(
-            np.isfinite(res_norms), res_norms, np.inf
-        ).astype(np.float64)
-        self._improve_trip = np.zeros(nb_full, dtype=np.int64)
         # Classify systems that are already poisoned at entry (NaN/Inf in
         # the initial residual) before the loop body ever touches them.
         self._check_health(res_norms, st.active)
@@ -431,7 +447,9 @@ class IterationDriver:
         """
         st = self.state
         for it in range(self.solver.max_iter):
-            if not np.any(st.active):
+            # count_nonzero is the cheapest "any" test on a boolean mask:
+            # a fifth of np.any's host cost on a small batch.
+            if not np.count_nonzero(st.active):
                 break
             self.maybe_compact()
             self.stats.trips += 1
@@ -491,33 +509,36 @@ class IterationDriver:
         self._check_health(norms, mask)
 
     def _check_health(self, norms: np.ndarray, mask: np.ndarray) -> None:
-        """Vectorised NaN/Inf, divergence, and stagnation guards."""
-        if not np.any(mask):
-            return
-        vals = norms[mask]
-        idx = self.comp.global_indices(mask)
-        code = np.zeros(vals.shape, dtype=HEALTH_DTYPE)
+        """Vectorised NaN/Inf, divergence, and stagnation guards.
 
-        bad = ~np.isfinite(vals)
-        code[bad] = SolverHealth.NON_FINITE
-
-        diverged = ~bad & (vals > DIVERGENCE_FACTOR * self.initial_norms[idx])
-        code[diverged] = SolverHealth.DIVERGED
-        bad |= diverged
-
+        Every call raises one flag, ``~isfinite(norms) | (norms > limit)``,
+        on the ``mask`` systems and updates the best norms of the others;
+        the stagnation test joins the flag only once
+        :data:`~repro.core.faults.STAGNATION_WINDOW` trips have run, and the
+        flagged systems are classified (non-finite before diverged before
+        stagnated) only when there are any.
+        """
+        st = self.state
+        flag = ~np.isfinite(norms)
+        flag |= norms > st.limit
+        flag &= mask
+        ok = mask & ~flag
+        improved = norms < (1.0 - STAGNATION_RTOL) * st.best_norms
+        improved &= ok
+        np.minimum(st.best_norms, norms, out=st.best_norms, where=ok)
         trip = self.stats.trips
-        best = self._best_norms[idx]
-        improved = vals < (1.0 - STAGNATION_RTOL) * best
-        self._best_norms[idx] = np.minimum(best, np.where(bad, best, vals))
-        self._improve_trip[idx[improved]] = trip
-        stalled = ~bad & (trip - self._improve_trip[idx] >= STAGNATION_WINDOW)
-        code[stalled] = SolverHealth.STAGNATED
-        bad |= stalled
-
-        if np.any(bad):
-            bad_local = np.zeros(mask.shape, dtype=bool)
-            bad_local[mask] = bad
-            self._halt(bad_local, code[bad])
+        np.copyto(st.improve_trip, trip, where=improved)
+        if trip >= STAGNATION_WINDOW:
+            flag |= ok & (trip - st.improve_trip >= STAGNATION_WINDOW)
+        if np.count_nonzero(flag):
+            code = np.where(
+                ~np.isfinite(norms),
+                SolverHealth.NON_FINITE,
+                np.where(
+                    norms > st.limit, SolverHealth.DIVERGED, SolverHealth.STAGNATED
+                ),
+            )
+            self._halt(flag, code[flag])
 
     def _halt(self, local_mask: np.ndarray, code) -> None:
         """Record health code and trip count of unconverged systems; freeze them.
@@ -551,11 +572,11 @@ class IterationDriver:
         for scalar in rest:
             bad |= (scalar == 0.0) | ~np.isfinite(scalar)
         broken = cont & bad
-        if not np.any(broken):
+        if not np.count_nonzero(broken):
             return False
         self._halt(broken, code)
         cont &= ~broken
-        return not np.any(self.state.active)
+        return not np.count_nonzero(self.state.active)
 
     def log_history(
         self, norms: np.ndarray | None = None, mask: np.ndarray | None = None
@@ -596,8 +617,8 @@ class IterationDriver:
         """
         self.update_norms(norms, cont if record is None else record)
         newly = cont & self.criterion.check(norms)
-        restarted = np.zeros_like(newly)
-        if np.any(newly):
+        restarted = np.zeros(newly.shape, dtype=bool)
+        if np.count_nonzero(newly):
             if restart is None:
                 self.log_converged(it, newly)
                 self.mark_converged(newly)
@@ -638,12 +659,12 @@ class IterationDriver:
             residual(st.matrix, st.x, st.b, out=true_r)
             true_norms = batch_norm2(true_r, dtype=st.acc_dtype)
         confirmed = candidates & self.comp.criterion.check(true_norms)
-        if np.any(confirmed):
+        if np.count_nonzero(confirmed):
             self._scatter(self.final_norms, true_norms, confirmed)
             self.log_converged(it, confirmed)
             self.mark_converged(confirmed)
         restarted = candidates & ~confirmed
-        if np.any(restarted):
+        if np.count_nonzero(restarted):
             self.stats.restart_events += 1
             restart(st, true_r, restarted)
             self._scatter(self.final_norms, true_norms, restarted)

@@ -6,7 +6,8 @@ system — while per-system ``active`` masks implement the paper's
 system-individual convergence monitoring:
 
 * converged systems stop contributing to any update (their step scalars are
-  forced to zero by :func:`~repro.core.solvers.base.safe_divide`),
+  forced to zero by :func:`~repro.core.solvers.base.safe_divide` and
+  :func:`~repro.core.solvers.base.guarded_divide`),
 * each system's iteration count and final residual are logged individually,
 * the loop exits as soon as *every* system has converged, so a batch of
   easy ion systems never pays for hard electron systems beyond the mask
@@ -41,7 +42,7 @@ import numpy as np
 from ..batch_dense import batch_dot, batch_norm2
 from ..blas import fused_dots, fused_update, masked_assign, masked_axpy, masked_fill
 from ..faults import SolverHealth
-from .base import STOP, BatchedIterativeSolver, IterationDriver, safe_divide
+from .base import STOP, BatchedIterativeSolver, IterationDriver, guarded_divide, safe_divide
 
 __all__ = ["BatchBicgstab"]
 
@@ -98,7 +99,7 @@ class BatchBicgstab(BatchedIterativeSolver):
             alpha_den = batch_dot(st.r_hat, st.v, dtype=st.acc_dtype)
             if drv.guard(cont, SolverHealth.BREAKDOWN_RHO, alpha_den):
                 return STOP
-            safe_divide(rho, alpha_den, cont, out=st.alpha)
+            guarded_divide(rho, alpha_den, cont, out=st.alpha)
 
             # s = r - alpha * v
             np.multiply(st.v, st.alpha[:, None], out=st.s)
@@ -107,7 +108,7 @@ class BatchBicgstab(BatchedIterativeSolver):
             s_norms = batch_norm2(st.s, dtype=st.acc_dtype)
             # Early exit per system: x += alpha * p_hat, then freeze.
             s_conv = cont & drv.criterion.check(s_norms)
-            if np.any(s_conv):
+            if np.count_nonzero(s_conv):
                 masked_axpy(st.x, st.alpha, st.p_hat, mask=s_conv, work=st.work)
                 drv.verify_and_freeze(it, s_conv, self._restart)
                 cont &= ~s_conv  # both confirmed and restarted sit out
@@ -126,7 +127,7 @@ class BatchBicgstab(BatchedIterativeSolver):
             )
             if drv.guard(cont, SolverHealth.BREAKDOWN_OMEGA, ts, tt):
                 return STOP
-            safe_divide(ts, tt, cont, out=st.omega)
+            guarded_divide(ts, tt, cont, out=st.omega)
 
             # x += alpha * p_hat + omega * s_hat   (zero steps when frozen
             # or restarted)

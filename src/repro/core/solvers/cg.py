@@ -16,7 +16,7 @@ import numpy as np
 from ..batch_dense import batch_dot, batch_norm2
 from ..blas import masked_assign, masked_axpy
 from ..faults import SolverHealth
-from .base import STOP, BatchedIterativeSolver, IterationDriver, safe_divide
+from .base import STOP, BatchedIterativeSolver, IterationDriver, guarded_divide, safe_divide
 
 __all__ = ["BatchCg"]
 
@@ -42,7 +42,7 @@ class BatchCg(BatchedIterativeSolver):
             pw = batch_dot(st.p, st.w, dtype=st.acc_dtype)
             if drv.guard(st.active, SolverHealth.BREAKDOWN_RHO, pw):
                 return STOP
-            alpha = safe_divide(st.rz_old, pw, st.active)
+            alpha = guarded_divide(st.rz_old, pw, st.active)
 
             # Frozen systems take zero steps: their alpha is already 0.
             masked_axpy(st.x, alpha, st.p, work=st.work)
@@ -51,7 +51,7 @@ class BatchCg(BatchedIterativeSolver):
 
             res_norms = batch_norm2(st.r, dtype=st.acc_dtype)
             drv.settle(it, res_norms, st.active)
-            if not np.any(st.active):
+            if not np.count_nonzero(st.active):
                 return STOP
 
             st.precond.apply(st.r, out=st.z)

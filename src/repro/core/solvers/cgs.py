@@ -20,7 +20,7 @@ import numpy as np
 from ..batch_dense import batch_dot
 from ..blas import fused_dots, masked_assign, masked_axpy
 from ..faults import SolverHealth
-from .base import STOP, BatchedIterativeSolver, IterationDriver, safe_divide
+from .base import STOP, BatchedIterativeSolver, IterationDriver, guarded_divide, safe_divide
 
 __all__ = ["BatchCgs"]
 
@@ -60,7 +60,7 @@ class BatchCgs(BatchedIterativeSolver):
                 st.active, SolverHealth.BREAKDOWN_RHO, st.rho_old, alpha_den
             ):
                 return STOP
-            alpha = safe_divide(st.rho_old, alpha_den, st.active)
+            alpha = guarded_divide(st.rho_old, alpha_den, st.active)
 
             # q = u - alpha v ; solution update direction u + q
             np.multiply(st.v, alpha[:, None], out=st.q)
@@ -88,7 +88,7 @@ class BatchCgs(BatchedIterativeSolver):
             # recursions drift even more readily than BiCGSTAB's);
             # restarted systems skip the direction update this iteration.
             restarted = drv.settle(it, np.sqrt(rr), st.active, self._restart)
-            if not np.any(st.active):
+            if not np.count_nonzero(st.active):
                 return STOP
             active_now = st.active & ~restarted
 

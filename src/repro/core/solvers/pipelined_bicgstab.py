@@ -41,7 +41,7 @@ import numpy as np
 from ..batch_dense import batch_dot
 from ..blas import fused_dots, fused_update, masked_assign, masked_axpy, masked_fill
 from ..faults import SolverHealth
-from .base import STOP, BatchedIterativeSolver, IterationDriver, safe_divide
+from .base import STOP, BatchedIterativeSolver, IterationDriver, guarded_divide, safe_divide
 
 __all__ = ["BatchPipelinedBicgstab"]
 
@@ -97,7 +97,7 @@ class BatchPipelinedBicgstab(BatchedIterativeSolver):
             alpha_den = batch_dot(st.r_hat, st.v, dtype=st.acc_dtype)
             if drv.guard(cont, SolverHealth.BREAKDOWN_RHO, alpha_den):
                 return STOP
-            safe_divide(st.rho, alpha_den, cont, out=st.alpha)
+            guarded_divide(st.rho, alpha_den, cont, out=st.alpha)
 
             # s = r - alpha * v
             np.multiply(st.v, st.alpha[:, None], out=st.s)
@@ -113,7 +113,7 @@ class BatchPipelinedBicgstab(BatchedIterativeSolver):
             )
             if drv.guard(cont, SolverHealth.BREAKDOWN_OMEGA, ts, tt):
                 return STOP
-            safe_divide(ts, tt, cont, out=st.omega)
+            guarded_divide(ts, tt, cont, out=st.omega)
 
             # x += alpha * p_hat + omega * s_hat
             masked_axpy(st.x, st.alpha, st.p_hat, mask=cont, work=st.work)

@@ -49,7 +49,7 @@ from ..blas import (
 )
 from ..faults import SolverHealth
 from ..spmv import residual
-from .base import STOP, BatchedIterativeSolver, IterationDriver, safe_divide
+from .base import STOP, BatchedIterativeSolver, IterationDriver, guarded_divide, safe_divide
 from .schedule import REPLACEMENT_PERIOD
 
 __all__ = ["BatchPipelinedCg"]
@@ -117,7 +117,7 @@ class BatchPipelinedCg(BatchedIterativeSolver):
                 (st.r, st.u), (st.w, st.u), (st.r, st.r), dtype=st.acc_dtype
             )
             restarted = drv.settle(it, np.sqrt(rr), st.active, self._restart)
-            if not np.any(st.active):
+            if not np.count_nonzero(st.active):
                 return STOP
 
             # Restarted systems got fresh scalars from _restart; the stale
@@ -135,7 +135,7 @@ class BatchPipelinedCg(BatchedIterativeSolver):
             den = delta - safe_divide(beta_new * gamma_new, st.alpha, cont)
             if drv.guard(cont, SolverHealth.BREAKDOWN_RHO, den) or stop:
                 return STOP
-            alpha_new = safe_divide(gamma_new, den, cont)
+            alpha_new = guarded_divide(gamma_new, den, cont)
 
             masked_assign(st.gamma, gamma_new, cont)
             masked_assign(st.alpha, alpha_new, cont)

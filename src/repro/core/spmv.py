@@ -3,20 +3,18 @@
 The paper's batched formats (Ginkgo's ``BatchCsr``/``BatchEll`` design) are
 one sparsity pattern shared by every system plus per-system values.
 :class:`BatchMatrix` is that idea written once.  A format supplies its
-constructor and validation, its ``apply`` kernel, and four hooks:
+constructor and validation, its ``apply`` kernel, and three hooks:
 
 * :attr:`~BatchMatrix.pattern` — the tuple of its shared index arrays;
-* :meth:`~BatchMatrix.with_values` — the same pattern, by reference, with
-  new values and no re-validation;
 * :meth:`~BatchMatrix.entries` — ``(rows, cols, index)`` of its stored
   entries in CSR order, where ``values[(slice(None), *index)]`` is their
   ``(num_batch, nnz)`` value array;
 * :meth:`~BatchMatrix.from_entries` — the format built from such an entry
   list.
 
-Everything else (shape and dtype, storage accounting, ``copy``,
-``astype``, ``take_batch``, ``diagonal``, ``entry_dense``, ``from_dense``)
-is implemented here on top of those hooks, and
+Everything else (shape and dtype, storage accounting, ``with_values``,
+``copy``, ``astype``, ``take_batch``, ``diagonal``, ``entry_dense``,
+``from_dense``) is implemented here on top of those hooks, and
 :func:`repro.core.convert.to_format` converts through the entry list, so
 only the format modules know a format's data layout.
 
@@ -32,9 +30,12 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from ..utils.validation import as_value_array
-from .types import BatchShape, InvalidFormatError
+from .types import BatchShape, DimensionMismatch, InvalidFormatError
 
 __all__ = ["BatchMatrix", "residual"]
+
+#: The value dtypes a batch can carry (the two working precisions).
+_VALUE_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 def nonzero_union(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -47,12 +48,17 @@ class BatchMatrix(ABC):
     """A batch of matrices sharing one sparsity pattern, per-system values.
 
     Subclasses set ``_values`` and ``_shape`` in their constructor and
-    implement the four hooks plus ``apply``.
+    implement the three hooks plus ``apply``.  Everything else a
+    constructor sets is derived from the pattern and shared by
+    :meth:`with_values`, except ``_work``: a format's SpMV scratch lives
+    in that one attribute, which every derived batch starts without.
     """
 
     format_name: str = ""
     _values: np.ndarray
     _shape: BatchShape
+    #: Per-matrix SpMV scratch, built lazily by ``apply`` (None until then).
+    _work = None
 
     # -- the per-format hooks ----------------------------------------------
 
@@ -60,10 +66,6 @@ class BatchMatrix(ABC):
     @abstractmethod
     def pattern(self) -> tuple[np.ndarray, ...]:
         """The shared index arrays (read-only by contract; ``()`` for dense)."""
-
-    @abstractmethod
-    def with_values(self, values: np.ndarray) -> "BatchMatrix":
-        """This pattern, by reference, with ``values`` (not re-validated)."""
 
     @abstractmethod
     def entries(self) -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -124,6 +126,35 @@ class BatchMatrix(ABC):
         return self._values.nbytes + sum(p.nbytes for p in self.pattern)
 
     # -- construction and per-system access --------------------------------
+
+    def with_values(self, values: np.ndarray) -> "BatchMatrix":
+        """This pattern, by reference, with ``values``.
+
+        Only ``values`` is checked: a float32 or float64 array with the
+        same per-system shape as :attr:`values` (so the same ``ndim``),
+        else :class:`~repro.core.types.DimensionMismatch`.  The pattern and
+        everything the constructor derived from it are shared by
+        reference; the SpMV scratch is not, so two derived batches (say,
+        the Picard loop's thread shards) can be applied concurrently.
+        """
+        per_system = self._values.shape[1:]
+        if (
+            not isinstance(values, np.ndarray)
+            or values.dtype not in _VALUE_DTYPES
+            or values.shape[1:] != per_system
+        ):
+            raise DimensionMismatch(
+                f"values must be a float32 or float64 array of shape "
+                f"(num_batch, {', '.join(map(str, per_system))}), got "
+                f"{getattr(values, 'dtype', type(values).__name__)} "
+                f"{np.shape(values)}"
+            )
+        derived = object.__new__(type(self))
+        derived.__dict__.update(self.__dict__)
+        derived._values = np.ascontiguousarray(values)
+        derived._shape = BatchShape(values.shape[0], self.num_rows, self.num_cols)
+        derived._work = None
+        return derived
 
     @classmethod
     def from_dense(cls, dense_values: np.ndarray) -> "BatchMatrix":

@@ -22,6 +22,8 @@ __all__ = [
     "check_shape",
 ]
 
+_INT32 = np.iinfo(np.int32)
+
 
 def check_positive(value: float, name: str) -> float:
     """Validate that ``value`` is strictly positive.
@@ -90,13 +92,23 @@ def as_value_array(
 def as_index_array(data, name: str, *, ndim: int | None = None) -> np.ndarray:
     """Convert ``data`` to a C-contiguous int32 index array.
 
-    Raises if any value would overflow int32 — batch problems in this
-    library are small per entry, so 32-bit indices are both sufficient and
-    match what the GPU kernels in the reference implementation use.
+    An input that already is one (of the requested ``ndim``) is returned
+    as it is.  Otherwise raises ``ValueError`` if a float value is
+    non-integral or non-finite, or if any value would overflow int32 —
+    batch problems in this library are small per entry, so 32-bit indices
+    are both sufficient and match what the GPU kernels in the reference
+    implementation use.
     """
     arr = np.asarray(data)
-    if arr.size and (arr.min() < np.iinfo(np.int32).min or arr.max() > np.iinfo(np.int32).max):
-        raise ValueError(f"{name} contains values that overflow int32")
+    if arr.dtype != np.int32:
+        if arr.dtype.kind == "f" and not np.all(
+            np.isfinite(arr) & (arr == np.trunc(arr))
+        ):
+            raise ValueError(
+                f"{name} must hold integers, got non-integral or non-finite values"
+            )
+        if arr.size and (arr.min() < _INT32.min or arr.max() > _INT32.max):
+            raise ValueError(f"{name} contains values that overflow int32")
     arr = np.ascontiguousarray(arr, dtype=np.int32)
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"{name} must have {ndim} dimensions, got {arr.ndim}")

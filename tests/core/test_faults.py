@@ -279,6 +279,64 @@ class TestStateReachabilityAndRecovery:
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestGuardEdgeCases:
+    """The driver's per-trip health flag and its state under compaction."""
+
+    def test_overflowing_initial_norm_is_non_finite_at_entry(self, rng):
+        """Finite residual entries whose norm overflows to +inf: the
+        divergence limit overflows to +inf too, and the system must still
+        freeze NON_FINITE before its first trip."""
+        m = coupled_batch(rng)
+        b = rng.standard_normal((6, 20))
+        b[SYS] *= 1e200
+        res = solver().solve(m, b)
+        assert np.isfinite(b[SYS]).all()
+        assert res.health[SYS] == SolverHealth.NON_FINITE
+        assert res.iterations[SYS] == 0
+        assert res.residual_norms[SYS] == np.inf
+        others = np.arange(6) != SYS
+        assert res.converged[others].all()
+
+    @pytest.mark.parametrize(
+        "factor,state",
+        [(2.5, SolverHealth.DIVERGED), (2.0, SolverHealth.STAGNATED)],
+        ids=["diverged", "stagnated"],
+    )
+    def test_guard_after_compaction_matches_uncompacted(self, rng, factor, state):
+        """A diagonal entry at 2.5 grows the Richardson error by 1.5 per
+        sweep, so the system crosses the divergence limit after the
+        healthy systems have converged; at 2 the error flips sign forever
+        (stagnation).  Either way the guard fires after a compaction
+        event, on gathered guard state, and must give the uncompacted
+        solve's code, trip count and norm."""
+        m = diagonal_batch(rng)
+        b = rng.standard_normal((6, 16))
+        inj = FaultInjector([FaultSpec("scale_diag", system=SYS, rows=(0,),
+                                       factor=factor)])
+        mc = inj.corrupt_matrix(m)
+        results = {}
+        for threshold in (0.5, None):
+            s = BatchRichardson(
+                preconditioner="identity", criterion=AbsoluteResidual(TOL),
+                max_iter=300, compact_threshold=threshold,
+            )
+            results[threshold] = (s.solve(mc, b), s.last_compaction_events)
+        (packed, events), (plain, no_events) = results[0.5], results[None]
+        assert events >= 1 and no_events == 0
+        assert packed.health[SYS] == plain.health[SYS] == state
+        others = np.arange(6) != SYS
+        assert packed.converged[others].all()
+        # Every healthy system froze first, so the batch had compacted
+        # before the guard fired.
+        assert packed.iterations[SYS] > packed.iterations[others].max()
+        assert packed.iterations[SYS] < 300
+        np.testing.assert_array_equal(packed.iterations, plain.iterations)
+        np.testing.assert_array_equal(packed.health, plain.health)
+        np.testing.assert_array_equal(packed.residual_norms, plain.residual_norms)
+        np.testing.assert_array_equal(packed.x, plain.x)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestEscalationMachinery:
     def test_healthy_batch_no_rung_attempts(self, rng):
         """Zero unhealthy systems: the ladder is never climbed and the

@@ -1,9 +1,23 @@
 """Tests for the batch-matrix contract and the residual helper."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from repro.core import BatchCsr, BatchMatrix, BatchTridiag, residual, to_format
+from repro.core import (
+    BatchCsr,
+    BatchDense,
+    BatchDia,
+    BatchEll,
+    BatchMatrix,
+    BatchTridiag,
+    DimensionMismatch,
+    residual,
+    to_format,
+)
 
 FORMATS = ("csr", "ell", "dia", "dense")
 
@@ -99,3 +113,100 @@ def test_format_contract(rng, dense_batch, fmt, dtype):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(back.values, ref.values)
         np.testing.assert_array_equal(back.apply(x), ref.apply(x))
+
+
+def constructor_built(m, values):
+    """``m``'s pattern with ``values``, built (and validated) by its
+    format's constructor."""
+    if m.format_name == "csr":
+        return BatchCsr(m.num_cols, m.row_ptrs, m.col_idxs, values)
+    if m.format_name == "ell":
+        return BatchEll(m.num_cols, m.col_idxs, values)
+    if m.format_name == "dia":
+        return BatchDia(m.num_cols, m.offsets, values)
+    return BatchDense(values)
+
+
+class TestWithValues:
+    """``with_values``: one implementation for every format."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_shares_pattern_and_everything_derived(self, rng, csr_batch, fmt, dtype):
+        ref = to_format(csr_batch, fmt).astype(dtype)
+        x = rng.standard_normal((ref.num_batch, ref.num_cols)).astype(dtype)
+        ref.apply(x)  # ELL and DIA build their SpMV scratch
+        values = (3.0 * ref.values[:4]).astype(dtype)
+        derived = ref.with_values(values)
+        assert type(derived) is type(ref)
+        assert derived.values is values
+        assert (derived.num_batch, derived.num_rows, derived.num_cols) == (
+            4, ref.num_rows, ref.num_cols,
+        )
+        assert all(a is b for a, b in zip(derived.pattern, ref.pattern, strict=True))
+        for name in set(vars(ref)) - {"_values", "_shape", "_work"}:
+            assert vars(derived)[name] is vars(ref)[name], name
+        assert derived._work is None  # scratch is never shared
+
+        built = constructor_built(ref, values)
+        for probe in (x[:4], -x[:4]):
+            assert derived.apply(probe).tobytes() == built.apply(probe).tobytes()
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_other_values_raise(self, csr_batch, fmt):
+        ref = to_format(csr_batch, fmt)
+        v = ref.values
+        for bad in (
+            v[..., :-1],                  # another per-system shape
+            v[0],                         # batch axis missing
+            v[..., None],                 # one axis too many
+            v.astype(np.int64),           # not a float value array
+            v.astype(np.float16),
+            v.tolist(),
+        ):
+            with pytest.raises(DimensionMismatch):
+                ref.with_values(bad)
+
+    def test_dia_rejects_a_shorter_band(self, paper_app):
+        """A 500-row band on the 992-row pattern used to build a 500x992
+        matrix silently."""
+        dia, _ = paper_app.build_matrices()
+        assert dia.format_name == "dia" and dia.num_rows == 992
+        with pytest.raises(DimensionMismatch, match="992"):
+            dia.with_values(np.zeros((3, dia.num_diags, 500)))
+
+    def test_dia_shard_views_apply_concurrently(self, paper_app):
+        """Shard views of one matrix, as ``PicardStepper._solve`` builds
+        them, applied at once on more threads than cores, each equal their
+        serial product on every pass."""
+        dia, f = paper_app.build_matrices()
+        reps = 6  # 24 systems: 4 shards of 6, one DIA tile each
+        values = np.concatenate([dia.values * (1.0 + 0.01 * k) for k in range(reps)])
+        matrix = dia.with_values(values)
+        x = np.concatenate([f * (1.0 - 0.02 * k) for k in range(reps)])
+        matrix.apply(x)
+        bounds = [(0, 6), (6, 12), (12, 18), (18, 24)]
+        shards = [matrix.with_values(matrix.values[lo:hi]) for lo, hi in bounds]
+        serial = [
+            constructor_built(dia, values[lo:hi]).apply(x[lo:hi]) for lo, hi in bounds
+        ]
+        start = threading.Barrier(len(shards))
+
+        def run(k):
+            lo, hi = bounds[k]
+            out = np.empty_like(serial[k])
+            start.wait(timeout=30)
+            for _ in range(50):
+                shards[k].apply(x[lo:hi], out=out)
+                if out.tobytes() != serial[k].tobytes():
+                    return False
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(shards)) as pool:
+                futures = [pool.submit(run, k) for k in range(len(shards))]
+                assert [fut.result(timeout=60) for fut in futures] == [True] * 4
+        finally:
+            sys.setswitchinterval(interval)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import BatchDia
 from repro.utils.validation import (
     as_index_array,
     check_in,
@@ -37,6 +38,35 @@ class TestArrayChecks:
     def test_as_index_overflow_rejected(self):
         with pytest.raises(ValueError, match="overflow"):
             as_index_array([2**40], "idx")
+
+    def test_as_index_returns_int32_input_as_is(self):
+        idx = np.arange(6, dtype=np.int32).reshape(2, 3)
+        assert as_index_array(idx, "idx", ndim=2) is idx
+        with pytest.raises(ValueError, match="idx must have 1 dimensions"):
+            as_index_array(idx, "idx", ndim=1)
+        # A strided int32 view is copied into a contiguous one.
+        strided = as_index_array(idx[:, ::2], "idx", ndim=2)
+        assert strided.flags.c_contiguous
+        np.testing.assert_array_equal(strided, [[0, 2], [3, 5]])
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int16, np.float64, np.float32])
+    def test_as_index_accepts_integers_and_integral_floats(self, dtype):
+        out = as_index_array(np.array([-1, 0, 7], dtype=dtype), "offsets")
+        assert out.dtype == np.int32
+        np.testing.assert_array_equal(out, [-1, 0, 7])
+
+    @pytest.mark.parametrize(
+        "bad", [[-1.0, 0.0, 1.5], [0.0, np.nan], [np.inf, 1.0], [-np.inf]]
+    )
+    def test_as_index_rejects_fractional_and_non_finite(self, bad):
+        with pytest.raises(ValueError, match="offsets must hold integers"):
+            as_index_array(np.array(bad), "offsets")
+
+    def test_dia_rejects_fractional_offsets(self):
+        with pytest.raises(ValueError, match="offsets must hold integers"):
+            BatchDia(4, [-1.0, 0.0, 1.5], np.zeros((1, 3, 4)))
+        m = BatchDia(4, [-1.0, 0.0, 1.0], np.zeros((1, 3, 4)))
+        np.testing.assert_array_equal(m.offsets, [-1, 0, 1])
 
     def test_check_shape(self):
         a = np.zeros((2, 3))
